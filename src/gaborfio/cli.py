@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -35,6 +34,17 @@ DEFAULT_CONFIG = {
     "symbol_class": {"s": 2.0},
     "word": None,
     "output": {"matrix_csv": False},
+}
+
+# (section, key) -> (int or float, smallest accepted value or None)
+_NUMERIC_FIELDS = {
+    ("thresholds", "s_threshold"): (float, None),
+    ("thresholds", "offgrid_ratio_max"): (float, 0),
+    ("offgrid", "s"): (float, None),
+    ("offgrid", "n_offsets"): (int, 0),
+    ("sweep", "repeats"): (int, 1),
+    ("sweep", "probes"): (int, 1),
+    ("symbol_class", "s"): (float, None),
 }
 
 PIPELINES = ("gabor-matrix", "decay", "compose", "invert", "factorize",
@@ -89,13 +99,54 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"frame.{key} must divide L={L}, got {v!r}")
     if cfg.get("pipeline") not in PIPELINES:
         raise ConfigError(f"pipeline must be one of {PIPELINES}, got {cfg.get('pipeline')!r}")
-    if not isinstance(cfg.get("seed"), int):
-        raise ConfigError("seed must be an integer")
+    seed = cfg.get("seed")
+    if not _is_number(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    if not isinstance(cfg.get("operator"), str):
+        raise ConfigError(f"operator must be a string spec, got {cfg.get('operator')!r}")
+    word = cfg.get("word")
+    if word is not None and not (isinstance(word, list)
+                                 and all(isinstance(t, str) for t in word)):
+        raise ConfigError(f"word must be a list of generator strings, got {word!r}")
+    for (section, key), (kind, lo) in _NUMERIC_FIELDS.items():
+        node = cfg.get(section)
+        v = node.get(key) if isinstance(node, dict) else None
+        if not _is_number(v, kind) or (lo is not None and v < lo):
+            what = "an integer" if kind is int else "a number"
+            bound = f" >= {lo}" if lo is not None else ""
+            raise ConfigError(f"{section}.{key} must be {what}{bound}, got {v!r}")
+    taus = cfg["sweep"].get("tau_grid") if isinstance(cfg.get("sweep"), dict) else None
+    if not (isinstance(taus, list) and taus
+            and all(_is_number(t, float) and t >= 0 for t in taus)):
+        raise ConfigError(f"sweep.tau_grid must be a non-empty list of numbers >= 0, "
+                          f"got {taus!r}")
+
+
+def _is_number(v, kind) -> bool:
+    accepted = int if kind is int else (int, float)
+    return isinstance(v, accepted) and not isinstance(v, bool)
 
 
 # ---------------------------------------------------------------------------
 # operator specs
 # ---------------------------------------------------------------------------
+
+def _spec_number(text: str, kind, spec: str, lo=None):
+    """int(text) or finite float(text) of a field of an operator spec, or
+    ConfigError."""
+    from math import isfinite
+
+    from .errors import ConfigError
+    try:
+        v = kind(text)
+    except ValueError:
+        v = None
+    if v is None or not isfinite(v):
+        raise ConfigError(f"bad {kind.__name__} {text!r} in {spec!r}")
+    if lo is not None and v < lo:
+        raise ConfigError(f"{text!r} in {spec!r} must be >= {lo}")
+    return v
+
 
 def _parse_symbol(spec: str, config, rng):
     from . import operators as ops
@@ -104,8 +155,8 @@ def _parse_symbol(spec: str, config, rng):
         return ops.symbol_ones(config)
     if spec.startswith("random-smooth"):
         parts = spec.split(":")
-        seed = int(parts[1]) if len(parts) > 1 else 0
-        bandwidth = int(parts[2]) if len(parts) > 2 else 2
+        seed = _spec_number(parts[1], int, spec, lo=0) if len(parts) > 1 else 0
+        bandwidth = _spec_number(parts[2], int, spec, lo=0) if len(parts) > 2 else 2
         import numpy as np
         local = np.random.Generator(np.random.Philox(seed))
         return ops.random_smooth_symbol(config, local, bandwidth=bandwidth)
@@ -116,25 +167,43 @@ def _phase_for(config, phase_spec: str):
     """A DiscretePhase for a catalog phase name, exact where possible."""
     from . import operators as ops
     from . import phasegeom as pg
+    from .errors import ConfigError
     if config.regime == "A":
         if phase_spec == "kn":
             return ops.kn_phase(config)
         head, _, arg = phase_spec.partition(":")
-        if head == "chirp" and float(arg) == int(float(arg)):
-            return ops.quadratic_phase(config, int(float(arg)), 1, 0)
+        if head == "chirp":
+            c = _spec_number(arg, float, phase_spec)
+            if c.is_integer():
+                return ops.quadratic_phase(config, int(c), 1, 0)
         if head == "metaplectic":
-            a, b, c, d = (float(t) for t in arg.split(","))
+            a, b, c, d = _matrix_entries(arg, phase_spec)
             M = pg.SymplecticMatrix([[a, b], [c, d]])
             phi = pg.phase_of_symplectic(M)      # raises NondegeneracyViolation at A=0
             coeffs = (c / a, 1 / a, -b / a)
             if all(x == int(x) for x in coeffs):
                 return ops.quadratic_phase(config, *(int(x) for x in coeffs))
             return ops.discrete_phase_from_tame(phi, config)
-    return ops.discrete_phase_from_tame(pg.tame_phase(phase_spec), config)
+    try:
+        phase = pg.tame_phase(phase_spec)
+    except ValueError:
+        raise ConfigError(f"bad number in phase {phase_spec!r}") from None
+    return ops.discrete_phase_from_tame(phase, config)
+
+
+def _matrix_entries(arg: str, spec: str) -> list:
+    """The four floats a,b,c,d of a metaplectic spec."""
+    from .errors import ConfigError
+    entries = arg.split(",")
+    if len(entries) != 4:
+        raise ConfigError(f"{spec!r} needs four entries a,b,c,d")
+    return [_spec_number(t, float, spec) for t in entries]
 
 
 def _parse_atom(atom: str, config, rng):
     """One operator atom -> (OperatorMatrix, CanonicalMap)."""
+    from math import gcd
+
     import numpy as np
 
     from . import operators as ops
@@ -149,22 +218,24 @@ def _parse_atom(atom: str, config, rng):
         return ops.dft_operator(config), pg.linear_map([[0., 1.], [-1., 0.]], "dft",
                                                        mod_L=config.L)
     if head == "chirp":
-        c = int(rest)
+        c = _spec_number(rest, int, atom)
         return ops.chirp_operator(config, c), pg.linear_map([[1., 0.], [float(c), 1.]],
                                                             f"chirp:{c}",
                                                             mod_L=config.L)
     if head == "dilate":
-        u = int(rest)
+        u = _spec_number(rest, int, atom)
+        if gcd(u, config.L) != 1:
+            raise ConfigError(f"{atom!r}: {u} is not a unit mod L={config.L}")
         chi = pg.linear_map([[float(u % config.L), 0.],
                              [0., float(pow(u % config.L, -1, config.L))]],
                             f"dilate:{u}", mod_L=config.L)
         return ops.dilation_operator(config, u), chi
     if head == "multiplier":
-        return ops.multiplier_operator(config, float(rest)), I2
+        return ops.multiplier_operator(config, _spec_number(rest, float, atom)), I2
     if head == "perturb-id":
         parts = rest.split(":")
-        eps = float(parts[0])
-        seed = int(parts[1]) if len(parts) > 1 else 0
+        eps = _spec_number(parts[0], float, atom)
+        seed = _spec_number(parts[1], int, atom, lo=0) if len(parts) > 1 else 0
         local = np.random.Generator(np.random.Philox(seed))
         S = ops.kn_quantize(ops.random_smooth_symbol(config, local))
         S = ops.OperatorMatrix(S.entries / S.norm2(), config, tag="kn")
@@ -173,7 +244,7 @@ def _parse_atom(atom: str, config, rng):
     if head == "metaplectic":
         phi = _phase_for(config, atom)
         T = ops.fio_type1(phi, ops.symbol_ones(config))
-        a, b, c, d = (float(t) for t in rest.split(","))
+        a, b, c, d = _matrix_entries(rest, atom)
         return T, pg.linear_map([[a, b], [c, d]], atom)
     if head == "kn":
         if not rest.startswith("symbol="):
@@ -296,7 +367,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             gens = []
             for tok in word_spec:
                 head, _, arg = tok.partition(":")
-                gens.append((head,) if not arg else (head, int(arg)))
+                gens.append((head,) if not arg else (head, _spec_number(arg, int, tok)))
             word = MetaplecticWord(tuple(gens), config)
             sigma1, rep = algebra.factorize_metaplectic(T, word, frame,
                                                         thresholds["s_threshold"])
@@ -390,6 +461,36 @@ def _median_time(fn, repeats: int) -> float:
 # entry point
 # ---------------------------------------------------------------------------
 
+def openblas_thread_handles() -> list:
+    """(set_num_threads, get_num_threads) for every OpenBLAS mapped into
+    this process.
+
+    numpy and scipy are loaded with the package, before any flag is parsed,
+    so the *_NUM_THREADS environment variables are read too early to act;
+    the pools are resized through each library's own entry points instead.
+    """
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh)
+                     if len(parts) == 6 and "openblas" in Path(parts[5].strip()).name}
+    except OSError:
+        return []
+    handles = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            set_fn = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            get_fn = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if set_fn is not None and get_fn is not None:
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                handles.append((set_fn, get_fn))
+                break
+    return handles
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="gaborfio",
                                      description="Gabor-matrix FIO experiments")
@@ -399,7 +500,7 @@ def main(argv=None) -> int:
     runp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                       help="override a config entry (dotted path)")
     runp.add_argument("--threads", type=int, default=None,
-                      help="cap worker threads (BLAS/FFT pools)")
+                      help="cap the BLAS thread pools")
     runp.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
 
@@ -407,10 +508,16 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
 
+    if args.threads is not None and args.threads < 1:
+        print(f"config error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return 2
     if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
+        handles = openblas_thread_handles()
+        for set_threads, _ in handles:
+            set_threads(args.threads)
+        if not handles:
+            print("warning: --threads has no effect: no OpenBLAS is loaded",
+                  file=sys.stderr)
 
     from .errors import ConfigError
     try:

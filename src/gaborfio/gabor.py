@@ -6,6 +6,25 @@ are enumerated time-major: index i = j * (L//b) + k  <->  lambda = (j*a, k*b).
 All frames are reduced to Parseval form through the canonical tight window
 w = S^{-1/2} g, so synthesis * analysis is exactly the identity and no dual
 window is ever needed.
+
+Lattice structure
+-----------------
+Write n_freq = L/b, n_time = L/a and split a time index as n = q + r*n_freq
+with q < n_freq, r < b.  The modulations e^{2 pi i k b n / L} depend on n only
+through q, which gives two exact factorizations (indices mod L):
+
+* Walnut blocks.  S[n, n'] = 0 unless n = n' (mod n_freq); on the residue
+  class q the frame operator is the b x b block
+
+      S_q[r, r'] = n_freq * sum_j g[q + r n_freq - j a] conj(g[q + r' n_freq - j a]),
+
+  so the frame bounds are the extreme eigenvalues over all blocks and the
+  tight window on class q is S_q^{-1/2} g_q.
+* Fold + FFT.  The analysis coefficient is a length-n_freq DFT of a fold,
+
+      <f, pi(j a, k b) w> = FFT_q( sum_r conj(w[q + r n_freq - j a]) f[q + r n_freq] )[k],
+
+  one batched (n_freq, n_time, b) @ (n_freq, b, M) product for M signals.
 """
 
 from __future__ import annotations
@@ -15,12 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameDeficient, ModelError, WindowError
-from .tfcore import ModelConfig, Signal, tf_shift, wrap_half
+from .tfcore import ModelConfig, Signal, wrap_half
 
 __all__ = [
     "Lattice", "GaborFrame", "CoefficientArray", "WeightSpec",
     "build_frame", "analysis", "synthesis", "modulation_norm",
-    "atom_matrix", "default_lattice",
+    "atom_matrix", "analysis_matrix", "default_lattice",
 ]
 
 
@@ -155,47 +174,72 @@ class GaborFrame:
         return self.tight if use_tight else self.g
 
 
+def _rolled(window: np.ndarray, lat: Lattice) -> np.ndarray:
+    """(n_time, L) array whose row j is the window translated by j*a."""
+    L = lat.config.L
+    n = np.arange(L)
+    return window[(n[None, :] - lat.a * np.arange(lat.n_time)[:, None]) % L]
+
+
 def atom_matrix(window: Signal, lattice: Lattice) -> np.ndarray:
     """L x size matrix whose columns are pi(lambda) w in lattice order."""
-    cols = [tf_shift(window, int(p[0]), int(p[1])).values for p in lattice.points()]
-    return np.stack(cols, axis=1)
+    L = lattice.config.L
+    n = np.arange(L)
+    mod = np.exp(2j * np.pi * (lattice.b * np.arange(lattice.n_freq))[None, :]
+                 * n[:, None] / L)
+    rolled = _rolled(window.values, lattice).T
+    return (rolled[:, :, None] * mod[:, None, :]).reshape(L, lattice.size)
 
 
 def build_frame(g: Signal, lat: Lattice, deficiency_rtol: float = 1e-12) -> GaborFrame:
     """Assemble the frame operator, extract bounds and the tight window.
 
-    S = sum_lambda pi(lambda) g <., pi(lambda) g> as an L x L Hermitian matrix;
-    the frame bounds are its extreme eigenvalues and the tight window is
-    S^{-1/2} g via the eigendecomposition.  Raises FrameDeficient when the
+    S = sum_lambda pi(lambda) g <., pi(lambda) g> splits into n_freq Walnut
+    blocks of size b x b (module docstring); one batched eigendecomposition
+    gives the frame bounds as the extreme eigenvalues over all blocks and the
+    tight window S^{-1/2} g block by block.  Raises FrameDeficient when the
     lower bound sits at the relative noise floor (rank-deficient system).
     """
     if g.norm == 0.0:
         raise WindowError("zero window")
-    V = atom_matrix(g, lat)
-    S = V @ V.conj().T
+    nf, b = lat.n_freq, lat.b
+    # G[q, r, j] = g[q + r n_freq - j a]
+    G = _rolled(g.values, lat).reshape(lat.n_time, b, nf).transpose(2, 1, 0)
+    S = nf * (G @ G.conj().transpose(0, 2, 1))
     evals, U = np.linalg.eigh(S)
-    A_frame, B_frame = float(evals[0]), float(evals[-1])
+    A_frame, B_frame = float(evals.min()), float(evals.max())
     if A_frame <= deficiency_rtol * B_frame:
         raise FrameDeficient(
             f"lower frame bound {A_frame:.3e} at noise floor of {B_frame:.3e} "
             f"(ab = {lat.a * lat.b} vs L = {lat.config.L})")
-    tight = (U * evals ** -0.5) @ (U.conj().T @ g.values)
+    g_q = g.values.reshape(b, nf).T[:, :, None]
+    tight_q = (U * evals[:, None, :] ** -0.5) @ (U.conj().transpose(0, 2, 1) @ g_q)
+    tight = tight_q[:, :, 0].T.ravel()
     return GaborFrame(g=g, lattice=lat, tight=Signal(tight, g.config),
                       bounds=(A_frame, B_frame))
+
+
+def analysis_matrix(window: Signal, lat: Lattice, X: np.ndarray) -> np.ndarray:
+    """Analysis of every column of the L x M array X: the (size, M) array of
+    <X[:, m], pi(lambda) w>, rows in lattice order (fold + FFT, module
+    docstring)."""
+    nf, nt = lat.n_freq, lat.n_time
+    M = X.shape[1]
+    W = np.conj(_rolled(window.values, lat)).reshape(nt, lat.b, nf).transpose(2, 0, 1)
+    out = np.empty((nt, nf, M), dtype=complex)
+    # the batched product lands in out[j, q, :]: the FFT over q then runs in
+    # place and leaves the rows in lattice order without a transposed copy
+    np.matmul(W, X.reshape(lat.b, nf, M).transpose(1, 0, 2),
+              out=out.transpose(1, 0, 2))
+    np.fft.fft(out, axis=1, out=out)
+    return out.reshape(nt * nf, M)
 
 
 def analysis(frame: GaborFrame, f: Signal, use_tight: bool = True) -> CoefficientArray:
     """Coefficients <f, pi(lambda) w> over the lattice, via folded FFTs."""
     lat = frame.lattice
-    L = lat.config.L
-    w = frame.window(use_tight).values
-    n = np.arange(L)
-    out = np.empty((lat.n_time, lat.n_freq), dtype=complex)
-    for j in range(lat.n_time):
-        h = f.values * np.conj(np.roll(w, j * lat.a))
-        # sum_n h[n] e^{-2 pi i (k b) n / L} has period L/b in n: fold and FFT
-        out[j] = np.fft.fft(h.reshape(lat.b, lat.n_freq).sum(axis=0))
-    return CoefficientArray(out, lat)
+    c = analysis_matrix(frame.window(use_tight), lat, f.values[:, None])
+    return CoefficientArray(c.reshape(lat.n_time, lat.n_freq), lat)
 
 
 def synthesis(frame: GaborFrame, c: CoefficientArray, use_tight: bool = True) -> Signal:
@@ -204,12 +248,8 @@ def synthesis(frame: GaborFrame, c: CoefficientArray, use_tight: bool = True) ->
     if c.lattice is not lat and (c.lattice.a, c.lattice.b, c.lattice.config.L) != (
             lat.a, lat.b, lat.config.L):
         raise ModelError("coefficient array does not match the frame lattice")
-    L = lat.config.L
-    w = frame.window(use_tight).values
-    out = np.zeros(L, dtype=complex)
-    for j in range(lat.n_time):
-        env = np.tile(lat.n_freq * np.fft.ifft(c.values[j]), lat.b)
-        out += np.roll(w, j * lat.a) * env
+    env = np.tile(lat.n_freq * np.fft.ifft(c.values, axis=1), lat.b)
+    out = (_rolled(frame.window(use_tight).values, lat) * env).sum(axis=0)
     return Signal(out, lat.config)
 
 

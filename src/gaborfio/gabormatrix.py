@@ -4,8 +4,14 @@ The Gabor matrix of T over a frame with windows w is
 
     K[mu, lam] = <T pi(lam) w, pi(mu) w>,
 
-assembled as K = V^H (T V) where V has the atoms pi(lam) w as columns.  The
-decay of |K| is measured against a canonical transformation chi through the
+that is K = A T A^H with A the analysis operator of the frame (rows
+pi(mu) w^H).  A is a fold followed by length-n_freq FFTs (gabor module
+docstring), so K is assembled as two analyses and no L x L x N product:
+
+    X = T A^H = (A T^H)^H,        K = A X,
+
+each one batched (n_freq, n_time, b) product plus strided FFTs.  The decay
+of |K| is measured against a canonical transformation chi through the
 wrapped displacement d = mu - chi(lam), componentwise reduced to [-L/2, L/2)
 in grid-index units.
 
@@ -18,6 +24,13 @@ squares *weighted by bin occupancy*: the outermost torus bins hold only the
 corner sliver of displacements (orders of magnitude fewer samples), and
 unweighted fitting lets that sliver fake a steep slope on profiles that are
 actually flat.  The unweighted variant is kept as an option.
+
+Entries at the rounding floor carry no decay information: the outermost
+torus bins of an exactly concentrated matrix hold values of order 1e-16 of
+the peak whose size depends on the order of floating-point operations.  Each
+bin's envelope, and every value entering C_fit, is therefore clamped from
+below to FIT_FLOOR_RTOL times the largest |value|, so the fit does not move
+with rounding noise.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import FitError, ModelError, SizeError
-from .gabor import CoefficientArray, GaborFrame, atom_matrix
+from .gabor import CoefficientArray, GaborFrame, analysis_matrix
 from .operators import OperatorMatrix, SymbolGrid
 from .phasegeom import CanonicalMap
 from .tfcore import Signal, stft, tf_shift, wrap_half
@@ -43,6 +56,8 @@ __all__ = [
 ]
 
 SYMBOL_CLASS_MAX_L = 128   # the 2d-STFT sweep is an L^4 computation
+FIT_FLOOR_RTOL = 1e-13     # envelope floor relative to the peak (rounding)
+FIT_BLOCK_ENTRIES = 1 << 17   # entries per block of the decay fit (1 MiB of float64)
 
 
 @dataclass(frozen=True)
@@ -119,7 +134,7 @@ class SymbolClassReport:
 def gabor_matrix(T: OperatorMatrix, frame: GaborFrame,
                  use_tight: bool = True,
                  chi: CanonicalMap | None = None) -> GaborMatrix:
-    """Assemble K = V^H T V over the frame lattice (column-per-atom dense applies).
+    """Assemble K = A T A^H over the frame lattice by two folded-FFT analyses.
 
     The default window is the canonical tight window; use_tight=False scans
     against the frame's generating window instead (the decay class does not
@@ -127,8 +142,10 @@ def gabor_matrix(T: OperatorMatrix, frame: GaborFrame,
     """
     if T.config.L != frame.config.L:
         raise ModelError("operator/frame size mismatch")
-    V = atom_matrix(frame.window(use_tight), frame.lattice)
-    K = V.conj().T @ (T.entries @ V)
+    w = frame.window(use_tight)
+    lat = frame.lattice
+    Y = analysis_matrix(w, lat, T.entries.conj().T)               # A T^H
+    K = analysis_matrix(w, lat, np.conjugate(Y, out=Y).T)         # A (T A^H)
     return GaborMatrix(K, frame, chi=chi,
                        window_kind="tight" if use_tight else "raw")
 
@@ -166,19 +183,39 @@ def envelope_fit(dists: np.ndarray, values: np.ndarray,
                  weighted: bool = True):
     """Shared binning + fit: geometric sqrt(2) bins of the bracketed
     distances <d> (>= 1, computed by the caller), sup envelope per bin,
-    (weighted) least squares of log envelope on log distance.
+    (weighted) least squares of log envelope on log distance.  Envelopes and
+    the values entering C_fit are clamped to the rounding floor
+    FIT_FLOOR_RTOL * max|values|.
 
     Returns (bins, s_fit, C_fit, r2) and raises FitError with fewer than
     four eligible bins.
     """
     dist = np.asarray(dists, dtype=float).ravel()
     vals = np.abs(np.asarray(values)).ravel()
-    idx = np.floor(np.log(dist) / np.log(np.sqrt(2))).astype(int)
-    nb = int(idx.max()) + 1
-    env = np.zeros(nb)
-    cnt = np.zeros(nb, dtype=int)
-    np.maximum.at(env, idx, vals)
-    np.add.at(cnt, idx, 1)
+    return _blocked_fit(lambda: [(dist, vals)], fit_min_dist, min_count, weighted)
+
+
+def _blocked_fit(blocks, fit_min_dist: float, min_count: int, weighted: bool):
+    """envelope_fit over entries handed out in pieces: blocks() returns an
+    iterable of (distances, |values|) 1-d array pairs and is called twice,
+    once for the bins and once for C_fit.  Bin maxima, counts and the C_fit
+    maximum do not depend on how the entries are split, so every split gives
+    the same result."""
+    env = np.zeros(0)
+    cnt = np.zeros(0, dtype=np.intp)
+    for dist, vals in blocks():
+        idx = np.log(dist)
+        idx /= np.log(np.sqrt(2))
+        idx = np.floor(idx, out=idx).astype(np.intp)
+        nb = int(idx.max()) + 1
+        if nb > env.size:
+            env = np.concatenate([env, np.zeros(nb - env.size)])
+            cnt = np.concatenate([cnt, np.zeros(nb - cnt.size, dtype=np.intp)])
+        np.maximum.at(env, idx, vals)
+        cnt[:nb] += np.bincount(idx, minlength=nb)
+    nb = env.size
+    floor = FIT_FLOOR_RTOL * float(env.max())      # env.max() is max|values|
+    np.maximum(env, floor, out=env)
     dr = np.sqrt(2.0) ** (np.arange(nb) + 0.5)
     sel = (cnt >= min_count) & (dr >= fit_min_dist) & (env > 0)
     if sel.sum() < 4:
@@ -194,21 +231,73 @@ def envelope_fit(dists: np.ndarray, values: np.ndarray,
     ss_tot = float((w * (y - ym) ** 2).sum())
     r2 = 1.0 - float((w * (y - yhat) ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
     s_fit = -slope
-    C_fit = float(np.max(vals * dist ** s_fit))
+    C_fit = 0.0
+    for dist, vals in blocks():
+        weighted_vals = dist ** s_fit
+        weighted_vals *= np.maximum(vals, floor)
+        C_fit = max(C_fit, float(weighted_vals.max()))
     bins = [(float(dr[i]), float(env[i]), int(cnt[i])) for i in range(nb) if cnt[i]]
     return bins, s_fit, C_fit, r2
 
 
+def _distance_tables(K: GaborMatrix, chi) -> tuple[np.ndarray, np.ndarray]:
+    """Squared wrapped displacements of mu - chi(lam), per coordinate.
+
+    mu's time coordinate takes only n_time values and its frequency
+    coordinate n_freq values, so the two components of d (as in
+    wrapped_displacements) come from an (n_time, N) and an (n_freq, N) table.
+    """
+    lat = K.lattice
+    L = K.frame.config.L
+    img = _chi_points(chi, wrap_half(lat.points().astype(float), L))
+    t = (lat.a * np.arange(lat.n_time)).astype(float)
+    f = (lat.b * np.arange(lat.n_freq)).astype(float)
+    d1sq = wrap_half(t[:, None] - img[:, 0][None, :], L) ** 2    # (n_time, N)
+    d2sq = wrap_half(f[:, None] - img[:, 1][None, :], L) ** 2    # (n_freq, N)
+    return d1sq, d2sq
+
+
+def _distance_rows(d1sq: np.ndarray, d2sq: np.ndarray, times: slice,
+                   freqs: slice = slice(None)) -> np.ndarray:
+    """<mu - chi(lam)> = sqrt(1 + |d|^2) for the rows mu = (j, k) with j in
+    times and k in freqs; the arithmetic per entry is that of the full
+    displacement array."""
+    rows = d1sq[times, None, :] + d2sq[None, freqs, :]
+    rows += 1.0
+    return np.sqrt(rows, out=rows).reshape(-1, d2sq.shape[1])
+
+
+def _bracket_distances(K: GaborMatrix, chi) -> np.ndarray:
+    """<mu - chi(lam)> as an (N, N) array, d as in wrapped_displacements."""
+    return _distance_rows(*_distance_tables(K, chi), slice(None))
+
+
 def decay_profile(K: GaborMatrix, chi=None, fit_min_dist: float = 2.0,
                   min_count: int = 3, weighted: bool = True) -> DecayProfile:
-    """Fit |K[mu, lam]| <= C <mu - chi(lam)>^{-s} over the lattice."""
+    """Fit |K[mu, lam]| <= C <mu - chi(lam)>^{-s} over the lattice.
+
+    The fit runs over blocks of at most FIT_BLOCK_ENTRIES entries (rows of
+    mu), so no N x N distance or |K| array is formed; the result does not
+    depend on the block size.
+    """
     chi = chi if chi is not None else K.chi
     if chi is None:
         raise ModelError("no canonical map attached or supplied")
-    d = wrapped_displacements(K, chi)
-    dist = np.sqrt(1.0 + (d ** 2).sum(axis=-1))
-    bins, s_fit, C_fit, r2 = envelope_fit(dist, K.entries, fit_min_dist,
-                                          min_count, weighted)
+    d1sq, d2sq = _distance_tables(K, chi)
+    n_time, (n_freq, N) = d1sq.shape[0], d2sq.shape
+    entries = K.entries.reshape(n_time, n_freq, N)
+    # whole time rows j when they fit in a block, else pieces of one row
+    k_step = min(n_freq, max(1, FIT_BLOCK_ENTRIES // N))
+    j_step = max(1, FIT_BLOCK_ENTRIES // (n_freq * N))
+
+    def blocks():
+        for j in range(0, n_time, j_step):
+            for k in range(0, n_freq, k_step):
+                times, freqs = slice(j, j + j_step), slice(k, k + k_step)
+                yield (_distance_rows(d1sq, d2sq, times, freqs).ravel(),
+                       np.abs(entries[times, freqs]).ravel())
+
+    bins, s_fit, C_fit, r2 = _blocked_fit(blocks, fit_min_dist, min_count, weighted)
     return DecayProfile(bins=bins, s_fit=s_fit, C_fit=C_fit, r2=r2,
                         weighted=weighted)
 

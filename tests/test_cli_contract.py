@@ -1,0 +1,61 @@
+"""Malformed configs and operator specs exit 2 with one line on stderr and
+no report; --threads resizes the BLAS pools of the running process."""
+
+import json
+
+import pytest
+
+import gaborfio.cli as cli
+
+
+def run(tmp_path, capsys, *overrides, threads=None):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"L": 32, "regime": "A"}}))
+    out = tmp_path / "out"
+    argv = ["run", str(path), "--out", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    if threads is not None:
+        argv += ["--threads", str(threads)]
+    code = cli.main(argv)
+    return code, capsys.readouterr().err, out
+
+
+@pytest.mark.parametrize("overrides", [
+    ("operator=chirp:x",),
+    ("operator=dilate:2",),                       # 2 is not a unit mod 32
+    ("pipeline=sparsity-sweep", "sweep.probes=0"),
+    ("thresholds.s_threshold=abc",),
+    ("operator=kn:symbol=random-smooth:-2",),
+    ("operator=chirp:1*perturb-id:0.1:-3",),
+    ("seed=-1",),
+    ("operator=metaplectic:1,0,1",),
+    ("operator=fio1:phase=sine:x,symbol=ones",),
+    ("sweep.tau_grid=[]",),
+])
+def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
+    code, err, out = run(tmp_path, capsys, *overrides)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert not (out / "report.json").exists()
+    assert not (out / "profile.csv").exists()
+
+
+def test_threads_flag_caps_openblas(tmp_path, capsys):
+    handles = cli.openblas_thread_handles()
+    if not handles:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = [get() for _, get in handles]
+    try:
+        code, _, _ = run(tmp_path, capsys, "operator=identity", threads=1)
+        assert code == 0
+        assert [get() for _, get in handles] == [1] * len(handles)
+    finally:
+        for (set_threads, _), n in zip(handles, before):
+            set_threads(n)
+
+
+def test_threads_flag_rejects_zero(tmp_path, capsys):
+    code, err, _ = run(tmp_path, capsys, threads=0)
+    assert code == 2 and err.startswith("config error: ")
