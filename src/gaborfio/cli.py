@@ -164,30 +164,28 @@ def _parse_symbol(spec: str, config, rng):
 
 
 def _phase_for(config, phase_spec: str):
-    """A DiscretePhase for a catalog phase name, exact where possible."""
+    """A DiscretePhase for a catalog phase name, exact where possible.
+
+    A spec the catalog rejects is a ConfigError; a metaplectic matrix with a
+    zero A block stays a NondegeneracyViolation (a pipeline failure)."""
     from . import operators as ops
     from . import phasegeom as pg
-    from .errors import ConfigError
+    from .errors import ConfigError, ModelError
+    if config.regime == "A" and phase_spec == "kn":
+        return ops.kn_phase(config)
+    try:
+        phase = pg.tame_phase(phase_spec)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from None
     if config.regime == "A":
-        if phase_spec == "kn":
-            return ops.kn_phase(config)
         head, _, arg = phase_spec.partition(":")
-        if head == "chirp":
-            c = _spec_number(arg, float, phase_spec)
-            if c.is_integer():
-                return ops.quadratic_phase(config, int(c), 1, 0)
+        if head == "chirp" and float(arg).is_integer():
+            return ops.quadratic_phase(config, int(float(arg)), 1, 0)
         if head == "metaplectic":
-            a, b, c, d = _matrix_entries(arg, phase_spec)
-            M = pg.SymplecticMatrix([[a, b], [c, d]])
-            phi = pg.phase_of_symplectic(M)      # raises NondegeneracyViolation at A=0
+            a, b, c, d = (float(t) for t in arg.split(","))
             coeffs = (c / a, 1 / a, -b / a)
             if all(x == int(x) for x in coeffs):
                 return ops.quadratic_phase(config, *(int(x) for x in coeffs))
-            return ops.discrete_phase_from_tame(phi, config)
-    try:
-        phase = pg.tame_phase(phase_spec)
-    except ValueError:
-        raise ConfigError(f"bad number in phase {phase_spec!r}") from None
     return ops.discrete_phase_from_tame(phase, config)
 
 

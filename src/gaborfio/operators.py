@@ -161,25 +161,29 @@ def index_map_of_tame(phi: TamePhase, config: ModelConfig) -> CanonicalMap:
     """chi of a tame phase rescaled to grid-index units.
 
     Regime B: index (k, m) corresponds to the continuous shift (k T/L, m/T);
-    the continuous map is conjugated by that scaling.  Regime A uses the
-    toroidal scaling where Phi is sampled as Phi(n, m)/L, giving the same
-    index-unit map as the quadratic formulas.
+    the continuous map is conjugated by that scaling, and so is its inverse,
+    which is the phase's own inverse solve.  Regime A uses the toroidal
+    scaling where Phi is sampled as Phi(n, m)/L, giving the same index-unit
+    map as the quadratic formulas.  Both directions take arrays of points.
     """
     chi = canonical_map_of_phase(phi)
     if config.regime == "A":
         return chi
     T, L = config.T, config.L
 
-    def fwd(k, m):
-        x, xi = chi.forward(k * T / L, m / T)
-        return x * L / T, xi * T
+    def in_index_units(f):
+        def g(k, m):
+            x, xi = f(k * T / L, m / T)
+            return x * L / T, xi * T
+        return g
 
-    return CanonicalMap(fwd, source=f"index({chi.source})",
-                        lipschitz_est=chi.lipschitz_est * max(T * T / L, L / (T * T)))
+    return CanonicalMap(in_index_units(chi.forward), source=f"index({chi.source})",
+                        lipschitz_est=chi.lipschitz_est * max(T * T / L, L / (T * T)),
+                        _inverse_fn=in_index_units(chi.inverse().forward))
 
 
 def discrete_phase_from_tame(phi: TamePhase, config: ModelConfig) -> DiscretePhase:
-    """Sample a tame phase on the model grid.
+    """Sample a tame phase on the model grid, in one broadcast call of phi.eval.
 
     Regime B samples Phi(x_n, xi_m) plus the half-turn correction m/2 that
     absorbs the -T/2 grid offset (so Phi(x, xi) = x xi reproduces the exact
@@ -191,14 +195,11 @@ def discrete_phase_from_tame(phi: TamePhase, config: ModelConfig) -> DiscretePha
     if config.regime == "B":
         x = config.time_grid()
         xi = config.freq_grid()
-        vals = np.empty((L, L))
-        for n in range(L):
-            vals[n] = [phi.eval(x[n], xi[m]) + m / 2 for m in m_idx]
+        vals = phi.eval(x[:, None], xi[None, :]) + m_idx / 2
     else:
+        n = np.arange(L, dtype=float)
         mw = wrap_half(m_idx, L)
-        vals = np.empty((L, L))
-        for n in range(L):
-            vals[n] = [phi.eval(float(n), float(mw[m])) / L for m in m_idx]
+        vals = phi.eval(n[:, None], mw[None, :]) / L
     return DiscretePhase(vals, config, tame=phi)
 
 

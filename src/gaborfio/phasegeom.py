@@ -9,7 +9,9 @@ mixed derivative is bounded away from zero.  Solving
 for (x, xi) defines the canonical transformation chi(y, eta) = (x, xi), which
 is symplectic.  In d = 1 the solve is a scalar Newton iteration in x with a
 monotone residual (the mixed derivative has fixed sign), with a bracketing
-bisection fallback.
+bisection fallback.  The iteration runs over whole arrays of points at once;
+each point leaves it when its own residual is small, so it takes exactly the
+iterates a one-point loop would.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ class TamePhase:
     [[Phi_xx, Phi_xeta], [Phi_etax, Phi_etaeta]].  ``declared_C2`` bounds all
     second derivatives, ``declared_delta`` lower-bounds |Phi_xeta|; both are
     author claims, checked by sampling in :func:`validate_tame`.
+
+    Every oracle broadcasts over numpy arrays: ``eval``, ``grad_x`` and
+    ``grad_eta`` return values of the broadcast shape of ``x`` and ``eta``,
+    and ``hess`` returns either a constant 2x2 matrix or an array of shape
+    ``(2, 2) + shape``.  The solves, the sampling of the phase on a grid and
+    the checks below call them once per array, never once per point.
     """
 
     eval: Callable[[float, float], float]
@@ -100,9 +108,11 @@ class SymplecticMatrix:
 class CanonicalMap:
     """A map chi of the time-frequency plane with a Jacobian oracle.
 
-    ``forward`` maps a pair (y, eta) to (x, xi).  For linear maps the matrix
-    is stored and everything is exact; otherwise Jacobians fall back on
-    central differences with step 1e-5.
+    ``forward`` maps a pair (y, eta) to (x, xi).  It takes scalars or numpy
+    arrays and works elementwise, returning a pair of the broadcast shape of
+    its arguments; every map the library builds does.  For linear maps the
+    matrix is stored and everything is exact; otherwise Jacobians fall back
+    on central differences with step 1e-5.
 
     ``mod_L`` marks an integer matrix acting on the torus Z_L^2.  Such maps
     are inverted by the adjugate reduced mod L (their determinant is 1 mod L
@@ -124,18 +134,23 @@ class CanonicalMap:
         pts = np.asarray(points, dtype=float)
         if self.matrix is not None:
             return pts @ self.matrix.T
-        return np.array([self.forward(y, eta) for y, eta in pts])
+        return np.column_stack(self.forward(pts[:, 0], pts[:, 1]))
 
-    def jacobian(self, y: float, eta: float) -> np.ndarray:
+    def jacobian(self, y, eta) -> np.ndarray:
+        """Dchi at (y, eta); an array of shape ``shape + (2, 2)`` for arguments
+        of broadcast shape ``shape``."""
+        y, eta = _as_points(y, eta)
         if self.matrix is not None:
-            return self.matrix.copy()
+            return np.broadcast_to(self.matrix, y.shape + (2, 2)).copy()
         h = _FD_STEP
         fx1 = np.array(self.forward(y + h, eta)); fx0 = np.array(self.forward(y - h, eta))
         fe1 = np.array(self.forward(y, eta + h)); fe0 = np.array(self.forward(y, eta - h))
-        return np.stack([(fx1 - fx0) / (2 * h), (fe1 - fe0) / (2 * h)], axis=1)
+        D = np.stack([(fx1 - fx0) / (2 * h), (fe1 - fe0) / (2 * h)], axis=1)
+        return np.moveaxis(D, (0, 1), (-2, -1))
 
     def inverse(self) -> "CanonicalMap":
-        """Exact inverse for linear maps; Newton on the forward map otherwise."""
+        """Exact inverse for linear maps and maps that carry one; Newton on the
+        forward map otherwise."""
         if self.matrix is not None:
             m = self.matrix
             if self.mod_L is not None:
@@ -151,18 +166,30 @@ class CanonicalMap:
                                 _inverse_fn=self.forward)
 
         def back(x, xi, _fwd=self.forward, _jac=self.jacobian):
-            z = np.array([x, xi], dtype=float)
-            target = z.copy()
+            # 2-D Newton per point, over all points at once: a point drops
+            # out once its residual is small, as in a one-point loop
+            x, xi = _as_points(x, xi)
+            target = np.stack([x.ravel(), xi.ravel()], axis=1)
+            z = target.copy()
+            idx = np.arange(len(z))
             for _ in range(_NEWTON_MAXIT):
-                r = np.array(_fwd(*z)) - target
-                if np.abs(r).max() < _NEWTON_TOL:
-                    return float(z[0]), float(z[1])
-                z = z - np.linalg.solve(_jac(*z), r)
+                r = np.stack(_fwd(z[idx, 0], z[idx, 1]), axis=1) - target[idx]
+                keep = ~(np.abs(r).max(axis=1) < _NEWTON_TOL)   # NaN stays unsolved
+                idx, r = idx[keep], r[keep]
+                if not idx.size:
+                    return z[:, 0].reshape(x.shape)[()], z[:, 1].reshape(x.shape)[()]
+                step = np.linalg.solve(_jac(z[idx, 0], z[idx, 1]), r[:, :, None])
+                z[idx] = z[idx] - step[:, :, 0]
             raise SolveError("2d Newton inversion stagnated")
 
         return CanonicalMap(back, source=f"inverse({self.source})",
                             lipschitz_est=self.lipschitz_est,
                             _inverse_fn=self.forward)
+
+
+def _as_points(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two coordinates as float arrays of their common broadcast shape."""
+    return np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def _mod_rep(m: np.ndarray, L: int) -> np.ndarray:
@@ -179,7 +206,11 @@ def linear_map(matrix: np.ndarray, source: str = "linear",
 
 
 def compose_maps(chi1: CanonicalMap, chi2: CanonicalMap) -> CanonicalMap:
-    """chi1 o chi2 (apply chi2 first), matching operator composition T1 T2."""
+    """chi1 o chi2 (apply chi2 first), matching operator composition T1 T2.
+
+    A non-linear product carries its inverse chi2^-1 o chi1^-1, built from the
+    inverses of the factors, so inverting it never runs the 2-D Newton on the
+    product itself."""
     if chi1.matrix is not None and chi2.matrix is not None:
         mod = chi1.mod_L if chi1.mod_L == chi2.mod_L else None
         prod = chi1.matrix @ chi2.matrix
@@ -187,15 +218,18 @@ def compose_maps(chi1: CanonicalMap, chi2: CanonicalMap) -> CanonicalMap:
                           source=f"{chi1.source}*{chi2.source}", mod_L=mod)
     return CanonicalMap(lambda y, eta: chi1.forward(*chi2.forward(y, eta)),
                         source=f"{chi1.source}*{chi2.source}",
-                        lipschitz_est=chi1.lipschitz_est * chi2.lipschitz_est)
+                        lipschitz_est=chi1.lipschitz_est * chi2.lipschitz_est,
+                        _inverse_fn=lambda x, xi: chi2.inverse().forward(
+                            *chi1.inverse().forward(x, xi)))
 
 
-def _sample_grid(box, n_samples):
+def _sample_grid(box, n_samples) -> tuple[np.ndarray, np.ndarray]:
+    """The points of an n x n grid over the box, x-major, as two flat arrays."""
     (x0, x1), (e0, e1) = box
     n = max(int(np.ceil(np.sqrt(n_samples))), 2)
     xs = np.linspace(x0, x1, n)
     es = np.linspace(e0, e1, n)
-    return [(x, e) for x in xs for e in es]
+    return np.repeat(xs, n), np.tile(es, n)
 
 
 def validate_tame(phi: TamePhase, box=((-4.0, 4.0), (-4.0, 4.0)),
@@ -203,86 +237,112 @@ def validate_tame(phi: TamePhase, box=((-4.0, 4.0), (-4.0, 4.0)),
     """Sample the Hessian over the box and compare with the declared bounds."""
     if n_samples < 100:
         raise ModelError("n_samples must be >= 100")
-    C2 = 0.0
-    delta = np.inf
-    for x, e in _sample_grid(box, n_samples):
-        H = np.asarray(phi.hess(x, e), dtype=float)
-        C2 = max(C2, float(np.abs(H).max()))
-        delta = min(delta, float(abs(H[0, 1])))
+    H = np.asarray(phi.hess(*_sample_grid(box, n_samples)), dtype=float)
+    # fmax/fmin skip NaN samples
+    C2 = float(np.fmax.reduce(np.abs(H).ravel(), initial=0.0))
+    delta = float(np.fmin.reduce(np.abs(H[0, 1]).ravel(), initial=np.inf))
     passed = (delta >= phi.declared_delta * (1 - 1e-6)
               and C2 <= phi.declared_C2 * (1 + 1e-6))
     return TameReport(C2_observed=C2, delta_observed=delta, passed=passed)
 
 
-def _solve_x(phi: TamePhase, y: float, eta: float) -> float:
-    """Solve y = dPhi/deta(x, eta) for x: Newton from x0 = y, bisection fallback."""
-    x = float(y)
+def _newton_1d(resid, slope, t: np.ndarray) -> np.ndarray:
+    """Scalar Newton on every entry of the flat array t, in place.
+
+    ``resid(t, i)`` and ``slope(t, i)`` give the residual and its derivative
+    for the points i at the unknowns t.  A point leaves the iteration once
+    |resid| < _NEWTON_TOL, so it takes the iterates a one-point loop takes.
+    Returns the sorted indices of the points left unsolved: those that met
+    a zero derivative or were still running after _NEWTON_MAXIT steps.
+    """
+    idx = np.arange(t.size)
+    stalled = []
     for _ in range(_NEWTON_MAXIT):
-        r = phi.grad_eta(x, eta) - y
-        if abs(r) < _NEWTON_TOL:
-            return x
-        d = phi.hess(x, eta)[1, 0]
-        if d == 0.0:
+        r = np.broadcast_to(resid(t[idx], idx), idx.shape)
+        keep = ~(np.abs(r) < _NEWTON_TOL)       # NaN stays unsolved
+        idx, r = idx[keep], r[keep]
+        if not idx.size:
             break
-        x = x - r / d
-    # residual is monotone in x (|Phi_xeta| >= delta), so bracket and bisect
-    resid = lambda t: phi.grad_eta(t, eta) - y
-    r0 = resid(x)
-    if abs(r0) < _NEWTON_TOL:
-        return x
-    radius = max(1.0, abs(x))
+        d = np.broadcast_to(slope(t[idx], idx), idx.shape)
+        flat = d == 0.0
+        stalled.append(idx[flat])
+        idx, r, d = idx[~flat], r[~flat], d[~flat]
+        t[idx] = t[idx] - r / d
+    return np.sort(np.concatenate([idx, *stalled]))
+
+
+def _bracket_root(resid, t: float) -> float | None:
+    """Root of a monotone residual near t: a doubling bracket, then brentq.
+    None when no sign change turns up."""
+    radius = max(1.0, abs(t))
     for _ in range(60):
-        lo, hi = x - radius, x + radius
+        lo, hi = t - radius, t + radius
         if resid(lo) * resid(hi) < 0:
-            sol = brentq(resid, lo, hi, xtol=1e-14)
-            if abs(resid(sol)) < 1e-10:
-                return float(sol)
-            break
+            return brentq(resid, lo, hi, xtol=1e-14)
         radius *= 2
-    raise SolveError(
-        f"canonical-map solve stagnated at (y, eta)=({y}, {eta}); "
-        "check the derivative oracles")
+    return None
+
+
+def _fresh(v, shape: tuple) -> np.ndarray:
+    """v as a fresh float array of the given shape (a numpy scalar for ())."""
+    return np.array(np.broadcast_to(v, shape), dtype=float)[()]
+
+
+def _solve_x(phi: TamePhase, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Solve y = dPhi/deta(x, eta) for x, elementwise over the float arrays
+    y and eta of one shape: Newton from x0 = y, a bisection fallback per point."""
+    yf, ef = y.ravel(), eta.ravel()
+    x = yf.copy()
+    unsolved = _newton_1d(lambda t, i: phi.grad_eta(t, ef[i]) - yf[i],
+                          lambda t, i: phi.hess(t, ef[i])[1, 0], x)
+    # residual is monotone in x (|Phi_xeta| >= delta), so bracket and bisect
+    for i in unsolved:
+        resid = lambda t: phi.grad_eta(t, ef[i]) - yf[i]  # noqa: E731
+        if abs(resid(x[i])) < _NEWTON_TOL:
+            continue
+        sol = _bracket_root(resid, x[i])
+        if sol is None or not abs(resid(sol)) < 1e-10:
+            raise SolveError(
+                f"canonical-map solve stagnated at (y, eta)=({yf[i]}, {ef[i]}); "
+                "check the derivative oracles")
+        x[i] = sol
+    return x.reshape(y.shape)
 
 
 def canonical_map_of_phase(phi: TamePhase) -> CanonicalMap:
-    """The canonical transformation chi(y, eta) = (x, xi) induced by phi."""
+    """The canonical transformation chi(y, eta) = (x, xi) induced by phi.
+
+    Both directions take scalars or arrays of points."""
 
     def fwd(y, eta):
+        y, eta = _as_points(y, eta)
         x = _solve_x(phi, y, eta)
-        return x, float(phi.grad_x(x, eta))
+        return x[()], _fresh(phi.grad_x(x, eta), x.shape)
 
     def back(x, xi):
         # same machinery with the roles swapped: xi = Phi_x(x, eta) is
         # monotone in eta, then y = Phi_eta(x, eta)
-        eta = float(x)
-        for _ in range(_NEWTON_MAXIT):
-            r = phi.grad_x(x, eta) - xi
-            if abs(r) < _NEWTON_TOL:
-                return float(phi.grad_eta(x, eta)), eta
-            d = phi.hess(x, eta)[0, 1]
-            if d == 0.0:
-                break
-            eta = eta - r / d
-        resid = lambda t: phi.grad_x(x, t) - xi
-        radius = max(1.0, abs(eta))
-        for _ in range(60):
-            lo, hi = eta - radius, eta + radius
-            if resid(lo) * resid(hi) < 0:
-                eta = brentq(resid, lo, hi, xtol=1e-14)
-                return float(phi.grad_eta(x, eta)), float(eta)
-            radius *= 2
-        raise SolveError("inverse canonical-map solve stagnated")
+        x, xi = _as_points(x, xi)
+        xf, xif = x.ravel(), xi.ravel()
+        eta = xf.copy()
+        unsolved = _newton_1d(lambda t, i: phi.grad_x(xf[i], t) - xif[i],
+                              lambda t, i: phi.hess(xf[i], t)[0, 1], eta)
+        for i in unsolved:
+            sol = _bracket_root(lambda t: phi.grad_x(xf[i], t) - xif[i], eta[i])
+            if sol is None:
+                raise SolveError("inverse canonical-map solve stagnated")
+            eta[i] = sol
+        eta = eta.reshape(x.shape)
+        return _fresh(phi.grad_eta(x, eta), x.shape), eta[()]
 
-    # rough Lipschitz estimate from sampled finite-difference Jacobians;
-    # points where the solve fails are skipped (the error surfaces on use)
+    # rough Lipschitz estimate from finite-difference Jacobians on a 5 x 5
+    # grid; a failed solve makes it infinite (the error surfaces on use)
     chi = CanonicalMap(fwd, source=f"from_phase({phi.name})", _inverse_fn=back)
-    lip = 0.0
-    for x, e in _sample_grid(((-4, 4), (-4, 4)), 25):
-        try:
-            lip = max(lip, float(np.linalg.norm(chi.jacobian(x, e), 2)))
-        except SolveError:
-            lip = np.inf
-            break
+    try:
+        D = chi.jacobian(*_sample_grid(((-4, 4), (-4, 4)), 25))
+        lip = float(np.fmax.reduce(np.linalg.norm(D, 2, axis=(-2, -1)), initial=0.0))
+    except SolveError:
+        lip = np.inf
     object.__setattr__(chi, "lipschitz_est", lip)
     return chi
 
@@ -316,11 +376,10 @@ def phase_of_symplectic(M: SymplecticMatrix, delta_min: float = 0.1) -> TamePhas
 def check_symplectic(chi: CanonicalMap, points) -> float:
     """max over points of the largest entry of |Dchi^T J Dchi - J|."""
     J = SymplecticMatrix.J
-    dev = 0.0
-    for y, eta in np.asarray(points, dtype=float):
-        D = chi.jacobian(y, eta)
-        dev = max(dev, float(np.abs(D.T @ J @ D - J).max()))
-    return dev
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    D = chi.jacobian(pts[:, 0], pts[:, 1])
+    dev = np.abs(np.swapaxes(D, -1, -2) @ J @ D - J)
+    return float(np.fmax.reduce(dev.ravel(), initial=0.0))
 
 
 def phase_chi_equivalence(phi: TamePhase, n_quadruples: int = 1000,
@@ -338,13 +397,12 @@ def phase_chi_equivalence(phi: TamePhase, n_quadruples: int = 1000,
     """
     rng = rng or np.random.default_rng(0)
     chi = chi or canonical_map_of_phase(phi)
-    ratios = np.empty(n_quadruples)
-    for i in range(n_quadruples):
-        x, xp, eta, etap = rng.uniform(-box, box, size=4)
-        lhs = abs(phi.grad_x(xp, eta) - etap) + abs(phi.grad_eta(xp, eta) - x)
-        c1, c2 = chi.forward(x, eta)
-        rhs = abs(c1 - xp) + abs(c2 - etap)
-        ratios[i] = (lhs + eps) / (rhs + eps)
+    # one draw of shape (n, 4) is the same stream as n draws of size 4
+    x, xp, eta, etap = rng.uniform(-box, box, size=(n_quadruples, 4)).T
+    lhs = np.abs(phi.grad_x(xp, eta) - etap) + np.abs(phi.grad_eta(xp, eta) - x)
+    c1, c2 = chi.forward(x, eta)
+    rhs = np.abs(c1 - xp) + np.abs(c2 - etap)
+    ratios = (lhs + eps) / (rhs + eps)
     rmin, rmax = float(ratios.min()), float(ratios.max())
     return EquivalenceReport(ratio_min=rmin, ratio_max=rmax,
                              passed=bounds[0] <= rmin and rmax <= bounds[1])
@@ -383,7 +441,9 @@ def _sine_phase(eps: float, px: float, pe: float, name: str) -> TamePhase:
     the regime-B torus (no seam at the wrap boundary).
     """
     if not 0 <= eps < 1:
-        raise ModelError("perturbation strength must lie in [0, 1)")
+        raise ModelError(f"perturbation strength must lie in [0, 1), got {eps:g}")
+    if not all(np.isfinite(p) and p != 0 for p in (px, pe)):
+        raise ModelError(f"sine periods must be finite and nonzero, got {px:g}, {pe:g}")
     wx, we = 2 * np.pi / px, 2 * np.pi / pe
     A = eps / (wx * we)
     return TamePhase(
@@ -407,21 +467,39 @@ def _perturbed_phase(eps: float) -> TamePhase:
 def tame_phase(spec: str) -> TamePhase:
     """Look up a phase by name: ``kn``, ``chirp:c``, ``metaplectic:a,b,c,d``,
     ``perturbed:eps``, or ``sine:eps:px:pe`` (perturbation with explicit
-    periods, e.g. matched to a sampled-line grid)."""
+    periods, e.g. matched to a sampled-line grid).
+
+    A name outside the catalog, a malformed or non-finite number, and a
+    value outside a phase's range all raise ModelError.
+    """
     head, _, arg = spec.partition(":")
+
+    def numbers(parts):
+        try:
+            vals = [float(t) for t in parts]
+        except ValueError:
+            raise ModelError(f"bad number in phase {spec!r}") from None
+        if not all(np.isfinite(vals)):
+            raise ModelError(f"non-finite number in phase {spec!r}")
+        return vals
+
     if head == "kn":
+        if arg:
+            raise ModelError(f"phase kn takes no argument, got {spec!r}")
         return _kn_phase()
     if head == "chirp":
-        return _chirp_phase(float(arg))
+        return _chirp_phase(*numbers([arg]))
     if head == "perturbed":
-        return _perturbed_phase(float(arg))
+        return _perturbed_phase(*numbers([arg]))
     if head == "sine":
         parts = arg.split(":")
-        eps = float(parts[0])
-        px = float(parts[1]) if len(parts) > 1 else 2 * np.pi
-        pe = float(parts[2]) if len(parts) > 2 else 2 * np.pi
+        if len(parts) > 3:
+            raise ModelError(f"sine phase takes at most eps:px:pe, got {spec!r}")
+        eps, px, pe = numbers(parts) + [2 * np.pi] * (3 - len(parts))
         return _sine_phase(eps, px, pe, f"sine:{eps:g}:{px:g}:{pe:g}")
     if head == "metaplectic":
-        a, b, c, d = (float(t) for t in arg.split(","))
-        return phase_of_symplectic(SymplecticMatrix(np.array([[a, b], [c, d]])))
+        entries = arg.split(",")
+        if len(entries) != 4:
+            raise ModelError(f"{spec!r} needs four entries a,b,c,d")
+        return phase_of_symplectic(SymplecticMatrix(np.array(numbers(entries)).reshape(2, 2)))
     raise ModelError(f"unknown phase spec {spec!r}")

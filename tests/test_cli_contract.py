@@ -32,6 +32,17 @@ def run(tmp_path, capsys, *overrides, threads=None):
     ("operator=metaplectic:1,0,1",),
     ("operator=fio1:phase=sine:x,symbol=ones",),
     ("sweep.tau_grid=[]",),
+    ("operator=fio1:phase=sine:0.2:0:16,symbol=ones",),       # zero period
+    ("operator=fio1:phase=sine:0.2:inf:16,symbol=ones",),     # infinite period
+    ("operator=fio2:phase=sine:0.2:16:0,symbol=ones", "model.regime=B"),
+    ("operator=fio1:phase=nosuch,symbol=ones",),
+    ("operator=fio1:phase=nosuch,symbol=ones", "model.regime=B"),
+    ("operator=fio1:phase=kn:2,symbol=ones",),
+    ("operator=fio1:phase=sine:1.5:8:8,symbol=ones",),        # strength outside [0, 1)
+    ("operator=fio1:phase=perturbed:-0.1,symbol=ones", "model.regime=B"),
+    ("operator=fio1:phase=perturbed:1,symbol=ones",),
+    ("operator=fio1:phase=chirp:nan,symbol=ones", "model.regime=B"),
+    ("operator=fio1:phase=metaplectic:2,0,0,1,symbol=ones",),  # not symplectic
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     code, err, out = run(tmp_path, capsys, *overrides)
