@@ -297,7 +297,7 @@ def _solve_x(phi: TamePhase, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
                           lambda t, i: phi.hess(t, ef[i])[1, 0], x)
     # residual is monotone in x (|Phi_xeta| >= delta), so bracket and bisect
     for i in unsolved:
-        resid = lambda t: phi.grad_eta(t, ef[i]) - yf[i]  # noqa: E731
+        resid = lambda t: phi.grad_eta(t, ef[i]) - yf[i]
         if abs(resid(x[i])) < _NEWTON_TOL:
             continue
         sol = _bracket_root(resid, x[i])
