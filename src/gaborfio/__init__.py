@@ -13,9 +13,9 @@ from .errors import (ConfigError, FitError, FrameDeficient, GaborFIOError,
                      ModelError, NondegeneracyViolation, NotInClass,
                      SingularOperator, SizeError, SolveError, UnitError,
                      WindowError)
-from .tfcore import (ModelConfig, Signal, TFGrid, TFPoint, delta, dft_matrix,
+from .tfcore import (ModelConfig, Signal, TFGrid, delta, dft_matrix,
                      dft_unitary, periodized_gaussian, random_signal, stft,
-                     tf_shift, wrap_half)
+                     stft_matrix, tf_shift, tf_shift_matrix, wrap_half)
 from .gabor import (CoefficientArray, GaborFrame, Lattice, WeightSpec,
                     analysis, atom_matrix, build_frame, default_lattice,
                     modulation_norm, synthesis)

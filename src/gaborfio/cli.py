@@ -52,15 +52,34 @@ PIPELINES = ("gabor-matrix", "decay", "compose", "invert", "factorize",
 
 
 def _set_path(cfg: dict, dotted: str, raw: str) -> None:
+    from .errors import ConfigError
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
     keys = dotted.split(".")
     node = cfg
-    for k in keys[:-1]:
+    for i, k in enumerate(keys[:-1]):
         node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"--set {dotted}: {'.'.join(keys[:i + 1])} is not a section")
     node[keys[-1]] = value
+
+
+def _check_keys(cfg: dict) -> None:
+    """Every key is a key of DEFAULT_CONFIG, and every section an object."""
+    from .errors import ConfigError
+    for key, value in cfg.items():
+        if key not in DEFAULT_CONFIG:
+            raise ConfigError(f"unknown config key {key!r}")
+        known = DEFAULT_CONFIG[key]
+        if not isinstance(known, dict):
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be an object, got {value!r}")
+        for sub in value:
+            if sub not in known:
+                raise ConfigError(f"unknown config key {key + '.' + str(sub)!r}")
 
 
 def load_config(path: str, overrides=()) -> dict:
@@ -70,6 +89,8 @@ def load_config(path: str, overrides=()) -> dict:
             user = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(user, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     for section, value in user.items():
         if isinstance(value, dict) and isinstance(cfg.get(section), dict):
@@ -80,6 +101,7 @@ def load_config(path: str, overrides=()) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         _set_path(cfg, *item.split("=", 1))
+    _check_keys(cfg)
     _validate(cfg)
     return cfg
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameDeficient, ModelError, WindowError
-from .tfcore import ModelConfig, Signal, wrap_half
+from .tfcore import ModelConfig, Signal, tf_shift_matrix, wrap_half
 
 __all__ = [
     "Lattice", "GaborFrame", "CoefficientArray", "WeightSpec",
@@ -183,12 +183,8 @@ def _rolled(window: np.ndarray, lat: Lattice) -> np.ndarray:
 
 def atom_matrix(window: Signal, lattice: Lattice) -> np.ndarray:
     """L x size matrix whose columns are pi(lambda) w in lattice order."""
-    L = lattice.config.L
-    n = np.arange(L)
-    mod = np.exp(2j * np.pi * (lattice.b * np.arange(lattice.n_freq))[None, :]
-                 * n[:, None] / L)
-    rolled = _rolled(window.values, lattice).T
-    return (rolled[:, :, None] * mod[:, None, :]).reshape(L, lattice.size)
+    k, m = lattice.points().T
+    return tf_shift_matrix(window.values, k, m).T
 
 
 def build_frame(g: Signal, lat: Lattice, deficiency_rtol: float = 1e-12) -> GaborFrame:

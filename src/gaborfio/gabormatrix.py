@@ -36,6 +36,8 @@ with rounding noise.
 from __future__ import annotations
 
 import csv
+import itertools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +47,7 @@ from .errors import FitError, ModelError, SizeError
 from .gabor import CoefficientArray, GaborFrame, analysis_matrix
 from .operators import OperatorMatrix, SymbolGrid
 from .phasegeom import CanonicalMap
-from .tfcore import Signal, stft, tf_shift, wrap_half
+from .tfcore import stft_matrix, tf_shift_matrix, wrap_half
 
 __all__ = [
     "GaborMatrix", "DecayProfile", "SparseGaborMatrix", "OffgridReport",
@@ -55,9 +57,12 @@ __all__ = [
     "profile_to_csv",
 ]
 
-SYMBOL_CLASS_MAX_L = 128   # the 2d-STFT sweep is an L^4 computation
+SYMBOL_CLASS_MAX_L = 128   # the 2d-STFT sweep is an L^4 log L computation
 FIT_FLOOR_RTOL = 1e-13     # envelope floor relative to the peak (rounding)
-FIT_BLOCK_ENTRIES = 1 << 17   # entries per block of the decay fit (1 MiB of float64)
+# entries per block of the blocked passes: the decay fit (1 MiB of float64),
+# the off-grid STFTs, the symbol-class FFT stacks and the CSV writer
+FIT_BLOCK_ENTRIES = 1 << 17
+CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
 
 
 @dataclass(frozen=True)
@@ -346,32 +351,39 @@ def offgrid_decay_check(T: OperatorMatrix, frame: GaborFrame, chi, s: float,
     lat = frame.lattice
     L = frame.config.L
     pts = lat.points().astype(float)
-    w = frame.tight
+    w = frame.tight.values
     offsets = [(0, 0)] + _offsets_for(lat, n_offsets)
+    # the points w' of offset u form the time-major grid (t + u[0]) x (f + u[1])
+    t = lat.a * np.arange(lat.n_time)
+    f = lat.b * np.arange(lat.n_freq)
+    grids = [(t + u[0], f + u[1]) for u in offsets]
+    step = max(1, FIT_BLOCK_ENTRIES // (L * L))
 
-    # For each z-offset, compute <T pi(z) w, pi(w') w> for ALL w' via one STFT
-    # per z; then any w'-offset is a slice of the full grid.
-    grids = {}
-    for u in offsets:
-        cols = np.empty((lat.size, L, L), dtype=complex)
-        for i, p in enumerate(pts):
-            atom = tf_shift(w, int(p[0] + u[0]), int(p[1] + u[1]))
-            cols[i] = stft(Signal(T.entries @ atom.values, T.config), w).values
-        grids[u] = cols
-
-    def constant(u_z, u_w):
-        cols = grids[u_z]
-        z = pts + np.array(u_z, dtype=float)
+    # C[i, j] is the constant for z-offset i and w'-offset j.  The STFT of
+    # T pi(z) w gives <T pi(z) w, pi(w') w> for every w' at once; it is formed
+    # for a block of z at a time, and each block folds into the maxima for
+    # every w'-offset before the next is formed.  The squared wrapped
+    # displacements come from (z, w'-time) and (z, w'-freq) tables.
+    C = np.zeros((len(offsets), len(offsets)))
+    for i, u in enumerate(offsets):
+        z = pts + np.array(u, dtype=float)
         img = _chi_points(chi, wrap_half(z, L))
-        wpts = (pts + np.array(u_w, dtype=float)).astype(int)
-        vals = np.abs(cols[:, wpts[:, 0] % L, wpts[:, 1] % L])   # [z_idx, w_idx]
-        d1 = wrap_half(wpts[None, :, 0] - img[:, 0][:, None], L)
-        d2 = wrap_half(wpts[None, :, 1] - img[:, 1][:, None], L)
-        wt = (1.0 + d1 ** 2 + d2 ** 2) ** (s / 2)
-        return float((vals * wt).max())
-
-    C_lattice = constant((0, 0), (0, 0))
-    C_offgrid = max(constant(uz, uw) for uz in offsets for uw in offsets)
+        zi = z.astype(int)
+        for b0 in range(0, lat.size, step):
+            blk = slice(b0, b0 + step)
+            atoms = tf_shift_matrix(w, zi[blk, 0], zi[blk, 1])
+            images = (T.entries @ atoms[:, :, None])[:, :, 0]    # one gemv per atom
+            if not np.isfinite(images).all():
+                raise ModelError("operator image has non-finite entries")
+            V = stft_matrix(images, w)                           # [z, k, m]
+            for j, (tw, fw) in enumerate(grids):
+                vals = np.abs(V[:, (tw % L)[:, None], fw % L])   # [z, w'-time, w'-freq]
+                d1sq = wrap_half(tw[None, :] - img[blk, 0][:, None], L) ** 2
+                d2sq = wrap_half(fw[None, :] - img[blk, 1][:, None], L) ** 2
+                weight = ((1.0 + d1sq)[:, :, None] + d2sq[:, None, :]) ** (s / 2)
+                C[i, j] = max(C[i, j], float((vals * weight).max()))
+    C_lattice = float(C[0, 0])
+    C_offgrid = float(C.max())
     return OffgridReport(C_lattice=C_lattice, C_offgrid=C_offgrid,
                          ratio=C_offgrid / C_lattice, offsets=offsets[1:])
 
@@ -408,7 +420,6 @@ def schur_bound(K) -> float:
         A = np.abs(K.entries)
     elif isinstance(K, SparseGaborMatrix):
         A = np.abs(K.matrix)
-        return float(max(A.sum(axis=1).max(), A.sum(axis=0).max()))
     else:
         A = np.abs(np.asarray(K))
     return float(max(A.sum(axis=1).max(), A.sum(axis=0).max()))
@@ -418,9 +429,12 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
                       window2d: SymbolGrid | None = None) -> SymbolClassReport:
     """Weighted sup of the 2d STFT of a symbol: sup_z sup_zeta |V_Psi sigma| <zeta>^s.
 
-    Streams over the L^2 translates z (an L^4 log L computation overall), so
-    L is capped at SYMBOL_CLASS_MAX_L.  Also fits the decay exponent of the
-    envelope sup_z |V_Psi sigma(z, .)| with the shared binning machinery.
+    The L^2 translates Psi(. - z) are the L x L windows of the periodically
+    tiled window.  Stacks of sigma conj(Psi(. - z)) over blocks of z2, at
+    most FIT_BLOCK_ENTRIES entries each, go through one batched 2d FFT per
+    block (an L^4 log L computation overall), so L is capped at
+    SYMBOL_CLASS_MAX_L.  Also fits the decay exponent of the envelope
+    sup_z |V_Psi sigma(z, .)| with the shared binning machinery.
     """
     L = sigma.config.L
     if L > SYMBOL_CLASS_MAX_L:
@@ -433,12 +447,22 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
         Psi = window2d.values
     if np.linalg.norm(Psi) == 0:
         raise ModelError("zero 2d window")
+    # translates[r, c, i, j] = conj(Psi)[(i + r) % L, (j + c) % L], the
+    # translate of conj(Psi) by z = (-r, -c) mod L
+    translates = np.lib.stride_tricks.sliding_window_view(
+        np.tile(np.conj(Psi), (2, 2))[:-1, :-1], (L, L))
+    step = min(L, max(1, FIT_BLOCK_ENTRIES // (L * L)))
     env = np.zeros((L, L))
-    for z1 in range(L):
-        P1 = np.roll(Psi, z1, axis=0)
-        for z2 in range(L):
-            F = np.fft.fft2(sigma.values * np.conj(np.roll(P1, z2, axis=1)))
-            np.maximum(env, np.abs(F), out=env)
+    stack = np.empty((step, L, L), dtype=complex)
+    mag = np.empty((step, L, L))
+    for row in translates:
+        for c0 in range(0, L, step):
+            block = row[c0:c0 + step]
+            out, m = stack[:len(block)], mag[:len(block)]
+            np.multiply(sigma.values, block, out=out)
+            np.fft.fft(out, axis=2, out=out)       # fft2 over (1, 2), in place
+            np.fft.fft(out, axis=1, out=out)
+            np.maximum(env, np.abs(out, out=m).max(axis=0), out=env)
     zw = wrap_half(np.arange(L), L)
     dist = np.sqrt(1.0 + zw[:, None] ** 2 + zw[None, :] ** 2)
     norm = float((env * dist ** s).max())
@@ -451,32 +475,62 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
 # ---------------------------------------------------------------------------
 
 def gabor_matrix_to_csv(K: GaborMatrix, path) -> None:
-    """Write rows (mu_k, mu_m, lam_k, lam_m, re, im) in lattice order."""
-    pts = K.lattice.points()
+    """Write rows (mu_k, mu_m, lam_k, lam_m, re, im) in lattice order.
+
+    The bytes are those of csv.writer (\r\n line ends) with the floats
+    written as repr; the rows go out in blocks of whole mu rows.
+    """
+    pts = [f"{k},{m}," for k, m in K.lattice.points().tolist()]
+    N = len(pts)
+    step = max(1, FIT_BLOCK_ENTRIES // N)
     with open(path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"])
-        for i, mu in enumerate(pts):
-            for j, lam in enumerate(pts):
-                v = K.entries[i, j]
-                wtr.writerow([mu[0], mu[1], lam[0], lam[1],
-                              repr(float(v.real)), repr(float(v.imag))])
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for i0 in range(0, N, step):
+            block = K.entries[i0:i0 + step]
+            mu = itertools.chain.from_iterable(
+                itertools.repeat(p, N) for p in pts[i0:i0 + step])
+            lam = itertools.chain.from_iterable(itertools.repeat(pts, block.shape[0]))
+            fh.write("".join(map("{}{}{!r},{!r}\r\n".format, mu, lam,
+                                 block.real.ravel().tolist(), block.imag.ravel().tolist())))
 
 
 def gabor_matrix_from_csv(path, frame: GaborFrame) -> GaborMatrix:
-    """Read the layout written by gabor_matrix_to_csv back over a frame."""
+    """Read the layout written by gabor_matrix_to_csv back over a frame.
+
+    Rows may come in any order; a lattice point given twice keeps its last
+    row and one never given stays 0.  A row that names a point off the
+    lattice, holds a non-numeric field or has other than six columns raises
+    ModelError.
+    """
     lat = frame.lattice
-    index = {(int(p[0]), int(p[1])): i for i, p in enumerate(lat.points())}
-    K = np.zeros((lat.size, lat.size), dtype=complex)
+    L = frame.config.L
     with open(path, newline="") as fh:
-        rdr = csv.reader(fh)
-        header = next(rdr)
-        if header[:4] != ["mu_k", "mu_m", "lam_k", "lam_m"]:
+        header = next(csv.reader([fh.readline()]), [])
+        if header[:4] != CSV_HEADER[:4]:
             raise ModelError("unrecognized Gabor-matrix CSV header")
-        for row in rdr:
-            mu = index[(int(row[0]), int(row[1]))]
-            lam = index[(int(row[2]), int(row[3]))]
-            K[mu, lam] = float(row[4]) + 1j * float(row[5])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # header-only file
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ModelError(f"malformed Gabor-matrix CSV row: {exc}") from None
+    if rows.size == 0:
+        rows = rows.reshape(0, len(CSV_HEADER))
+    if rows.shape[1] != len(CSV_HEADER):
+        raise ModelError(f"Gabor-matrix CSV rows have {rows.shape[1]} columns, "
+                         f"want {len(CSV_HEADER)}")
+    coords = rows[:, :4]
+    inside = (coords >= 0) & (coords < L)
+    steps = np.array([lat.a, lat.b, lat.a, lat.b])
+    on_lattice = inside & (np.fmod(np.where(inside, coords, 0.0), steps) == 0)
+    if not on_lattice.all():
+        r = int(np.flatnonzero(~on_lattice.all(axis=1))[0])
+        raise ModelError(f"Gabor-matrix CSV data row {r + 1} names a point off the "
+                         f"{lat.a} x {lat.b} lattice: {rows[r, :4].tolist()}")
+    # lattice point (j a, k b) has index j n_freq + k (time-major order)
+    index = (coords[:, 0::2] // lat.a * lat.n_freq + coords[:, 1::2] // lat.b).astype(np.intp)
+    K = np.zeros((lat.size, lat.size), dtype=complex)
+    K[index[:, 0], index[:, 1]] = rows[:, 4] + 1j * rows[:, 5]
     return GaborMatrix(K, frame)
 
 

@@ -380,19 +380,6 @@ class MetaplecticWord:
             M = M @ G
         return M
 
-    def matrix_real(self) -> np.ndarray:
-        """Real symplectic lift (dilations use 1/u instead of u^{-1} mod L)."""
-        M = np.eye(2)
-        for g in self.generators:
-            if g[0] == "dft":
-                G = np.array([[0.0, 1.0], [-1.0, 0.0]])
-            elif g[0] == "chirp":
-                G = np.array([[1.0, 0.0], [float(g[1]), 1.0]])
-            else:
-                G = np.diag([float(g[1]), 1.0 / float(g[1])])
-            M = M @ G
-        return M
-
     def __add__(self, other: "MetaplecticWord") -> "MetaplecticWord":
         if other.config.L != self.config.L:
             raise ModelError("cannot concatenate words over different configs")

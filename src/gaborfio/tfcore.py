@@ -31,8 +31,8 @@ import numpy as np
 from .errors import ModelError, WindowError
 
 __all__ = [
-    "ModelConfig", "Signal", "TFPoint", "TFGrid",
-    "tf_shift", "stft", "dft_unitary", "dft_matrix",
+    "ModelConfig", "Signal", "TFGrid",
+    "tf_shift", "tf_shift_matrix", "stft", "stft_matrix", "dft_unitary", "dft_matrix",
     "periodized_gaussian", "delta", "random_signal", "wrap_half",
 ]
 
@@ -104,17 +104,6 @@ class Signal:
 
 
 @dataclass(frozen=True)
-class TFPoint:
-    """A point (k, m) of the time-frequency plane, in grid-index units."""
-
-    k: float
-    m: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.k, self.m], dtype=float)
-
-
-@dataclass(frozen=True)
 class TFGrid:
     """An L x L array indexed by (time shift k, frequency shift m)."""
 
@@ -158,10 +147,17 @@ def random_signal(config: ModelConfig, rng: np.random.Generator) -> Signal:
 
 def tf_shift(f: Signal, k: int, m: int) -> Signal:
     """Time-frequency shift pi(k, m) f = M_m T_k f.  Exactly unitary."""
-    L = f.config.L
+    return Signal(tf_shift_matrix(f.values, [k], [m])[0], f.config)
+
+
+def tf_shift_matrix(f: np.ndarray, k, m) -> np.ndarray:
+    """The (len(k), L) array whose row i is pi(k[i], m[i]) f, for integer
+    shifts k, m; row i equals tf_shift(f, k[i], m[i]) bit for bit."""
+    L = f.shape[0]
+    k, m = np.asarray(k), np.asarray(m)
     n = np.arange(L)
-    out = np.exp(2j * np.pi * (m % L) * n / L) * np.roll(f.values, k % L)
-    return Signal(out, f.config)
+    return (np.exp(2j * np.pi * (m % L)[:, None] * n / L)
+            * f[(n[None, :] - k[:, None]) % L])
 
 
 def stft(f: Signal, g: Signal) -> TFGrid:
@@ -174,11 +170,18 @@ def stft(f: Signal, g: Signal) -> TFGrid:
         raise ModelError("signal/window length mismatch")
     if g.norm == 0.0:
         raise WindowError("zero window")
-    L = f.config.L
+    return TFGrid(stft_matrix(f.values[None, :], g.values)[0], f.config)
+
+
+def stft_matrix(F: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The (B, L, L) array of V_g F[i] for the rows of the (B, L) array F,
+    each equal to stft of that row bit for bit (length-L FFTs of the rows
+    n -> F[i, n] * conj(g[(n-k) mod L]))."""
+    L = g.shape[0]
     n = np.arange(L)
     # G[k, n] = conj(g[(n - k) mod L])
-    G = np.conj(g.values[(n[None, :] - n[:, None]) % L])
-    return TFGrid(np.fft.fft(f.values[None, :] * G, axis=1), f.config)
+    G = np.conj(g[(n[None, :] - n[:, None]) % L])
+    return np.fft.fft(F[:, None, :] * G, axis=2)
 
 
 def dft_unitary(f: Signal) -> Signal:

@@ -43,6 +43,11 @@ def run(tmp_path, capsys, *overrides, threads=None):
     ("operator=fio1:phase=perturbed:1,symbol=ones",),
     ("operator=fio1:phase=chirp:nan,symbol=ones", "model.regime=B"),
     ("operator=fio1:phase=metaplectic:2,0,0,1,symbol=ones",),  # not symplectic
+    ("nosuch=1",),                                # unknown top-level key
+    ("model.nosuch=1",),                          # unknown key in a known section
+    ("sweep.tau=[0.1]",),
+    ("model=64",),                                # a section that is not an object
+    ("seed.x=1",),                                # a path through a non-section
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     code, err, out = run(tmp_path, capsys, *overrides)
@@ -70,3 +75,20 @@ def test_threads_flag_caps_openblas(tmp_path, capsys):
 def test_threads_flag_rejects_zero(tmp_path, capsys):
     code, err, _ = run(tmp_path, capsys, threads=0)
     assert code == 2 and err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("document", [
+    {"model": {"L": 32, "regime": "A"}, "nosuch": 1},
+    {"model": {"L": 32, "regime": "A", "size": 2}},
+    {"offgrid": {"n_offset": 2}},
+    {"frame": 4},
+    [1, 2],
+])
+def test_unknown_config_key_in_file_is_exit_2(tmp_path, capsys, document):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert not (tmp_path / "out" / "report.json").exists()

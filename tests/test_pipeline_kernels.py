@@ -1,0 +1,240 @@
+"""The array forms of the matrix.csv writer and reader, the symbol-class
+sweep and the off-grid check against the per-element loops they replaced,
+kept here as references; the reader's input contract."""
+
+import csv
+
+import numpy as np
+import pytest
+
+import gaborfio as gf
+
+SHEAR = np.array([[1.0, 0.0], [1.0, 1.0]])
+
+
+def loop_to_csv(K, path):
+    """Row by row through csv.writer."""
+    pts = K.lattice.points()
+    with open(path, "w", newline="") as fh:
+        wtr = csv.writer(fh)
+        wtr.writerow(["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"])
+        for i, mu in enumerate(pts):
+            for j, lam in enumerate(pts):
+                v = K.entries[i, j]
+                wtr.writerow([mu[0], mu[1], lam[0], lam[1],
+                              repr(float(v.real)), repr(float(v.imag))])
+
+
+def loop_from_csv(path, frame):
+    """Row by row through csv.reader and a point -> index dict."""
+    lat = frame.lattice
+    index = {(int(p[0]), int(p[1])): i for i, p in enumerate(lat.points())}
+    K = np.zeros((lat.size, lat.size), dtype=complex)
+    with open(path, newline="") as fh:
+        rdr = csv.reader(fh)
+        next(rdr)
+        for row in rdr:
+            mu = index[(int(row[0]), int(row[1]))]
+            lam = index[(int(row[2]), int(row[3]))]
+            K[mu, lam] = float(row[4]) + 1j * float(row[5])
+    return K
+
+
+def loop_symbol_envelope(sigma, Psi):
+    """One 2d FFT per translate z = (z1, z2)."""
+    L = sigma.config.L
+    env = np.zeros((L, L))
+    for z1 in range(L):
+        P1 = np.roll(Psi, z1, axis=0)
+        for z2 in range(L):
+            F = np.fft.fft2(sigma.values * np.conj(np.roll(P1, z2, axis=1)))
+            np.maximum(env, np.abs(F), out=env)
+    return env
+
+
+def loop_offgrid(T, frame, chi, s, n_offsets):
+    """One tf_shift, matvec and STFT per atom into an (N, L, L) grid per offset."""
+    lat = frame.lattice
+    L = frame.config.L
+    pts = lat.points().astype(float)
+    w = frame.tight
+    offsets = [(0, 0)] + gf.gabormatrix._offsets_for(lat, n_offsets)
+    grids = {}
+    for u in offsets:
+        cols = np.empty((lat.size, L, L), dtype=complex)
+        for i, p in enumerate(pts):
+            atom = gf.tf_shift(w, int(p[0] + u[0]), int(p[1] + u[1]))
+            cols[i] = gf.stft(gf.Signal(T.entries @ atom.values, T.config), w).values
+        grids[u] = cols
+
+    def constant(u_z, u_w):
+        z = pts + np.array(u_z, dtype=float)
+        img = gf.gabormatrix._chi_points(chi, gf.wrap_half(z, L))
+        wpts = (pts + np.array(u_w, dtype=float)).astype(int)
+        vals = np.abs(grids[u_z][:, wpts[:, 0] % L, wpts[:, 1] % L])
+        d1 = gf.wrap_half(wpts[None, :, 0] - img[:, 0][:, None], L)
+        d2 = gf.wrap_half(wpts[None, :, 1] - img[:, 1][:, None], L)
+        return float((vals * (1.0 + d1 ** 2 + d2 ** 2) ** (s / 2)).max())
+
+    return (constant((0, 0), (0, 0)),
+            max(constant(uz, uw) for uz in offsets for uw in offsets))
+
+
+def bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+def frame_for(L, regime="A", steps=None):
+    cfg = gf.ModelConfig(L=L, regime=regime)
+    lat = gf.default_lattice(cfg) if steps is None else gf.Lattice(*steps, cfg)
+    return gf.build_frame(gf.periodized_gaussian(cfg), lat)
+
+
+@pytest.mark.parametrize("L", [16, 64])
+@pytest.mark.parametrize("regime", ["A", "B"])
+def test_csv_bytes_and_readback_match_loops(tmp_path, L, regime):
+    frame = frame_for(L, regime)
+    rng = np.random.Generator(np.random.Philox(L))
+    cfg = frame.config
+    T = gf.OperatorMatrix(rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)), cfg)
+    for op in (gf.chirp_operator(cfg, 1), T):
+        K = gf.gabor_matrix(op, frame)
+        # signed zeros and non-finite values keep their text and bits
+        K.entries[0, :4] = [0.0, -0.0 + 0j, complex(-0.0, -0.0), complex(np.inf, np.nan)]
+        gf.gabor_matrix_to_csv(K, tmp_path / "new.csv")
+        loop_to_csv(K, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        got = gf.gabor_matrix_from_csv(tmp_path / "ref.csv", frame).entries
+        np.testing.assert_array_equal(bits(got), bits(loop_from_csv(tmp_path / "ref.csv",
+                                                                    frame)))
+
+
+def test_csv_reader_accepts_any_row_order(tmp_path, frame16):
+    K = gf.gabor_matrix(gf.dft_operator(frame16.config), frame16)
+    gf.gabor_matrix_to_csv(K, tmp_path / "m.csv")
+    header, *rows = (tmp_path / "m.csv").read_text().splitlines(keepends=True)
+    order = np.random.Generator(np.random.Philox(1)).permutation(len(rows))
+    (tmp_path / "shuffled.csv").write_text(header + "".join(rows[i] for i in order))
+    got = gf.gabor_matrix_from_csv(tmp_path / "shuffled.csv", frame16).entries
+    np.testing.assert_array_equal(bits(got), bits(K.entries))
+
+
+@pytest.mark.parametrize("row,what", [
+    ("1,0,0,0,1.0,0.0", "off"),          # mu_k = 1 is not a multiple of a = 2
+    ("0,0,16,0,1.0,0.0", "off"),         # lam_k = L lies outside [0, L)
+    ("0,0,-2,0,1.0,0.0", "off"),
+    ("0,0,0.5,0,1.0,0.0", "off"),
+    ("0,0,0,0,abc,0.0", "convert"),
+    ("0,x,0,0,1.0,0.0", "convert"),
+    ("0,0,0,0,1.0", "columns"),
+    ("0,0,0,0,1.0,0.0,7", "columns"),
+])
+def test_csv_reader_rejects_malformed_rows(tmp_path, frame16, row, what):
+    good = "2,0,0,2,0.5,-0.25\r\n"
+    path = tmp_path / "bad.csv"
+    path.write_text("mu_k,mu_m,lam_k,lam_m,re,im\r\n" + good + row + "\r\n" + good,
+                    newline="")
+    with pytest.raises(gf.ModelError, match=what) as exc:
+        gf.gabor_matrix_from_csv(path, frame16)
+    assert "\n" not in str(exc.value)
+    # a file of such rows alone fails the same way
+    path.write_text("mu_k,mu_m,lam_k,lam_m,re,im\n" + row + "\n")
+    with pytest.raises(gf.ModelError, match=what):
+        gf.gabor_matrix_from_csv(path, frame16)
+
+
+def test_csv_reader_header_only_is_zero_matrix(tmp_path, frame16):
+    path = tmp_path / "empty.csv"
+    path.write_text("mu_k,mu_m,lam_k,lam_m,re,im\r\n", newline="")
+    assert not gf.gabor_matrix_from_csv(path, frame16).entries.any()
+    path.write_text("")
+    with pytest.raises(gf.ModelError, match="header"):
+        gf.gabor_matrix_from_csv(path, frame16)
+
+
+def nonseparable_window(cfg):
+    # a rotated anisotropic Gaussian bump on the torus: not an outer product
+    x = gf.wrap_half(np.arange(cfg.L), cfg.L) / np.sqrt(cfg.L)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    return gf.SymbolGrid(np.exp(-np.pi * (X ** 2 + 0.6 * X * Y + 2.0 * Y ** 2))
+                         * np.exp(0.3j * X), cfg)
+
+
+@pytest.mark.parametrize("L", [16, 32, 64])
+@pytest.mark.parametrize("separable", [True, False])
+def test_symbol_class_matches_loop(L, separable):
+    cfg = gf.ModelConfig(L=L)
+    sigma = gf.random_smooth_symbol(cfg, np.random.Generator(np.random.Philox(L)))
+    if separable:
+        window2d = None
+        g = gf.periodized_gaussian(cfg).values
+        Psi = np.outer(g, g)
+    else:
+        window2d = nonseparable_window(cfg)
+        Psi = window2d.values
+    rep = gf.symbol_class_norm(sigma, 2.0, window2d=window2d)
+    env = loop_symbol_envelope(sigma, Psi)
+    np.testing.assert_array_equal(bits(rep.envelope), bits(env))
+    zw = gf.wrap_half(np.arange(L), L)
+    dist = np.sqrt(1.0 + zw[:, None] ** 2 + zw[None, :] ** 2)
+    bins, s_sym, _, _ = gf.envelope_fit(dist, env)
+    assert (rep.norm, rep.s_sym, rep.bins) == (float((env * dist ** 2.0).max()), s_sym, bins)
+
+
+def test_symbol_class_block_size_does_not_change_envelope(monkeypatch):
+    cfg = gf.ModelConfig(L=32)
+    sigma = gf.random_smooth_symbol(cfg, np.random.Generator(np.random.Philox(3)))
+    window2d = nonseparable_window(cfg)
+    want = loop_symbol_envelope(sigma, window2d.values)
+    for translates in (1, 7, 32, 40):
+        monkeypatch.setattr(gf.gabormatrix, "FIT_BLOCK_ENTRIES", translates * 32 * 32)
+        got = gf.symbol_class_norm(sigma, 2.0, window2d=window2d).envelope
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("n_offsets", [0, 1, 3, 5])
+@pytest.mark.parametrize("L,steps", [(64, None), (32, (4, 2))])
+def test_offgrid_matches_loop(n_offsets, L, steps):
+    frame = frame_for(L, steps=steps)
+    cfg = frame.config
+    rng = np.random.Generator(np.random.Philox(0))
+    T = gf.OperatorMatrix(rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)), cfg)
+    # with s = 0 the constants are max |<T pi(z) w, pi(w') w>|, which moves with
+    # any change in the rounding of T pi(z) w (a GEMM in place of the per-atom
+    # gemv does)
+    for op, chi, s in ((gf.chirp_operator(cfg, 1), SHEAR, 4.0), (T, np.eye(2), 0.0),
+                       (T, SHEAR, 4.0)):
+        rep = gf.offgrid_decay_check(op, frame, chi, s=s, n_offsets=n_offsets)
+        assert (rep.C_lattice, rep.C_offgrid) == loop_offgrid(op, frame, chi, s, n_offsets)
+
+
+def test_offgrid_block_size_does_not_change_result(monkeypatch):
+    frame = frame_for(32)
+    cfg = frame.config
+    rng = np.random.Generator(np.random.Philox(6))
+    T = gf.OperatorMatrix(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)), cfg)
+    chi = SHEAR @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+    want = loop_offgrid(T, frame, chi, 3.0, 3)
+    N, L = frame.lattice.size, cfg.L
+    for atoms in (1, 7, N, N + 3):
+        monkeypatch.setattr(gf.gabormatrix, "FIT_BLOCK_ENTRIES", atoms * L * L)
+        rep = gf.offgrid_decay_check(T, frame, chi, s=3.0, n_offsets=3)
+        assert (rep.C_lattice, rep.C_offgrid) == want
+
+
+def test_batched_shift_and_stft_match_per_row(frame64):
+    w = frame64.tight
+    L = frame64.config.L
+    rng = np.random.Generator(np.random.Philox(2))
+    k, m = rng.integers(-2 * L, 2 * L, size=(2, 40))
+    rows = gf.tf_shift_matrix(w.values, k, m)
+    for i in range(len(k)):
+        ref = np.exp(2j * np.pi * (int(m[i]) % L) * np.arange(L) / L) \
+            * np.roll(w.values, int(k[i]) % L)
+        np.testing.assert_array_equal(bits(rows[i].view(float)), bits(ref.view(float)))
+    V = gf.stft_matrix(rows, w.values)
+    n = np.arange(L)
+    G = np.conj(w.values[(n[None, :] - n[:, None]) % L])
+    for i in range(len(k)):
+        ref = np.fft.fft(rows[i][None, :] * G, axis=1)
+        np.testing.assert_array_equal(bits(V[i].view(float)), bits(ref.view(float)))
