@@ -33,7 +33,8 @@ from .operators import (DiscretePhase, MetaplecticWord, OperatorMatrix,
                         quadratic_phase, random_smooth_symbol, symbol_ones,
                         symbol_multiplier, type1_symbol_of)
 from .gabormatrix import (DecayProfile, GaborMatrix, OffgridReport,
-                          SparseGaborMatrix, SymbolClassReport, decay_profile,
+                          RowPaddedMatrix, SparseGaborMatrix,
+                          SymbolClassReport, decay_profile,
                           envelope_fit, gabor_matrix, gabor_matrix_from_csv,
                           gabor_matrix_to_csv, offgraph_max,
                           offgrid_decay_check, profile_to_csv, schur_bound,

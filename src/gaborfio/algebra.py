@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotInClass, SingularOperator
 from .gabor import GaborFrame
@@ -84,6 +83,14 @@ def verify_composition(T1: OperatorMatrix, T2: OperatorMatrix,
                           "s_fit_factors_min": min(s1, s2)})
 
 
+def _refined_inverse(A: np.ndarray) -> np.ndarray:
+    """A^{-1} by an LU solve against I, plus one step of iterative refinement."""
+    I = np.eye(A.shape[0])
+    X = np.linalg.solve(A, I.astype(complex))
+    X += np.linalg.solve(A, I - A @ X)
+    return X
+
+
 def verify_inverse(T: OperatorMatrix, chi: CanonicalMap, frame: GaborFrame,
                    s_threshold: float = DEFAULT_S_THRESHOLD,
                    cond_max: float = COND_MAX) -> AlgebraReport:
@@ -91,11 +98,7 @@ def verify_inverse(T: OperatorMatrix, chi: CanonicalMap, frame: GaborFrame,
     cond = np.linalg.cond(T.entries)
     if not np.isfinite(cond) or cond > cond_max:
         raise SingularOperator(f"condition number {cond:.3e} exceeds {cond_max:.1e}")
-    L = T.config.L
-    lu, piv = scipy.linalg.lu_factor(T.entries)
-    X = scipy.linalg.lu_solve((lu, piv), np.eye(L, dtype=complex))
-    X += scipy.linalg.lu_solve((lu, piv), np.eye(L) - T.entries @ X)
-    Tinv = OperatorMatrix(X, T.config, tag="inverse")
+    Tinv = OperatorMatrix(_refined_inverse(T.entries), T.config, tag="inverse")
     s_fwd = decay_profile(gabor_matrix(T, frame), chi).s_fit
     rep = _report("invert", frame, Tinv, chi.inverse(), s_threshold,
                   extra={"condition_number": float(cond), "s_fit_forward": s_fwd})

@@ -17,6 +17,9 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+# every run builds an argparse parser, whose gettext lookup imports locale;
+# import it with the module so that it counts as start-up
+import locale  # noqa: F401
 import sys
 import time
 from pathlib import Path
@@ -411,7 +414,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             report["pass"] = bool(rep.ratio <= thresholds["offgrid_ratio_max"])
 
         elif pipeline == "sparsity-sweep":
-            rows, ok = sparsity_sweep(cfg, frame, T, chi, rng, out)
+            rows, timings["sweep"], ok = sparsity_sweep(cfg, frame, T, chi, rng, out)
             report["rows"] = rows
             report["pass"] = ok
 
@@ -430,7 +433,9 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
 
 def sparsity_sweep(cfg, frame, T, chi, rng, out: Path):
     """Threshold sweep: per row, the measured apply error must not exceed the
-    dropped Schur mass (the gate); kept fraction and timings are reported."""
+    dropped Schur mass (the gate).  Returns the rows (kept fraction, Schur
+    mass, measured error), the per-row dense and sparse apply times, which
+    go to the report's "timings", and the gate."""
     import numpy as np
 
     from . import gabormatrix as gm
@@ -442,7 +447,7 @@ def sparsity_sweep(cfg, frame, T, chi, rng, out: Path):
     probes = [rng.normal(size=lat.size) + 1j * rng.normal(size=lat.size)
               for _ in range(cfg["sweep"]["probes"])]
     repeats = max(int(cfg["sweep"]["repeats"]), 5)
-    rows = []
+    rows, times = [], []
     all_ok = True
     for tau in cfg["sweep"]["tau_grid"]:
         Ks = gm.sparsify(K, tau)
@@ -456,25 +461,27 @@ def sparsity_sweep(cfg, frame, T, chi, rng, out: Path):
         all_ok &= ok
         rows.append({"tau": tau, "kept_fraction": Ks.kept_fraction,
                      "schur_residual": Ks.dropped_schur_mass,
-                     "measured_rel_error": rel_err,
-                     "dense_ms": t_dense * 1e3, "sparse_ms": t_sparse * 1e3})
+                     "measured_rel_error": rel_err})
+        times.append({"tau": tau, "dense_ms": t_dense * 1e3,
+                      "sparse_ms": t_sparse * 1e3})
     with open(out / "sweep.csv", "w") as fh:
         fh.write("tau,kept_fraction,schur_residual,measured_rel_error,dense_ms,sparse_ms\n")
-        for r in rows:
+        for r, t in zip(rows, times):
             fh.write(f"{r['tau']:.3e},{r['kept_fraction']:.6f},"
                      f"{r['schur_residual']:.6e},{r['measured_rel_error']:.6e},"
-                     f"{r['dense_ms']:.4f},{r['sparse_ms']:.4f}\n")
-    return rows, all_ok
+                     f"{t['dense_ms']:.4f},{t['sparse_ms']:.4f}\n")
+    return rows, times, all_ok
 
 
 def _median_time(fn, repeats: int) -> float:
-    import statistics
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    times.sort()
+    mid = len(times) // 2
+    return times[mid] if len(times) % 2 else (times[mid - 1] + times[mid]) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +492,9 @@ def openblas_thread_handles() -> list:
     """(set_num_threads, get_num_threads) for every OpenBLAS mapped into
     this process.
 
-    numpy and scipy are loaded with the package, before any flag is parsed,
-    so the *_NUM_THREADS environment variables are read too early to act;
-    the pools are resized through each library's own entry points instead.
+    numpy is loaded with the package, before any flag is parsed, so the
+    *_NUM_THREADS environment variables are read too early to act; the
+    pools are resized through each library's own entry points instead.
     """
     import ctypes
     try:
@@ -499,6 +506,7 @@ def openblas_thread_handles() -> list:
     handles = []
     for path in sorted(paths):
         lib = ctypes.CDLL(path)
+        # numpy's wheels ship OpenBLAS with the scipy_openblas symbol prefix
         for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
                                ("openblas", "64_"), ("openblas", "")):
             set_fn = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)

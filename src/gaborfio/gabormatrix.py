@@ -41,7 +41,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import FitError, ModelError, SizeError
 from .gabor import CoefficientArray, GaborFrame, analysis_matrix
@@ -50,11 +49,11 @@ from .phasegeom import CanonicalMap
 from .tfcore import stft_matrix, tf_shift_matrix, wrap_half
 
 __all__ = [
-    "GaborMatrix", "DecayProfile", "SparseGaborMatrix", "OffgridReport",
-    "SymbolClassReport", "gabor_matrix", "decay_profile", "offgraph_max",
-    "offgrid_decay_check", "sparsify", "sparse_apply", "schur_bound",
-    "symbol_class_norm", "gabor_matrix_to_csv", "gabor_matrix_from_csv",
-    "profile_to_csv",
+    "GaborMatrix", "DecayProfile", "RowPaddedMatrix", "SparseGaborMatrix",
+    "OffgridReport", "SymbolClassReport", "gabor_matrix", "decay_profile",
+    "offgraph_max", "offgrid_decay_check", "sparsify", "sparse_apply",
+    "schur_bound", "symbol_class_norm", "gabor_matrix_to_csv",
+    "gabor_matrix_from_csv", "profile_to_csv",
 ]
 
 SYMBOL_CLASS_MAX_L = 128   # the 2d-STFT sweep is an L^4 log L computation
@@ -106,10 +105,60 @@ class DecayProfile:
 
 
 @dataclass(frozen=True)
-class SparseGaborMatrix:
-    """Thresholded Gabor matrix in CSR form with its discarded Schur mass."""
+class RowPaddedMatrix:
+    """Complex sparse matrix in row-padded ("ELL") form.
 
-    matrix: sp.csr_matrix
+    Slot j of row i holds column cols[j, i] and value re[j, i] + 1j im[j, i].
+    The first nnz-of-row-i slots hold the row's nonzero entries in column
+    order; the remaining slots up to the common width hold the value 0.
+    ``self @ x`` sums each row in slot order from 0, forming every product
+    from the real and imaginary parts as a compiled CSR product does, so it
+    gives the same floats as a CSR matvec over the same entries (for finite
+    x: a zero slot adds a signed zero, which leaves every sum unchanged).
+    """
+
+    cols: np.ndarray           # (width, n_rows) column indices
+    re: np.ndarray             # (width, n_rows) real parts
+    im: np.ndarray             # (width, n_rows) imaginary parts
+    shape: tuple[int, int]
+    nnz: int
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray) -> "RowPaddedMatrix":
+        """The nonzero entries of the 2-D array A."""
+        At = np.asarray(A, dtype=complex).T
+        nonzero = At != 0                          # [column, row]
+        counts = np.count_nonzero(nonzero, axis=0)
+        width = int(counts.max(initial=0))
+        # a stable sort of the zero flags puts each row's nonzero columns
+        # first, in column order, and then its zero entries
+        cols = np.argsort(~nonzero, axis=0, kind="stable")[:width].copy()
+        vals = np.take_along_axis(At, cols, axis=0)
+        return cls(cols=cols, re=np.ascontiguousarray(vals.real),
+                   im=np.ascontiguousarray(vals.imag), shape=At.shape[::-1],
+                   nnz=int(counts.sum()))
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        if x.shape != (self.shape[1],):
+            raise ModelError(f"vector shape {x.shape} does not match matrix shape {self.shape}")
+        xr = np.ascontiguousarray(x.real).take(self.cols)
+        xi = np.ascontiguousarray(x.imag).take(self.cols)
+        out = np.empty(self.shape[0], dtype=complex)
+        # a reduction over axis 0 adds the slots of each row in sequence
+        t, u = self.re * xr, self.im * xi
+        out.real = np.add.reduce(np.subtract(t, u, out=t), axis=0, initial=0.0)
+        np.multiply(self.re, xi, out=t)
+        np.multiply(self.im, xr, out=u)
+        out.imag = np.add.reduce(np.add(t, u, out=t), axis=0, initial=0.0)
+        return out
+
+
+@dataclass(frozen=True)
+class SparseGaborMatrix:
+    """Thresholded Gabor matrix in row-padded form with its discarded Schur mass."""
+
+    matrix: RowPaddedMatrix
     threshold: float
     kept_fraction: float
     dropped_schur_mass: float
@@ -397,7 +446,7 @@ def sparsify(K: GaborMatrix, tau: float) -> SparseGaborMatrix:
     dropped = np.where(keep, 0.0, absK)
     mass = max(dropped.sum(axis=1).max(), dropped.sum(axis=0).max()) \
         if (~keep).any() else 0.0
-    mat = sp.csr_matrix(np.where(keep, K.entries, 0.0))
+    mat = RowPaddedMatrix.from_dense(np.where(keep, K.entries, 0.0))
     lat = K.lattice
     return SparseGaborMatrix(matrix=mat, threshold=float(tau),
                              kept_fraction=float(keep.mean()),
@@ -419,7 +468,10 @@ def schur_bound(K) -> float:
     if isinstance(K, GaborMatrix):
         A = np.abs(K.entries)
     elif isinstance(K, SparseGaborMatrix):
-        A = np.abs(K.matrix)
+        M = K.matrix
+        A = np.hypot(M.re, M.im)                  # padding slots are 0
+        col_sums = np.bincount(M.cols.ravel(), weights=A.ravel(), minlength=M.shape[1])
+        return float(max(A.sum(axis=0).max(initial=0.0), col_sums.max(initial=0.0)))
     else:
         A = np.abs(np.asarray(K))
     return float(max(A.sum(axis=1).max(), A.sum(axis=0).max()))

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ModelError, NondegeneracyViolation, SolveError
 
@@ -34,6 +33,7 @@ __all__ = [
 _FD_STEP = 1e-5          # central-difference step for Jacobians
 _NEWTON_TOL = 1e-12
 _NEWTON_MAXIT = 50
+_BISECT_XTOL = 1e-14     # bracket width at which the bisection fallback stops
 
 
 @dataclass(frozen=True)
@@ -272,15 +272,30 @@ def _newton_1d(resid, slope, t: np.ndarray) -> np.ndarray:
 
 
 def _bracket_root(resid, t: float) -> float | None:
-    """Root of a monotone residual near t: a doubling bracket, then brentq.
-    None when no sign change turns up."""
+    """Root of a monotone residual near t: a doubling bracket, then bisection
+    down to _BISECT_XTOL (or adjacent floats).  None when no sign change
+    turns up."""
     radius = max(1.0, abs(t))
     for _ in range(60):
         lo, hi = t - radius, t + radius
-        if resid(lo) * resid(hi) < 0:
-            return brentq(resid, lo, hi, xtol=1e-14)
+        r_lo, r_hi = resid(lo), resid(hi)
+        if r_lo * r_hi < 0:
+            break
         radius *= 2
-    return None
+    else:
+        return None
+    while hi - lo > _BISECT_XTOL:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        r_mid = resid(mid)
+        if r_mid == 0:
+            return mid
+        if (r_mid < 0) == (r_lo < 0):
+            lo, r_lo = mid, r_mid
+        else:
+            hi, r_hi = mid, r_mid
+    return lo if abs(r_lo) <= abs(r_hi) else hi
 
 
 def _fresh(v, shape: tuple) -> np.ndarray:

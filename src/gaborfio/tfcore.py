@@ -27,6 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads these on first use; load them with the package so that their
+# import counts as start-up, not as the first operation's time
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .errors import ModelError, WindowError
 

@@ -102,6 +102,24 @@ def test_inverse_checks_reconstruction(frame64, cfg64, smoothing64):
     assert rep.diagnostics["condition_number"] < 2.0
 
 
+@pytest.mark.parametrize("regime", ["A", "B"])
+@pytest.mark.parametrize("spec", ["perturb-id:0.2:4", "chirp:1*perturb-id:0.1:3",
+                                  "dft*chirp:2"])
+def test_refined_inverse_matches_reference_inverses(spec, regime):
+    from gaborfio.algebra import _refined_inverse
+    from gaborfio.cli import parse_operator
+    A = parse_operator(spec, gf.ModelConfig(L=64, regime=regime),
+                       np.random.Generator(np.random.Philox(0)))[0].entries
+    X = _refined_inverse(A)
+    ref = np.linalg.inv(A)
+    assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+    linalg = pytest.importorskip("scipy.linalg")
+    lu = linalg.lu_factor(A)
+    ref = linalg.lu_solve(lu, np.eye(64, dtype=complex))
+    ref += linalg.lu_solve(lu, np.eye(64) - A @ ref)
+    assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_inverse_rank_deficient_rejected(frame64, cfg64):
     P = np.zeros((64, 64))
     P[:32, :32] = np.eye(32)

@@ -201,6 +201,58 @@ def test_sparse_apply_error_bounded_by_schur_mass(K_chirp64, rng):
             assert err <= S.dropped_schur_mass * np.linalg.norm(c) + 1e-12
 
 
+def row_sequential_matvec(A, x):
+    """Reference sparse product: each row's nonzero entries in column order,
+    each product from real and imaginary parts, summed in sequence from 0."""
+    out = np.zeros(A.shape[0], dtype=complex)
+    for i, row in enumerate(A):
+        re = im = 0.0
+        for j in np.flatnonzero(row):
+            a, b = complex(row[j]), complex(x[j])
+            re += a.real * b.real - a.imag * b.imag
+            im += a.real * b.imag + a.imag * b.real
+        out[i] = complex(re, im)
+    return out
+
+
+@pytest.mark.parametrize("regime", ["A", "B"])
+@pytest.mark.parametrize("L", [16, 32])
+def test_row_padded_apply_equals_row_sequential_loop(L, regime, rng):
+    cfg = gf.ModelConfig(L=L, regime=regime)
+    frame = gf.build_frame(gf.periodized_gaussian(cfg), gf.default_lattice(cfg))
+    K = gf.gabor_matrix(gf.chirp_operator(cfg, 1), frame)
+    absK = np.abs(K.entries)
+    peak = absK.max()
+    x = rng.normal(size=len(absK)) + 1j * rng.normal(size=len(absK))
+    for tau in (0.0, 1e-10, 1e-6, 1e-3, 1e-1 * peak, 1.01 * peak):
+        S = gf.sparsify(K, tau)
+        kept = np.where(absK >= tau, K.entries, 0.0)
+        assert S.nnz == np.count_nonzero(kept)
+        assert S.kept_fraction == (absK >= tau).mean()
+        assert S.matrix.shape == K.entries.shape
+        assert gf.schur_bound(S) == pytest.approx(gf.schur_bound(kept), rel=1e-12)
+        assert (S.matrix @ x).tobytes() == row_sequential_matvec(kept, x).tobytes()
+    assert S.nnz == 0 and gf.schur_bound(S) == 0.0
+
+
+def test_schur_bound_of_row_padded_reads_columns():
+    # column sums dominate: 3 in column 0, 1 in every row
+    A = np.zeros((3, 3), dtype=complex)
+    A[:, 0] = [1.0, 1j, -1.0]
+    S = gf.SparseGaborMatrix(gf.RowPaddedMatrix.from_dense(A), threshold=0.0,
+                             kept_fraction=1 / 3, dropped_schur_mass=0.0,
+                             lattice_shape=(1, 3))
+    assert S.nnz == 3 and S.matrix.cols.shape == (1, 3)
+    assert gf.schur_bound(S) == gf.schur_bound(A) == 3.0
+
+
+def test_row_padded_apply_rejects_wrong_length(K_chirp64):
+    S = gf.sparsify(K_chirp64, 1e-3)
+    for n in (S.matrix.shape[1] - 1, S.matrix.shape[1] + 1):
+        with pytest.raises(gf.ModelError):
+            S.matrix @ np.ones(n)
+
+
 def test_sparse_apply_index_mismatch(K_chirp64, cfg16):
     other_lat = gf.Lattice(2, 2, cfg16)
     c = gf.CoefficientArray(np.zeros((8, 8)), other_lat)

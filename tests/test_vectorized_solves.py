@@ -10,6 +10,7 @@ import pytest
 
 import gaborfio as gf
 from gaborfio import operators as ops
+from gaborfio import phasegeom as pg
 from gaborfio.phasegeom import CanonicalMap, TamePhase
 from gaborfio.tfcore import wrap_half
 
@@ -100,10 +101,9 @@ def test_discrete_phase_equals_loop(L, regime, spec):
                                   discrete_phase_loop(phi, cfg))
 
 
-def test_zero_derivative_reaches_bisection():
-    # the hess oracle lies with a zero mixed derivative on half the plane:
-    # those points leave the Newton iteration at once and must still be
-    # solved by the bracketing fallback, in the same call as the others
+def lying_phase():
+    """perturbed:0.3, and the same phase whose hess oracle lies with a zero
+    mixed derivative on the half plane x > 0."""
     phi = gf.tame_phase("perturbed:0.3")
     honest = phi.hess
 
@@ -112,8 +112,16 @@ def test_zero_derivative_reaches_bisection():
         H[0, 1] = H[1, 0] = np.where(np.asarray(x) > 0, 0.0, H[0, 1])
         return H
 
+    return phi, replace(phi, hess=lying)
+
+
+def test_zero_derivative_reaches_bisection():
+    # the hess oracle lies with a zero mixed derivative on half the plane:
+    # those points leave the Newton iteration at once and must still be
+    # solved by the bracketing fallback, in the same call as the others
+    phi, liar = lying_phase()
     truth = gf.canonical_map_of_phase(phi)
-    chi = gf.canonical_map_of_phase(replace(phi, hess=lying))
+    chi = gf.canonical_map_of_phase(liar)
     pts = np.random.default_rng(6).uniform(-3, 3, size=(64, 2))
     x, xi = chi.forward(pts[:, 0], pts[:, 1])
     assert (x > 0).any() and (x < 0).any()
@@ -122,6 +130,35 @@ def test_zero_derivative_reaches_bisection():
                                atol=1e-10)
     back = chi.inverse().map_points(pts)
     np.testing.assert_allclose(back, truth.inverse().map_points(pts), atol=1e-10)
+
+
+def test_lying_oracle_points_go_through_bisection(monkeypatch):
+    # the bracketing fallback is what solves the lying points, both ways
+    phi, liar = lying_phase()
+    roots, bracket_root = [], pg._bracket_root
+
+    def counted(resid, t):
+        roots.append(bracket_root(resid, t))
+        return roots[-1]
+
+    monkeypatch.setattr(pg, "_bracket_root", counted)
+    chi = gf.canonical_map_of_phase(liar)
+    pts = np.random.default_rng(6).uniform(-3, 3, size=(64, 2))
+    roots.clear()
+    x, _ = chi.forward(pts[:, 0], pts[:, 1])
+    assert roots and None not in roots
+    assert np.abs(phi.grad_eta(x, pts[:, 1]) - pts[:, 0]).max() < 1e-10
+    roots.clear()
+    eta = chi.inverse().map_points(pts)[:, 1]
+    assert roots and None not in roots
+    assert np.abs(phi.grad_x(pts[:, 0], eta) - pts[:, 1]).max() < 1e-10
+
+
+def test_bracket_root_bisects_to_tolerance():
+    root = pg._bracket_root(lambda t: t ** 3 - 2.0, 40.0)
+    assert abs(root - 2.0 ** (1 / 3)) <= 1e-14
+    assert pg._bracket_root(lambda t: -t, 0.0) == 0.0
+    assert pg._bracket_root(lambda t: 1.0 + t * t, 0.5) is None
 
 
 def test_bad_oracle_raises_on_arrays():
