@@ -22,7 +22,15 @@ import json
 import locale  # noqa: F401
 import sys
 import time
+from functools import partial
+from math import isfinite
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from . import algebra, gabor, gabormatrix as gm, operators as ops, phasegeom as pg, tfcore
+from .errors import ConfigError, GaborFIOError, ModelError, UnitError
 
 DEFAULT_CONFIG = {
     "model": {"L": 64, "regime": "A", "T": None},
@@ -50,12 +58,7 @@ _NUMERIC_FIELDS = {
     ("symbol_class", "s"): (float, None),
 }
 
-PIPELINES = ("gabor-matrix", "decay", "compose", "invert", "factorize",
-             "symbol-class", "sparsity-sweep", "offgrid")
-
-
 def _set_path(cfg: dict, dotted: str, raw: str) -> None:
-    from .errors import ConfigError
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
@@ -71,7 +74,6 @@ def _set_path(cfg: dict, dotted: str, raw: str) -> None:
 
 def _check_keys(cfg: dict) -> None:
     """Every key is a key of DEFAULT_CONFIG, and every section an object."""
-    from .errors import ConfigError
     for key, value in cfg.items():
         if key not in DEFAULT_CONFIG:
             raise ConfigError(f"unknown config key {key!r}")
@@ -86,7 +88,6 @@ def _check_keys(cfg: dict) -> None:
 
 
 def load_config(path: str, overrides=()) -> dict:
-    from .errors import ConfigError
     try:
         with open(path) as fh:
             user = json.load(fh)
@@ -110,7 +111,6 @@ def load_config(path: str, overrides=()) -> dict:
 
 
 def _validate(cfg: dict) -> None:
-    from .errors import ConfigError
     m = cfg.get("model", {})
     L = m.get("L")
     if not isinstance(L, int) or L < 8 or L % 2:
@@ -159,9 +159,6 @@ def _is_number(v, kind) -> bool:
 def _spec_number(text: str, kind, spec: str, lo=None):
     """int(text) or finite float(text) of a field of an operator spec, or
     ConfigError."""
-    from math import isfinite
-
-    from .errors import ConfigError
     try:
         v = kind(text)
     except ValueError:
@@ -173,16 +170,13 @@ def _spec_number(text: str, kind, spec: str, lo=None):
     return v
 
 
-def _parse_symbol(spec: str, config, rng):
-    from . import operators as ops
-    from .errors import ConfigError
+def _parse_symbol(spec: str, config):
     if spec == "ones":
         return ops.symbol_ones(config)
-    if spec.startswith("random-smooth"):
-        parts = spec.split(":")
+    parts = spec.split(":")
+    if parts[0] == "random-smooth" and len(parts) <= 3:     # random-smooth[:seed[:bandwidth]]
         seed = _spec_number(parts[1], int, spec, lo=0) if len(parts) > 1 else 0
         bandwidth = _spec_number(parts[2], int, spec, lo=0) if len(parts) > 2 else 2
-        import numpy as np
         local = np.random.Generator(np.random.Philox(seed))
         return ops.random_smooth_symbol(config, local, bandwidth=bandwidth)
     raise ConfigError(f"unknown symbol spec {spec!r}")
@@ -193,9 +187,6 @@ def _phase_for(config, phase_spec: str):
 
     A spec the catalog rejects is a ConfigError; a metaplectic matrix with a
     zero A block stays a NondegeneracyViolation (a pipeline failure)."""
-    from . import operators as ops
-    from . import phasegeom as pg
-    from .errors import ConfigError, ModelError
     if config.regime == "A" and phase_spec == "kn":
         return ops.kn_phase(config)
     try:
@@ -214,109 +205,198 @@ def _phase_for(config, phase_spec: str):
     return ops.discrete_phase_from_tame(phase, config)
 
 
-def _matrix_entries(arg: str, spec: str) -> list:
-    """The four floats a,b,c,d of a metaplectic spec."""
-    from .errors import ConfigError
-    entries = arg.split(",")
+def _word(tokens, config):
+    """The MetaplecticWord of generator specs 'dft', 'chirp:c', 'dilate:u'
+    (operators.GENERATORS), or ConfigError."""
+    letters = []
+    for tok in tokens:
+        head, _, rest = tok.partition(":")
+        letters.append((head, _spec_number(rest, int, tok)) if rest else (head,))
+    try:
+        return ops.MetaplecticWord(tuple(letters), config)
+    except (ModelError, UnitError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _generator_atom(name: str, rest: str, config):
+    """A one-letter word: the generator's unitary and its linear map mod L."""
+    word = _word([f"{name}:{rest}" if rest else name], config)
+    arg = word.generators[0][1:]
+    source = f"{name}:{int(rest)}" if rest else name      # the argument as given
+    return (ops.GENERATORS[name].build(config, *arg),
+            pg.linear_map(word.matrix_modL(), source, mod_L=config.L))
+
+
+_IDENTITY = pg.linear_map(np.eye(2), source="identity")
+
+
+def _identity_atom(rest: str, config):
+    if rest:
+        raise ConfigError(f"identity takes no argument, got {rest!r}")
+    return ops.identity_operator(config), _IDENTITY
+
+
+def _perturb_id_atom(rest: str, config):
+    spec, parts = f"perturb-id:{rest}", rest.split(":")
+    if len(parts) > 2:
+        raise ConfigError(f"{spec!r} takes eps[:seed]")
+    eps = _spec_number(parts[0], float, spec)
+    seed = _spec_number(parts[1], int, spec, lo=0) if len(parts) > 1 else 0
+    local = np.random.Generator(np.random.Philox(seed))
+    S = ops.kn_quantize(ops.random_smooth_symbol(config, local))
+    S = ops.OperatorMatrix(S.entries / S.norm2(), config, tag="kn")
+    T = ops.OperatorMatrix(np.eye(config.L) + eps * S.entries, config, tag="kn")
+    return T, _IDENTITY
+
+
+def _metaplectic_atom(rest: str, config):
+    spec, entries = f"metaplectic:{rest}", rest.split(",")
+    T = ops.fio_type1(_phase_for(config, spec), ops.symbol_ones(config))
     if len(entries) != 4:
         raise ConfigError(f"{spec!r} needs four entries a,b,c,d")
-    return [_spec_number(t, float, spec) for t in entries]
+    a, b, c, d = (_spec_number(t, float, spec) for t in entries)
+    return T, pg.linear_map([[a, b], [c, d]], spec)
 
 
-def _parse_atom(atom: str, config, rng):
-    """One operator atom -> (OperatorMatrix, CanonicalMap)."""
-    from math import gcd
+def _kn_atom(rest: str, config):
+    if not rest.startswith("symbol="):
+        raise ConfigError(f"kn atom needs symbol=..., got {rest!r}")
+    return ops.kn_quantize(_parse_symbol(rest[len("symbol="):], config)), _IDENTITY
 
-    import numpy as np
 
-    from . import operators as ops
-    from . import phasegeom as pg
-    from .errors import ConfigError
+def _fio_atom(head: str, rest: str, config):
+    """fio1/fio2:phase=...,symbol=...; a type-II FIO moves along chi^-1."""
+    if not rest.startswith("phase="):
+        raise ConfigError(f"{head} atom needs phase=...,symbol=..., got {rest!r}")
+    phase_spec, sep, sym_spec = rest[len("phase="):].partition(",symbol=")
+    if not sep:
+        raise ConfigError(f"{head} atom needs ',symbol=' in {rest!r}")
+    phi = _phase_for(config, phase_spec)
+    sigma = _parse_symbol(sym_spec, config)
+    chi = phi.canonical_map()
+    if head == "fio1":
+        return ops.fio_type1(phi, sigma), chi
+    return ops.fio_type2(phi, sigma), chi.inverse()
 
-    I2 = pg.linear_map(np.eye(2), source="identity")
-    head, _, rest = atom.partition(":")
-    if head == "identity":
-        return ops.identity_operator(config), I2
-    if head == "dft":
-        return ops.dft_operator(config), pg.linear_map([[0., 1.], [-1., 0.]], "dft",
-                                                       mod_L=config.L)
-    if head == "chirp":
-        c = _spec_number(rest, int, atom)
-        return ops.chirp_operator(config, c), pg.linear_map([[1., 0.], [float(c), 1.]],
-                                                            f"chirp:{c}",
-                                                            mod_L=config.L)
-    if head == "dilate":
-        u = _spec_number(rest, int, atom)
-        if gcd(u, config.L) != 1:
-            raise ConfigError(f"{atom!r}: {u} is not a unit mod L={config.L}")
-        chi = pg.linear_map([[float(u % config.L), 0.],
-                             [0., float(pow(u % config.L, -1, config.L))]],
-                            f"dilate:{u}", mod_L=config.L)
-        return ops.dilation_operator(config, u), chi
-    if head == "multiplier":
-        return ops.multiplier_operator(config, _spec_number(rest, float, atom)), I2
-    if head == "perturb-id":
-        parts = rest.split(":")
-        eps = _spec_number(parts[0], float, atom)
-        seed = _spec_number(parts[1], int, atom, lo=0) if len(parts) > 1 else 0
-        local = np.random.Generator(np.random.Philox(seed))
-        S = ops.kn_quantize(ops.random_smooth_symbol(config, local))
-        S = ops.OperatorMatrix(S.entries / S.norm2(), config, tag="kn")
-        T = ops.OperatorMatrix(np.eye(config.L) + eps * S.entries, config, tag="kn")
-        return T, I2
-    if head == "metaplectic":
-        phi = _phase_for(config, atom)
-        T = ops.fio_type1(phi, ops.symbol_ones(config))
-        a, b, c, d = _matrix_entries(rest, atom)
-        return T, pg.linear_map([[a, b], [c, d]], atom)
-    if head == "kn":
-        if not rest.startswith("symbol="):
-            raise ConfigError(f"kn atom needs symbol=..., got {atom!r}")
-        return ops.kn_quantize(_parse_symbol(rest[len("symbol="):], config, rng)), I2
-    if head in ("fio1", "fio2"):
-        if not rest.startswith("phase="):
-            raise ConfigError(f"{head} atom needs phase=...,symbol=..., got {atom!r}")
-        body = rest[len("phase="):]
-        phase_spec, sep, sym_spec = body.partition(",symbol=")
-        if not sep:
-            raise ConfigError(f"{head} atom needs ',symbol=' in {atom!r}")
-        phi = _phase_for(config, phase_spec)
-        sigma = _parse_symbol(sym_spec, config, rng)
-        chi = phi.canonical_map()
-        if head == "fio1":
-            return ops.fio_type1(phi, sigma), chi
-        return ops.fio_type2(phi, sigma), chi.inverse()
-    raise ConfigError(f"unknown operator atom {atom!r}")
+
+# atom head -> fn(rest, config) -> (OperatorMatrix, CanonicalMap)
+_ATOMS = {
+    **{name: partial(_generator_atom, name) for name in ops.GENERATORS},
+    "identity": _identity_atom,
+    "multiplier": lambda rest, config: (
+        ops.multiplier_operator(config, _spec_number(rest, float, f"multiplier:{rest}")),
+        _IDENTITY),
+    "perturb-id": _perturb_id_atom,
+    "metaplectic": _metaplectic_atom,
+    "kn": _kn_atom,
+    "fio1": partial(_fio_atom, "fio1"),
+    "fio2": partial(_fio_atom, "fio2"),
+}
+
+
+def _product(parsed):
+    """(OperatorMatrix, CanonicalMap) pairs folded from the left into their product."""
+    T, chi = parsed[0]
+    for Ti, chii in parsed[1:]:
+        T, chi = ops.compose(T, Ti), pg.compose_maps(chi, chii)
+    return T, chi
 
 
 def parse_operator(spec: str, config, rng):
-    """'A*B*...' -> (product OperatorMatrix, composed CanonicalMap, atom list)."""
-    from . import operators as ops
-    from . import phasegeom as pg
+    """'A*B*...' -> (product OperatorMatrix, composed CanonicalMap, atom list).
+
+    Every atom draws from its own seeded generator, so rng is not used."""
     atoms = [a.strip() for a in spec.split("*") if a.strip()]
     if not atoms:
-        from .errors import ConfigError
         raise ConfigError("empty operator spec")
-    parsed = [_parse_atom(a, config, rng) for a in atoms]
-    T = parsed[0][0]
-    chi = parsed[0][1]
-    for Ti, chii in parsed[1:]:
-        T = ops.compose(T, Ti)
-        chi = pg.compose_maps(chi, chii)
-    return T, chi, parsed
+    parsed = []
+    for atom in atoms:
+        head, _, rest = atom.partition(":")
+        if head not in _ATOMS:
+            raise ConfigError(f"unknown operator atom {atom!r}")
+        parsed.append(_ATOMS[head](rest, config))
+    return (*_product(parsed), parsed)
 
 
 # ---------------------------------------------------------------------------
-# pipelines
+# pipelines: each takes the run (cfg, s_threshold, config, frame, T, chi,
+# parsed, rng, out, timings) and returns its report.json entries
 # ---------------------------------------------------------------------------
+
+def _gabor_matrix(run) -> dict:
+    K = gm.gabor_matrix(run.T, run.frame, chi=run.chi)
+    gm.gabor_matrix_to_csv(K, run.out / "matrix.csv")
+    return {"peak": float(np.abs(K.entries).max()), "schur_bound": gm.schur_bound(K),
+            "pass": True}
+
+
+def _decay(run) -> dict:
+    K = gm.gabor_matrix(run.T, run.frame)
+    prof = gm.decay_profile(K, run.chi)
+    gm.profile_to_csv(prof, run.out / "profile.csv")
+    if run.cfg["output"].get("matrix_csv"):
+        gm.gabor_matrix_to_csv(K, run.out / "matrix.csv")
+    return {"s_fit": prof.s_fit, "C_fit": prof.C_fit, "r2": prof.r2,
+            "chi": run.chi.source, "pass": bool(prof.s_fit >= run.s_threshold)}
+
+
+def _algebra_entries(rep, out: Path, *keys) -> dict:
+    """Write report_algebra.json and profile.csv; return rep's named fields and pass flag."""
+    (out / "report_algebra.json").write_text(rep.to_json())
+    gm.profile_to_csv(rep.profile, out / "profile.csv")
+    return {**{k: getattr(rep, k) for k in keys}, "pass": rep.passed}
+
+
+def _compose(run) -> dict:
+    """The first atom against the product of the others."""
+    if len(run.parsed) < 2:
+        raise ConfigError("compose pipeline needs 'A*B' in operator")
+    (T1, chi1), (T2, chi2) = run.parsed[0], _product(run.parsed[1:])
+    rep = algebra.verify_composition(T1, T2, chi1, chi2, run.frame, run.s_threshold)
+    return _algebra_entries(rep, run.out, "s_fit", "C_fit", "diagnostics")
+
+
+def _invert(run) -> dict:
+    rep = algebra.verify_inverse(run.T, run.chi, run.frame, run.s_threshold)
+    return _algebra_entries(rep, run.out, "s_fit", "C_fit", "diagnostics")
+
+
+def _factorize(run) -> dict:
+    word = _word(run.cfg["word"] or [], run.config)
+    _, rep = algebra.factorize_metaplectic(run.T, word, run.frame, run.s_threshold)
+    return _algebra_entries(rep, run.out, "s_fit", "diagnostics")
+
+
+def _symbol_class(run) -> dict:
+    sc = gm.symbol_class_norm(ops.kn_symbol_of(run.T), run.cfg["symbol_class"]["s"])
+    return {"norm": sc.norm, "s_sym": sc.s_sym, "pass": bool(np.isfinite(sc.norm))}
+
+
+def _offgrid(run) -> dict:
+    og = run.cfg["offgrid"]
+    rep = gm.offgrid_decay_check(run.T, run.frame, run.chi, s=og["s"],
+                                 n_offsets=og["n_offsets"])
+    return {"C_lattice": rep.C_lattice, "C_offgrid": rep.C_offgrid,
+            "ratio": rep.ratio, "offsets": rep.offsets,
+            "pass": bool(rep.ratio <= run.cfg["thresholds"]["offgrid_ratio_max"])}
+
+
+def _sparsity_sweep(run) -> dict:
+    rows, run.timings["sweep"], ok = sparsity_sweep(run.cfg, run.frame, run.T, run.chi,
+                                                    run.rng, run.out)
+    return {"rows": rows, "pass": ok}
+
+
+_PIPELINES = {
+    "gabor-matrix": _gabor_matrix, "decay": _decay, "compose": _compose,
+    "invert": _invert, "factorize": _factorize, "symbol-class": _symbol_class,
+    "sparsity-sweep": _sparsity_sweep, "offgrid": _offgrid,
+}
+PIPELINES = tuple(_PIPELINES)
+
 
 def run_experiment(cfg: dict, out_dir: str) -> int:
     """Execute the configured pipeline; write report files; return exit code."""
-    import numpy as np
-
-    from . import algebra, gabor, gabormatrix as gm, tfcore
-    from .errors import ConfigError, GaborFIOError
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = {"pipeline": cfg["pipeline"], "config": cfg, "pass": False}
@@ -340,84 +420,10 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
                            "bounds": list(frame.bounds)}
 
         T, chi, parsed = parse_operator(cfg["operator"], config, rng)
-        thresholds = cfg["thresholds"]
-        pipeline = cfg["pipeline"]
-
-        if pipeline == "gabor-matrix":
-            K = gm.gabor_matrix(T, frame, chi=chi)
-            report["peak"] = float(np.abs(K.entries).max())
-            report["schur_bound"] = gm.schur_bound(K)
-            gm.gabor_matrix_to_csv(K, out / "matrix.csv")
-            report["pass"] = True
-
-        elif pipeline == "decay":
-            K = gm.gabor_matrix(T, frame)
-            prof = gm.decay_profile(K, chi)
-            gm.profile_to_csv(prof, out / "profile.csv")
-            report.update(s_fit=prof.s_fit, C_fit=prof.C_fit, r2=prof.r2,
-                          chi=chi.source)
-            report["pass"] = bool(prof.s_fit >= thresholds["s_threshold"])
-            if cfg["output"].get("matrix_csv"):
-                gm.gabor_matrix_to_csv(K, out / "matrix.csv")
-
-        elif pipeline == "compose":
-            if len(parsed) < 2:
-                raise ConfigError("compose pipeline needs 'A*B' in operator")
-            (T1, chi1), (T2, chi2) = parsed[0], parsed[1]
-            for Ti, chii in parsed[2:]:
-                from .operators import compose as _c
-                from .phasegeom import compose_maps as _cm
-                T2, chi2 = _c(T2, Ti), _cm(chi2, chii)
-            rep = algebra.verify_composition(T1, T2, chi1, chi2, frame,
-                                             thresholds["s_threshold"])
-            (out / "report_algebra.json").write_text(rep.to_json())
-            gm.profile_to_csv(rep.profile, out / "profile.csv")
-            report.update(s_fit=rep.s_fit, C_fit=rep.C_fit,
-                          diagnostics=rep.diagnostics)
-            report["pass"] = rep.passed
-
-        elif pipeline == "invert":
-            rep = algebra.verify_inverse(T, chi, frame, thresholds["s_threshold"])
-            (out / "report_algebra.json").write_text(rep.to_json())
-            gm.profile_to_csv(rep.profile, out / "profile.csv")
-            report.update(s_fit=rep.s_fit, C_fit=rep.C_fit,
-                          diagnostics=rep.diagnostics)
-            report["pass"] = rep.passed
-
-        elif pipeline == "factorize":
-            from .operators import MetaplecticWord
-            word_spec = cfg.get("word") or []
-            gens = []
-            for tok in word_spec:
-                head, _, arg = tok.partition(":")
-                gens.append((head,) if not arg else (head, _spec_number(arg, int, tok)))
-            word = MetaplecticWord(tuple(gens), config)
-            sigma1, rep = algebra.factorize_metaplectic(T, word, frame,
-                                                        thresholds["s_threshold"])
-            (out / "report_algebra.json").write_text(rep.to_json())
-            gm.profile_to_csv(rep.profile, out / "profile.csv")
-            report.update(s_fit=rep.s_fit, diagnostics=rep.diagnostics)
-            report["pass"] = rep.passed
-
-        elif pipeline == "symbol-class":
-            from .operators import kn_symbol_of
-            sc = gm.symbol_class_norm(kn_symbol_of(T), cfg["symbol_class"]["s"])
-            report.update(norm=sc.norm, s_sym=sc.s_sym)
-            report["pass"] = bool(np.isfinite(sc.norm))
-
-        elif pipeline == "offgrid":
-            og = cfg["offgrid"]
-            rep = gm.offgrid_decay_check(T, frame, chi, s=og["s"],
-                                         n_offsets=og["n_offsets"])
-            report.update(C_lattice=rep.C_lattice, C_offgrid=rep.C_offgrid,
-                          ratio=rep.ratio, offsets=rep.offsets)
-            report["pass"] = bool(rep.ratio <= thresholds["offgrid_ratio_max"])
-
-        elif pipeline == "sparsity-sweep":
-            rows, timings["sweep"], ok = sparsity_sweep(cfg, frame, T, chi, rng, out)
-            report["rows"] = rows
-            report["pass"] = ok
-
+        run = SimpleNamespace(cfg=cfg, s_threshold=cfg["thresholds"]["s_threshold"],
+                              config=config, frame=frame, T=T, chi=chi, parsed=parsed,
+                              rng=rng, out=out, timings=timings)
+        report.update(_PIPELINES[cfg["pipeline"]](run))
         report["error"] = None
     except ConfigError:
         raise
@@ -436,11 +442,6 @@ def sparsity_sweep(cfg, frame, T, chi, rng, out: Path):
     dropped Schur mass (the gate).  Returns the rows (kept fraction, Schur
     mass, measured error), the per-row dense and sparse apply times, which
     go to the report's "timings", and the gate."""
-    import numpy as np
-
-    from . import gabormatrix as gm
-    from .gabor import CoefficientArray
-
     K = gm.gabor_matrix(T, frame, chi=chi)
     dense = K.entries
     lat = frame.lattice
@@ -547,7 +548,6 @@ def main(argv=None) -> int:
             print("warning: --threads has no effect: no OpenBLAS is loaded",
                   file=sys.stderr)
 
-    from .errors import ConfigError
     try:
         cfg = load_config(args.config, args.set)
         return run_experiment(cfg, args.out)

@@ -76,7 +76,6 @@ class GaborMatrix:
     entries: np.ndarray
     frame: GaborFrame
     chi: CanonicalMap | None = None
-    window_kind: str = "tight"
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -99,9 +98,6 @@ class DecayProfile:
     C_fit: float
     r2: float
     weighted: bool = True
-
-    def table(self) -> np.ndarray:
-        return np.array([(d, e, c) for d, e, c in self.bins])
 
 
 @dataclass(frozen=True)
@@ -200,8 +196,7 @@ def gabor_matrix(T: OperatorMatrix, frame: GaborFrame,
     lat = frame.lattice
     Y = analysis_matrix(w, lat, T.entries.conj().T)               # A T^H
     K = analysis_matrix(w, lat, np.conjugate(Y, out=Y).T)         # A (T A^H)
-    return GaborMatrix(K, frame, chi=chi,
-                       window_kind="tight" if use_tight else "raw")
+    return GaborMatrix(K, frame, chi=chi)
 
 
 def _chi_points(chi, points: np.ndarray) -> np.ndarray:
@@ -216,20 +211,30 @@ def _chi_points(chi, points: np.ndarray) -> np.ndarray:
     raise ModelError(f"cannot interpret chi of type {type(chi)!r}")
 
 
-def wrapped_displacements(K: GaborMatrix, chi) -> np.ndarray:
-    """d[mu_idx, lam_idx, :] = wrap(mu - chi(lam)) in index units.
+def _displacement_tables(K: GaborMatrix, chi) -> tuple[np.ndarray, np.ndarray]:
+    """The two components of the wrapped displacement d = mu - chi(lam).
 
-    Lattice points are reduced to the fundamental window [-L/2, L/2) before
-    applying chi: a torus shift has no preferred lift, and nonlinear maps
-    must see the canonical representative (linear integer maps are unaffected
-    mod L).
+    mu's time coordinate takes only n_time values and its frequency
+    coordinate n_freq values, so the components come from an (n_time, N)
+    and an (n_freq, N) table.  Lattice points are reduced to the fundamental
+    window [-L/2, L/2) before applying chi: a torus shift has no preferred
+    lift, and nonlinear maps must see the canonical representative (linear
+    integer maps are unaffected mod L).
     """
-    pts = K.lattice.points().astype(float)
+    lat = K.lattice
     L = K.frame.config.L
-    img = _chi_points(chi, wrap_half(pts, L))
-    d1 = wrap_half(pts[:, 0][:, None] - img[:, 0][None, :], L)
-    d2 = wrap_half(pts[:, 1][:, None] - img[:, 1][None, :], L)
-    return np.stack([d1, d2], axis=-1)
+    img = _chi_points(chi, wrap_half(lat.points().astype(float), L))
+    t = (lat.a * np.arange(lat.n_time)).astype(float)
+    f = (lat.b * np.arange(lat.n_freq)).astype(float)
+    return (wrap_half(t[:, None] - img[:, 0][None, :], L),      # (n_time, N)
+            wrap_half(f[:, None] - img[:, 1][None, :], L))      # (n_freq, N)
+
+
+def wrapped_displacements(K: GaborMatrix, chi) -> np.ndarray:
+    """d[mu_idx, lam_idx, :] = wrap(mu - chi(lam)) in index units."""
+    d1, d2 = _displacement_tables(K, chi)
+    return np.stack([np.repeat(d1, d2.shape[0], axis=0), np.tile(d2, (d1.shape[0], 1))],
+                    axis=-1)
 
 
 def envelope_fit(dists: np.ndarray, values: np.ndarray,
@@ -294,28 +299,11 @@ def _blocked_fit(blocks, fit_min_dist: float, min_count: int, weighted: bool):
     return bins, s_fit, C_fit, r2
 
 
-def _distance_tables(K: GaborMatrix, chi) -> tuple[np.ndarray, np.ndarray]:
-    """Squared wrapped displacements of mu - chi(lam), per coordinate.
-
-    mu's time coordinate takes only n_time values and its frequency
-    coordinate n_freq values, so the two components of d (as in
-    wrapped_displacements) come from an (n_time, N) and an (n_freq, N) table.
-    """
-    lat = K.lattice
-    L = K.frame.config.L
-    img = _chi_points(chi, wrap_half(lat.points().astype(float), L))
-    t = (lat.a * np.arange(lat.n_time)).astype(float)
-    f = (lat.b * np.arange(lat.n_freq)).astype(float)
-    d1sq = wrap_half(t[:, None] - img[:, 0][None, :], L) ** 2    # (n_time, N)
-    d2sq = wrap_half(f[:, None] - img[:, 1][None, :], L) ** 2    # (n_freq, N)
-    return d1sq, d2sq
-
-
 def _distance_rows(d1sq: np.ndarray, d2sq: np.ndarray, times: slice,
                    freqs: slice = slice(None)) -> np.ndarray:
     """<mu - chi(lam)> = sqrt(1 + |d|^2) for the rows mu = (j, k) with j in
-    times and k in freqs; the arithmetic per entry is that of the full
-    displacement array."""
+    times and k in freqs, from the squared displacement tables; the
+    arithmetic per entry is that of the full displacement array."""
     rows = d1sq[times, None, :] + d2sq[None, freqs, :]
     rows += 1.0
     return np.sqrt(rows, out=rows).reshape(-1, d2sq.shape[1])
@@ -323,7 +311,7 @@ def _distance_rows(d1sq: np.ndarray, d2sq: np.ndarray, times: slice,
 
 def _bracket_distances(K: GaborMatrix, chi) -> np.ndarray:
     """<mu - chi(lam)> as an (N, N) array, d as in wrapped_displacements."""
-    return _distance_rows(*_distance_tables(K, chi), slice(None))
+    return _distance_rows(*(d ** 2 for d in _displacement_tables(K, chi)), slice(None))
 
 
 def decay_profile(K: GaborMatrix, chi=None, fit_min_dist: float = 2.0,
@@ -337,7 +325,7 @@ def decay_profile(K: GaborMatrix, chi=None, fit_min_dist: float = 2.0,
     chi = chi if chi is not None else K.chi
     if chi is None:
         raise ModelError("no canonical map attached or supplied")
-    d1sq, d2sq = _distance_tables(K, chi)
+    d1sq, d2sq = (d ** 2 for d in _displacement_tables(K, chi))
     n_time, (n_freq, N) = d1sq.shape[0], d2sq.shape
     entries = K.entries.reshape(n_time, n_freq, N)
     # whole time rows j when they fit in a block, else pieces of one row
@@ -359,15 +347,17 @@ def decay_profile(K: GaborMatrix, chi=None, fit_min_dist: float = 2.0,
 def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:
     """Largest |K| (relative to the peak) at lattice-step distance >= min_steps
     from the graph mu = chi(lam); steps scale the wrapped displacement by
-    (1/a, 1/b)."""
-    d = wrapped_displacements(K, chi)
+    (1/a, 1/b).  One time row of mu is formed at a time."""
     lat = K.lattice
-    steps = np.sqrt((d[..., 0] / lat.a) ** 2 + (d[..., 1] / lat.b) ** 2)
-    absK = np.abs(K.entries)
-    mask = steps >= min_steps
-    if not mask.any():
+    d1, d2 = _displacement_tables(K, chi)
+    s1, s2 = (d1 / lat.a) ** 2, (d2 / lat.b) ** 2
+    absK = np.abs(K.entries).reshape(lat.n_time, lat.n_freq, -1)
+    # |K| >= 0, so -1 marks a row with no entry that far from the graph
+    far = max(np.where(np.sqrt(s1[j] + s2) >= min_steps, row, -1.0).max()
+              for j, row in enumerate(absK))
+    if far < 0:
         return 0.0
-    return float(absK[mask].max() / absK.max())
+    return float(far / absK.max())
 
 
 def _offsets_for(lat, n_offsets: int) -> list:

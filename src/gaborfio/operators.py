@@ -22,6 +22,7 @@ FIO with flat symbol unitary.  Regime-B phases sample a tame phase on the grid
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd
 
@@ -32,7 +33,7 @@ from .phasegeom import CanonicalMap, TamePhase, canonical_map_of_phase, linear_m
 from .tfcore import ModelConfig, Signal, wrap_half
 
 __all__ = [
-    "SymbolGrid", "OperatorMatrix", "DiscretePhase", "MetaplecticWord",
+    "SymbolGrid", "OperatorMatrix", "DiscretePhase", "MetaplecticWord", "GENERATORS",
     "kn_quantize", "kn_symbol_of", "fio_type1", "fio_type2", "metaplectic",
     "adjoint", "compose", "type1_symbol_of",
     "kn_phase", "quadratic_phase", "discrete_phase_from_tame",
@@ -304,28 +305,33 @@ def identity_operator(config: ModelConfig) -> OperatorMatrix:
 
 
 def chirp_operator(config: ModelConfig, c: int = 1) -> OperatorMatrix:
-    """diag(exp(pi i c n^2 / L)); canonical map [[1, 0], [c, 1]]."""
+    """diag(exp(pi i c n^2 / L)), the unitary of GENERATORS["chirp"]."""
     n = np.arange(config.L)
     return OperatorMatrix(np.diag(np.exp(1j * np.pi * c * n ** 2 / config.L)),
                           config, tag="metaplectic")
 
 
 def dft_operator(config: ModelConfig) -> OperatorMatrix:
-    """Unitary DFT; canonical map -J = [[0, 1], [-1, 0]]."""
+    """Unitary DFT, the unitary of GENERATORS["dft"]."""
     L = config.L
     return OperatorMatrix(np.fft.fft(np.eye(L)) / np.sqrt(L), config, tag="metaplectic")
 
 
 def dilation_operator(config: ModelConfig, u: int) -> OperatorMatrix:
-    """f[n] -> f[u^{-1} n mod L]; canonical map diag(u, u^{-1} mod L)."""
+    """f[n] -> f[u^{-1} n mod L], the unitary of GENERATORS["dilate"]."""
     L = config.L
-    if gcd(u % L, L) != 1:
-        raise UnitError(f"dilation argument {u} is not a unit mod {L}")
-    uinv = pow(u % L, -1, L)
+    uinv = pow(_unit_mod(u, L), -1, L)
     P = np.zeros((L, L))
     n = np.arange(L)
     P[n, (uinv * n) % L] = 1.0
     return OperatorMatrix(P, config, tag="metaplectic")
+
+
+def _unit_mod(u: int, L: int) -> int:
+    """u reduced mod L, or UnitError when u is not a unit mod L."""
+    if gcd(u % L, L) != 1:
+        raise UnitError(f"dilation argument {u} is not a unit mod {L}")
+    return u % L
 
 
 def multiplier_operator(config: ModelConfig, amp: float = 0.1) -> OperatorMatrix:
@@ -336,8 +342,27 @@ def multiplier_operator(config: ModelConfig, amp: float = 0.1) -> OperatorMatrix
 
 
 @dataclass(frozen=True)
+class Generator:
+    """A metaplectic generator: build(config, *arg) is its unitary and
+    matrix(L, *arg) its integer symplectic matrix.  check(arg, L) validates
+    and reduces the one integer argument; it is None for no argument."""
+
+    build: Callable[..., OperatorMatrix]
+    matrix: Callable[..., list]
+    check: Callable[[int, int], int] | None = None
+
+
+GENERATORS = {
+    "dft": Generator(dft_operator, lambda L: [[0, 1], [-1, 0]]),
+    "chirp": Generator(chirp_operator, lambda L, c: [[1, 0], [c, 1]], lambda c, L: int(c)),
+    "dilate": Generator(dilation_operator, lambda L, u: [[u, 0], [0, pow(u, -1, L)]],
+                        lambda u, L: _unit_mod(int(u), L)),
+}
+
+
+@dataclass(frozen=True)
 class MetaplecticWord:
-    """A word in the generators dft, chirp(c), dilate(u).
+    """A word in the generators of GENERATORS: dft, chirp(c), dilate(u).
 
     Concatenation maps to operator products in the same order:
     word [g1, g2] realizes U(g1) U(g2) and accumulates A(g1) A(g2).
@@ -350,34 +375,18 @@ class MetaplecticWord:
 
     def __post_init__(self):
         gens = []
-        for g in self.generators:
-            kind = g[0]
-            if kind == "dft":
-                gens.append(("dft",))
-            elif kind == "chirp":
-                c = int(g[1])
-                gens.append(("chirp", c))
-            elif kind == "dilate":
-                u = int(g[1]) % self.config.L
-                if gcd(u, self.config.L) != 1:
-                    raise UnitError(f"dilation argument {g[1]} is not a unit mod {self.config.L}")
-                gens.append(("dilate", u))
-            else:
-                raise ModelError(f"unknown generator {g!r}")
+        for name, *args in self.generators:
+            gen = GENERATORS.get(name)
+            if gen is None or len(args) != (gen.check is not None):
+                raise ModelError(f"unknown generator or wrong arguments {(name, *args)!r}")
+            gens.append((name, *(gen.check(a, self.config.L) for a in args)))
         object.__setattr__(self, "generators", tuple(gens))
 
     def matrix_modL(self) -> np.ndarray:
         """Accumulated symplectic matrix with integer entries (not reduced)."""
-        L = self.config.L
         M = np.eye(2, dtype=np.int64)
-        for g in self.generators:
-            if g[0] == "dft":
-                G = np.array([[0, 1], [-1, 0]], dtype=np.int64)
-            elif g[0] == "chirp":
-                G = np.array([[1, 0], [g[1], 1]], dtype=np.int64)
-            else:
-                G = np.array([[g[1], 0], [0, pow(g[1], -1, L)]], dtype=np.int64)
-            M = M @ G
+        for name, *arg in self.generators:
+            M = M @ np.array(GENERATORS[name].matrix(self.config.L, *arg), dtype=np.int64)
         return M
 
     def __add__(self, other: "MetaplecticWord") -> "MetaplecticWord":
@@ -396,14 +405,8 @@ def metaplectic(word: MetaplecticWord,
     """
     config = config or word.config
     U = np.eye(config.L, dtype=complex)
-    for g in word.generators:
-        if g[0] == "dft":
-            G = dft_operator(config).entries
-        elif g[0] == "chirp":
-            G = chirp_operator(config, g[1]).entries
-        else:
-            G = dilation_operator(config, g[1]).entries
-        U = U @ G
+    for name, *arg in word.generators:
+        U = U @ GENERATORS[name].build(config, *arg).entries
     chi = linear_map(word.matrix_modL().astype(float), source="metaplectic-word",
                      mod_L=config.L)
     return OperatorMatrix(U, config, tag="metaplectic"), chi

@@ -48,6 +48,15 @@ def run(tmp_path, capsys, *overrides, threads=None):
     ("sweep.tau=[0.1]",),
     ("model=64",),                                # a section that is not an object
     ("seed.x=1",),                                # a path through a non-section
+    ("pipeline=factorize", 'word=["chirp"]'),     # chirp needs its argument
+    ("pipeline=factorize", 'word=["foo"]'),
+    ("pipeline=factorize", 'word=["identity"]'),  # an atom, not a generator
+    ("pipeline=factorize", 'word=["dilate:2"]'),  # 2 is not a unit mod 32
+    ("pipeline=factorize", 'word=["dft:3"]'),     # dft takes no argument
+    ("operator=dft:3",),
+    ("operator=identity:zz",),
+    ("operator=perturb-id:0.1:2:9",),             # perturb-id:eps[:seed]
+    ("operator=fio1:phase=kn,symbol=random-smooth:1:2:3",),  # seed[:bandwidth]
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     code, err, out = run(tmp_path, capsys, *overrides)
