@@ -205,13 +205,13 @@ def _phase_for(config, phase_spec: str):
     return ops.discrete_phase_from_tame(phase, config)
 
 
-def _word(tokens, config):
-    """The MetaplecticWord of generator specs 'dft', 'chirp:c', 'dilate:u'
-    (operators.GENERATORS), or ConfigError."""
-    letters = []
-    for tok in tokens:
-        head, _, rest = tok.partition(":")
-        letters.append((head, _spec_number(rest, int, tok)) if rest else (head,))
+def _letter(head: str, rest: str, tok: str) -> tuple:
+    """The word letter (head,) or (head, int) of the generator token tok."""
+    return (head, _spec_number(rest, int, tok)) if rest else (head,)
+
+
+def _word(letters, config):
+    """The MetaplecticWord of letters over operators.GENERATORS, or ConfigError."""
     try:
         return ops.MetaplecticWord(tuple(letters), config)
     except (ModelError, UnitError) as exc:
@@ -220,11 +220,10 @@ def _word(tokens, config):
 
 def _generator_atom(name: str, rest: str, config):
     """A one-letter word: the generator's unitary and its linear map mod L."""
-    word = _word([f"{name}:{rest}" if rest else name], config)
-    arg = word.generators[0][1:]
-    source = f"{name}:{int(rest)}" if rest else name      # the argument as given
-    return (ops.GENERATORS[name].build(config, *arg),
-            pg.linear_map(word.matrix_modL(), source, mod_L=config.L))
+    letter = _letter(name, rest, f"{name}:{rest}" if rest else name)
+    word = _word([letter], config)
+    return (ops.GENERATORS[name].build(config, *word.generators[0][1:]),
+            pg.linear_map(word.matrix_modL(), ":".join(map(str, letter)), mod_L=config.L))
 
 
 _IDENTITY = pg.linear_map(np.eye(2), source="identity")
@@ -260,17 +259,18 @@ def _metaplectic_atom(rest: str, config):
 
 def _kn_atom(rest: str, config):
     if not rest.startswith("symbol="):
-        raise ConfigError(f"kn atom needs symbol=..., got {rest!r}")
+        raise ConfigError(f"kn atom needs symbol=..., got {'kn:' + rest!r}")
     return ops.kn_quantize(_parse_symbol(rest[len("symbol="):], config)), _IDENTITY
 
 
 def _fio_atom(head: str, rest: str, config):
     """fio1/fio2:phase=...,symbol=...; a type-II FIO moves along chi^-1."""
+    atom = f"{head}:{rest}"
     if not rest.startswith("phase="):
-        raise ConfigError(f"{head} atom needs phase=...,symbol=..., got {rest!r}")
+        raise ConfigError(f"{head} atom needs phase=...,symbol=..., got {atom!r}")
     phase_spec, sep, sym_spec = rest[len("phase="):].partition(",symbol=")
     if not sep:
-        raise ConfigError(f"{head} atom needs ',symbol=' in {rest!r}")
+        raise ConfigError(f"{head} atom needs ',symbol=' in {atom!r}")
     phi = _phase_for(config, phase_spec)
     sigma = _parse_symbol(sym_spec, config)
     chi = phi.canonical_map()
@@ -362,7 +362,8 @@ def _invert(run) -> dict:
 
 
 def _factorize(run) -> dict:
-    word = _word(run.cfg["word"] or [], run.config)
+    letters = [_letter(*tok.partition(":")[::2], tok) for tok in run.cfg["word"] or []]
+    word = _word(letters, run.config)
     _, rep = algebra.factorize_metaplectic(run.T, word, run.frame, run.s_threshold)
     return _algebra_entries(rep, run.out, "s_fit", "diagnostics")
 
@@ -449,7 +450,6 @@ def sparsity_sweep(cfg, frame, T, chi, rng, out: Path):
               for _ in range(cfg["sweep"]["probes"])]
     repeats = max(int(cfg["sweep"]["repeats"]), 5)
     rows, times = [], []
-    all_ok = True
     for tau in cfg["sweep"]["tau_grid"]:
         Ks = gm.sparsify(K, tau)
         rel_err = 0.0
@@ -458,8 +458,6 @@ def sparsity_sweep(cfg, frame, T, chi, rng, out: Path):
             rel_err = max(rel_err, float(err))
         t_dense = _median_time(lambda: dense @ probes[0], repeats)
         t_sparse = _median_time(lambda: Ks.matrix @ probes[0], repeats)
-        ok = rel_err <= Ks.dropped_schur_mass + 1e-15
-        all_ok &= ok
         rows.append({"tau": tau, "kept_fraction": Ks.kept_fraction,
                      "schur_residual": Ks.dropped_schur_mass,
                      "measured_rel_error": rel_err})
@@ -471,18 +469,16 @@ def sparsity_sweep(cfg, frame, T, chi, rng, out: Path):
             fh.write(f"{r['tau']:.3e},{r['kept_fraction']:.6f},"
                      f"{r['schur_residual']:.6e},{r['measured_rel_error']:.6e},"
                      f"{t['dense_ms']:.4f},{t['sparse_ms']:.4f}\n")
-    return rows, times, all_ok
+    return rows, times, all(r["measured_rel_error"] <= r["schur_residual"] + 1e-15
+                            for r in rows)
 
 
 def _median_time(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
+    def once():
         t0 = time.perf_counter()
         fn()
-        times.append(time.perf_counter() - t0)
-    times.sort()
-    mid = len(times) // 2
-    return times[mid] if len(times) % 2 else (times[mid - 1] + times[mid]) / 2
+        return time.perf_counter() - t0
+    return float(np.median([once() for _ in range(repeats)]))
 
 
 # ---------------------------------------------------------------------------

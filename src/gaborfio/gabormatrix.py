@@ -212,15 +212,9 @@ def _chi_points(chi, points: np.ndarray) -> np.ndarray:
 
 
 def _displacement_tables(K: GaborMatrix, chi) -> tuple[np.ndarray, np.ndarray]:
-    """The two components of the wrapped displacement d = mu - chi(lam).
-
-    mu's time coordinate takes only n_time values and its frequency
-    coordinate n_freq values, so the components come from an (n_time, N)
-    and an (n_freq, N) table.  Lattice points are reduced to the fundamental
-    window [-L/2, L/2) before applying chi: a torus shift has no preferred
-    lift, and nonlinear maps must see the canonical representative (linear
-    integer maps are unaffected mod L).
-    """
+    """The two components of d as in wrapped_displacements: mu's time
+    coordinate takes only n_time values and its frequency coordinate n_freq
+    values, so they come from an (n_time, N) and an (n_freq, N) table."""
     lat = K.lattice
     L = K.frame.config.L
     img = _chi_points(chi, wrap_half(lat.points().astype(float), L))
@@ -231,10 +225,20 @@ def _displacement_tables(K: GaborMatrix, chi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def wrapped_displacements(K: GaborMatrix, chi) -> np.ndarray:
-    """d[mu_idx, lam_idx, :] = wrap(mu - chi(lam)) in index units."""
-    d1, d2 = _displacement_tables(K, chi)
-    return np.stack([np.repeat(d1, d2.shape[0], axis=0), np.tile(d2, (d1.shape[0], 1))],
-                    axis=-1)
+    """d[mu_idx, lam_idx, :] = wrap(mu - chi(lam)) in index units, built
+    from lattice.points() directly (the tables above are checked against it).
+
+    Lattice points are reduced to the fundamental window [-L/2, L/2) before
+    applying chi: a torus shift has no preferred lift, and nonlinear maps
+    must see the canonical representative (linear integer maps are unaffected
+    mod L).
+    """
+    pts = K.lattice.points().astype(float)
+    L = K.frame.config.L
+    img = _chi_points(chi, wrap_half(pts, L))
+    d1 = wrap_half(pts[:, 0][:, None] - img[:, 0][None, :], L)
+    d2 = wrap_half(pts[:, 1][:, None] - img[:, 1][None, :], L)
+    return np.stack([d1, d2], axis=-1)
 
 
 def envelope_fit(dists: np.ndarray, values: np.ndarray,
@@ -355,9 +359,7 @@ def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:
     # |K| >= 0, so -1 marks a row with no entry that far from the graph
     far = max(np.where(np.sqrt(s1[j] + s2) >= min_steps, row, -1.0).max()
               for j, row in enumerate(absK))
-    if far < 0:
-        return 0.0
-    return float(far / absK.max())
+    return float(far / absK.max()) if far >= 0 else 0.0
 
 
 def _offsets_for(lat, n_offsets: int) -> list:

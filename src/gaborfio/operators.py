@@ -327,11 +327,18 @@ def dilation_operator(config: ModelConfig, u: int) -> OperatorMatrix:
     return OperatorMatrix(P, config, tag="metaplectic")
 
 
+def _int64(c: int, L: int) -> int:
+    """c as an int, or ModelError when it overflows the int64 word matrices."""
+    if not -2 ** 63 <= int(c) < 2 ** 63:
+        raise ModelError(f"chirp argument {c} does not fit in int64")
+    return int(c)
+
+
 def _unit_mod(u: int, L: int) -> int:
     """u reduced mod L, or UnitError when u is not a unit mod L."""
-    if gcd(u % L, L) != 1:
+    if gcd(int(u) % L, L) != 1:
         raise UnitError(f"dilation argument {u} is not a unit mod {L}")
-    return u % L
+    return int(u) % L
 
 
 def multiplier_operator(config: ModelConfig, amp: float = 0.1) -> OperatorMatrix:
@@ -354,9 +361,9 @@ class Generator:
 
 GENERATORS = {
     "dft": Generator(dft_operator, lambda L: [[0, 1], [-1, 0]]),
-    "chirp": Generator(chirp_operator, lambda L, c: [[1, 0], [c, 1]], lambda c, L: int(c)),
+    "chirp": Generator(chirp_operator, lambda L, c: [[1, 0], [c, 1]], _int64),
     "dilate": Generator(dilation_operator, lambda L, u: [[u, 0], [0, pow(u, -1, L)]],
-                        lambda u, L: _unit_mod(int(u), L)),
+                        _unit_mod),
 }
 
 

@@ -57,6 +57,8 @@ def run(tmp_path, capsys, *overrides, threads=None):
     ("operator=identity:zz",),
     ("operator=perturb-id:0.1:2:9",),             # perturb-id:eps[:seed]
     ("operator=fio1:phase=kn,symbol=random-smooth:1:2:3",),  # seed[:bandwidth]
+    ("operator=chirp:99999999999999999999",),     # beyond the int64 word matrices
+    ("pipeline=factorize", 'word=["chirp:99999999999999999999"]'),
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     code, err, out = run(tmp_path, capsys, *overrides)

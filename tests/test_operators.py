@@ -1,11 +1,7 @@
-from math import gcd
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import gaborfio as gf
-from gaborfio.cli import parse_operator
 
 
 def random_symbol(cfg, rng):
@@ -242,32 +238,6 @@ def test_fourier_transform_word_counterexample(cfg16):
     scalar = U.entries[i] / F[i]
     assert abs(abs(scalar) - 1) < 1e-12
     np.testing.assert_allclose(U.entries, scalar * F, atol=1e-11)
-
-
-def letters(L):
-    """Word letters over dft, chirp:c with |c| <= 4 and dilate:u, u a unit mod L."""
-    units = [u for u in range(-L, L) if gcd(u % L, L) == 1]
-    return st.one_of(st.just(("dft",)),
-                     st.tuples(st.just("chirp"), st.integers(-4, 4)),
-                     st.tuples(st.just("dilate"), st.sampled_from(units)))
-
-
-@settings(max_examples=40, deadline=None, database=None)
-@given(st.sampled_from([16, 32]).flatmap(
-    lambda L: st.tuples(st.just(L), st.lists(letters(L), max_size=6))))
-def test_operator_spec_and_word_agree(L_word):
-    # the CLI spec "g1*g2*..." and MetaplecticWord read the same generator
-    # table: same unitary, same map mod L, and the exact intertwining
-    L, gens = L_word
-    cfg = gf.ModelConfig(L=L)
-    spec = "*".join(":".join(map(str, g)) for g in gens) or "identity"
-    T, chi, _ = parse_operator(spec, cfg, None)
-    word = gf.MetaplecticWord(tuple(gens), cfg)
-    U, _ = gf.metaplectic(word)
-    assert np.linalg.norm(T.entries - U.entries) <= 1e-12 * np.linalg.norm(U.entries)
-    A = word.matrix_modL()
-    assert not ((chi.matrix - A) % L).any()
-    assert intertwining_deviation(U, A, cfg) <= 1e-10
 
 
 def test_adjoint_cases(cfg8, rng):

@@ -103,6 +103,24 @@ def test_bracket_distances_bit_identical(L, steps):
         np.testing.assert_array_equal(_bracket_distances(K, chi), full)
 
 
+@pytest.mark.parametrize("L,steps", [(64, None), (96, (6, 4)), (128, (4, 8))])
+def test_offgraph_max_bit_identical(L, steps):
+    # offgraph_max against its definition on the full displacement array
+    cfg = gf.ModelConfig(L=L)
+    lat = lattice_for(cfg, steps)
+    frame = gf.build_frame(gf.periodized_gaussian(cfg), lat)
+    for T, chi in ((gf.chirp_operator(cfg, 1), SHEAR), (gf.dft_operator(cfg), MJ),
+                   (gf.identity_operator(cfg), SHEAR)):
+        K = gf.gabor_matrix(T, frame)
+        d = gf.gabormatrix.wrapped_displacements(K, chi)
+        steps_ = np.sqrt((d[..., 0] / lat.a) ** 2 + (d[..., 1] / lat.b) ** 2)
+        absK = np.abs(K.entries)
+        for min_steps in (0.0, 2.0, 8.0, 1e9):
+            mask = steps_ >= min_steps
+            full = float(absK[mask].max() / absK.max()) if mask.any() else 0.0
+            assert gf.offgraph_max(K, chi, min_steps=min_steps) == full
+
+
 @pytest.mark.parametrize("make_op,chi", [(gf.identity_operator, np.eye(2)),
                                          (gf.dft_operator, MJ)])
 def test_fit_ignores_rounding_noise(frame64, make_op, chi):
