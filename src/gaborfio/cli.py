@@ -22,14 +22,15 @@ import json
 import locale  # noqa: F401
 import sys
 import time
-from functools import partial
+from functools import cached_property, partial
 from math import isfinite
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from . import algebra, gabor, gabormatrix as gm, operators as ops, phasegeom as pg, tfcore
+from . import (algebra, blockpool, gabor, gabormatrix as gm, operators as ops,
+               phasegeom as pg, tfcore)
 from .errors import ConfigError, GaborFIOError, ModelError, UnitError
 
 DEFAULT_CONFIG = {
@@ -133,6 +134,7 @@ def _validate(cfg: dict) -> None:
     if word is not None and not (isinstance(word, list)
                                  and all(isinstance(t, str) for t in word)):
         raise ConfigError(f"word must be a list of generator strings, got {word!r}")
+    _config_word(word, tfcore.ModelConfig(L=L))
     for (section, key), (kind, lo) in _NUMERIC_FIELDS.items():
         node = cfg.get(section)
         v = node.get(key) if isinstance(node, dict) else None
@@ -216,6 +218,11 @@ def _word(letters, config):
         return ops.MetaplecticWord(tuple(letters), config)
     except (ModelError, UnitError) as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _config_word(tokens, config):
+    """The MetaplecticWord of the config's word tokens (None: the empty word)."""
+    return _word([_letter(*tok.partition(":")[::2], tok) for tok in tokens or []], config)
 
 
 def _generator_atom(name: str, rest: str, config):
@@ -302,10 +309,8 @@ def _product(parsed):
     return T, chi
 
 
-def parse_operator(spec: str, config, rng):
-    """'A*B*...' -> (product OperatorMatrix, composed CanonicalMap, atom list).
-
-    Every atom draws from its own seeded generator, so rng is not used."""
+def _parse_atoms(spec: str, config) -> list:
+    """'A*B*...' -> the (OperatorMatrix, CanonicalMap) pair of every atom."""
     atoms = [a.strip() for a in spec.split("*") if a.strip()]
     if not atoms:
         raise ConfigError("empty operator spec")
@@ -315,13 +320,38 @@ def parse_operator(spec: str, config, rng):
         if head not in _ATOMS:
             raise ConfigError(f"unknown operator atom {atom!r}")
         parsed.append(_ATOMS[head](rest, config))
+    return parsed
+
+
+def parse_operator(spec: str, config, rng):
+    """'A*B*...' -> (product OperatorMatrix, composed CanonicalMap, atom list).
+
+    Every atom draws from its own seeded generator, so rng is not used."""
+    parsed = _parse_atoms(spec, config)
     return (*_product(parsed), parsed)
 
 
 # ---------------------------------------------------------------------------
-# pipelines: each takes the run (cfg, s_threshold, config, frame, T, chi,
-# parsed, rng, out, timings) and returns its report.json entries
+# pipelines: each takes the _Run and returns its report.json entries
 # ---------------------------------------------------------------------------
+
+class _Run(SimpleNamespace):
+    """What a pipeline reads: cfg, s_threshold, config, frame, parsed, rng,
+    out and timings.  T and chi, the product of the parsed atoms, are
+    folded on first use: the compose pipeline never reads them."""
+
+    @cached_property
+    def product(self):
+        return _product(self.parsed)
+
+    @property
+    def T(self):
+        return self.product[0]
+
+    @property
+    def chi(self):
+        return self.product[1]
+
 
 def _gabor_matrix(run) -> dict:
     K = gm.gabor_matrix(run.T, run.frame, chi=run.chi)
@@ -362,8 +392,7 @@ def _invert(run) -> dict:
 
 
 def _factorize(run) -> dict:
-    letters = [_letter(*tok.partition(":")[::2], tok) for tok in run.cfg["word"] or []]
-    word = _word(letters, run.config)
+    word = _config_word(run.cfg["word"], run.config)
     _, rep = algebra.factorize_metaplectic(run.T, word, run.frame, run.s_threshold)
     return _algebra_entries(rep, run.out, "s_fit", "diagnostics")
 
@@ -420,10 +449,10 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         report["frame"] = {"a": lat.a, "b": lat.b, "density": lat.density,
                            "bounds": list(frame.bounds)}
 
-        T, chi, parsed = parse_operator(cfg["operator"], config, rng)
-        run = SimpleNamespace(cfg=cfg, s_threshold=cfg["thresholds"]["s_threshold"],
-                              config=config, frame=frame, T=T, chi=chi, parsed=parsed,
-                              rng=rng, out=out, timings=timings)
+        run = _Run(cfg=cfg, s_threshold=cfg["thresholds"]["s_threshold"],
+                   config=config, frame=frame,
+                   parsed=_parse_atoms(cfg["operator"], config), rng=rng, out=out,
+                   timings=timings)
         report.update(_PIPELINES[cfg["pipeline"]](run))
         report["error"] = None
     except ConfigError:
@@ -433,6 +462,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         report["pass"] = False
 
     timings["total_s"] = time.monotonic() - t_start
+    timings["workers"] = blockpool.workers()
     report["timings"] = timings
     (out / "report.json").write_text(json.dumps(report, indent=2, default=str))
     return 0 if report["pass"] else 1
@@ -525,7 +555,8 @@ def main(argv=None) -> int:
     runp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                       help="override a config entry (dotted path)")
     runp.add_argument("--threads", type=int, default=None,
-                      help="cap the BLAS thread pools")
+                      help="cap the BLAS thread pools and the block pool's workers "
+                           "(default: the CPUs this process may use)")
     runp.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
 
@@ -546,7 +577,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, args.set)
-        return run_experiment(cfg, args.out)
+        with blockpool.worker_limit(args.threads or blockpool.workers()):
+            return run_experiment(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

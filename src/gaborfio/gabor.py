@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blockpool import map_blocks
 from .errors import FrameDeficient, ModelError, WindowError
 from .tfcore import ModelConfig, Signal, tf_shift_matrix, wrap_half
 
@@ -41,6 +42,10 @@ __all__ = [
     "build_frame", "analysis", "synthesis", "modulation_norm",
     "atom_matrix", "analysis_matrix", "default_lattice",
 ]
+
+# outputs per block of analysis_matrix on the block pool; the blocks write
+# into the result, so this sets the work per block, not memory
+ANALYSIS_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -222,12 +227,25 @@ def analysis_matrix(window: Signal, lat: Lattice, X: np.ndarray) -> np.ndarray:
     nf, nt = lat.n_freq, lat.n_time
     M = X.shape[1]
     W = np.conj(_rolled(window.values, lat)).reshape(nt, lat.b, nf).transpose(2, 0, 1)
+    Xq = X.reshape(lat.b, nf, M).transpose(1, 0, 2)
     out = np.empty((nt, nf, M), dtype=complex)
+    out_q = out.transpose(1, 0, 2)
     # the batched product lands in out[j, q, :]: the FFT over q then runs in
-    # place and leaves the rows in lattice order without a transposed copy
-    np.matmul(W, X.reshape(lat.b, nf, M).transpose(1, 0, 2),
-              out=out.transpose(1, 0, 2))
-    np.fft.fft(out, axis=1, out=out)
+    # place and leaves the rows in lattice order without a transposed copy.
+    # Both run on the block pool in blocks of about ANALYSIS_BLOCK_ENTRIES
+    # outputs, the product over residues q and the FFT over time rows j;
+    # the product of one q and the FFT of one line are those of one call.
+    q_step = max(1, ANALYSIS_BLOCK_ENTRIES // (nt * M))
+    j_step = max(1, ANALYSIS_BLOCK_ENTRIES // (nf * M))
+
+    def product(q):
+        np.matmul(W[q:q + q_step], Xq[q:q + q_step], out=out_q[q:q + q_step])
+
+    def fft(j):
+        np.fft.fft(out[j:j + j_step], axis=1, out=out[j:j + j_step])
+
+    map_blocks(product, range(0, nf, q_step))
+    map_blocks(fft, range(0, nt, j_step))
     return out.reshape(nt * nf, M)
 
 

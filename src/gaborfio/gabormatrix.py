@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blockpool import block_share, map_blocks
 from .errors import FitError, ModelError, SizeError
 from .gabor import CoefficientArray, GaborFrame, analysis_matrix
 from .operators import OperatorMatrix, SymbolGrid
@@ -58,8 +59,10 @@ __all__ = [
 
 SYMBOL_CLASS_MAX_L = 128   # the 2d-STFT sweep is an L^4 log L computation
 FIT_FLOOR_RTOL = 1e-13     # envelope floor relative to the peak (rounding)
-# entries per block of the blocked passes: the decay fit (1 MiB of float64),
-# the off-grid STFTs, the symbol-class FFT stacks and the CSV writer
+# entries in flight in the blocked passes (1 MiB of float64): the decay fit,
+# the off-grid STFTs and the symbol-class FFT stacks share them out over the
+# block pool's workers, FIT_BLOCK_ENTRIES // W per block; the serial CSV
+# writer takes whole blocks
 FIT_BLOCK_ENTRIES = 1 << 17
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
 
@@ -255,27 +258,35 @@ def envelope_fit(dists: np.ndarray, values: np.ndarray,
     """
     dist = np.asarray(dists, dtype=float).ravel()
     vals = np.abs(np.asarray(values)).ravel()
-    return _blocked_fit(lambda: [(dist, vals)], fit_min_dist, min_count, weighted)
+    return _blocked_fit([None], lambda _: (dist, vals), fit_min_dist, min_count, weighted)
 
 
-def _blocked_fit(blocks, fit_min_dist: float, min_count: int, weighted: bool):
-    """envelope_fit over entries handed out in pieces: blocks() returns an
-    iterable of (distances, |values|) 1-d array pairs and is called twice,
-    once for the bins and once for C_fit.  Bin maxima, counts and the C_fit
-    maximum do not depend on how the entries are split, so every split gives
-    the same result."""
-    env = np.zeros(0)
-    cnt = np.zeros(0, dtype=np.intp)
-    for dist, vals in blocks():
+def _blocked_fit(blocks, entries, fit_min_dist: float, min_count: int, weighted: bool):
+    """envelope_fit over entries handed out in pieces: entries(block) gives
+    the (distances, |values|) 1-d array pair of each block of the list
+    blocks, once for the bins and once for C_fit, on the block pool.  Bin
+    maxima, counts and the C_fit maximum do not depend on how the entries
+    are split, so every split and worker count gives the same result."""
+
+    def bin_block(block):
+        dist, vals = entries(block)
         idx = np.log(dist)
         idx /= np.log(np.sqrt(2))
         idx = np.floor(idx, out=idx).astype(np.intp)
         nb = int(idx.max()) + 1
+        env = np.zeros(nb)
+        np.maximum.at(env, idx, vals)
+        return env, np.bincount(idx, minlength=nb)
+
+    env = np.zeros(0)
+    cnt = np.zeros(0, dtype=np.intp)
+    for env_b, cnt_b in map_blocks(bin_block, blocks):
+        nb = env_b.size
         if nb > env.size:
             env = np.concatenate([env, np.zeros(nb - env.size)])
             cnt = np.concatenate([cnt, np.zeros(nb - cnt.size, dtype=np.intp)])
-        np.maximum.at(env, idx, vals)
-        cnt[:nb] += np.bincount(idx, minlength=nb)
+        np.maximum(env[:nb], env_b, out=env[:nb])
+        cnt[:nb] += cnt_b
     nb = env.size
     floor = FIT_FLOOR_RTOL * float(env.max())      # env.max() is max|values|
     np.maximum(env, floor, out=env)
@@ -294,11 +305,16 @@ def _blocked_fit(blocks, fit_min_dist: float, min_count: int, weighted: bool):
     ss_tot = float((w * (y - ym) ** 2).sum())
     r2 = 1.0 - float((w * (y - yhat) ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
     s_fit = -slope
-    C_fit = 0.0
-    for dist, vals in blocks():
+
+    def weighted_max(block):
+        dist, vals = entries(block)
         weighted_vals = dist ** s_fit
         weighted_vals *= np.maximum(vals, floor)
-        C_fit = max(C_fit, float(weighted_vals.max()))
+        return float(weighted_vals.max())
+
+    C_fit = 0.0
+    for c in map_blocks(weighted_max, blocks):
+        C_fit = max(C_fit, c)
     bins = [(float(dr[i]), float(env[i]), int(cnt[i])) for i in range(nb) if cnt[i]]
     return bins, s_fit, C_fit, r2
 
@@ -322,9 +338,9 @@ def decay_profile(K: GaborMatrix, chi=None, fit_min_dist: float = 2.0,
                   min_count: int = 3, weighted: bool = True) -> DecayProfile:
     """Fit |K[mu, lam]| <= C <mu - chi(lam)>^{-s} over the lattice.
 
-    The fit runs over blocks of at most FIT_BLOCK_ENTRIES entries (rows of
-    mu), so no N x N distance or |K| array is formed; the result does not
-    depend on the block size.
+    The fit runs on the block pool over blocks of at most FIT_BLOCK_ENTRIES
+    // W entries (rows of mu) for W workers, so no N x N distance or |K|
+    array is formed; the result depends neither on the block size nor on W.
     """
     chi = chi if chi is not None else K.chi
     if chi is None:
@@ -333,17 +349,19 @@ def decay_profile(K: GaborMatrix, chi=None, fit_min_dist: float = 2.0,
     n_time, (n_freq, N) = d1sq.shape[0], d2sq.shape
     entries = K.entries.reshape(n_time, n_freq, N)
     # whole time rows j when they fit in a block, else pieces of one row
-    k_step = min(n_freq, max(1, FIT_BLOCK_ENTRIES // N))
-    j_step = max(1, FIT_BLOCK_ENTRIES // (n_freq * N))
+    share = block_share(FIT_BLOCK_ENTRIES)
+    k_step = min(n_freq, max(1, share // N))
+    j_step = max(1, share // (n_freq * N))
+    blocks = [(slice(j, j + j_step), slice(k, k + k_step))
+              for j in range(0, n_time, j_step) for k in range(0, n_freq, k_step)]
 
-    def blocks():
-        for j in range(0, n_time, j_step):
-            for k in range(0, n_freq, k_step):
-                times, freqs = slice(j, j + j_step), slice(k, k + k_step)
-                yield (_distance_rows(d1sq, d2sq, times, freqs).ravel(),
-                       np.abs(entries[times, freqs]).ravel())
+    def block_entries(block):
+        times, freqs = block
+        return (_distance_rows(d1sq, d2sq, times, freqs).ravel(),
+                np.abs(entries[times, freqs]).ravel())
 
-    bins, s_fit, C_fit, r2 = _blocked_fit(blocks, fit_min_dist, min_count, weighted)
+    bins, s_fit, C_fit, r2 = _blocked_fit(blocks, block_entries, fit_min_dist,
+                                          min_count, weighted)
     return DecayProfile(bins=bins, s_fit=s_fit, C_fit=C_fit, r2=r2,
                         weighted=weighted)
 
@@ -398,31 +416,38 @@ def offgrid_decay_check(T: OperatorMatrix, frame: GaborFrame, chi, s: float,
     t = lat.a * np.arange(lat.n_time)
     f = lat.b * np.arange(lat.n_freq)
     grids = [(t + u[0], f + u[1]) for u in offsets]
-    step = max(1, FIT_BLOCK_ENTRIES // (L * L))
+    step = max(1, block_share(FIT_BLOCK_ENTRIES) // (L * L))
 
     # C[i, j] is the constant for z-offset i and w'-offset j.  The STFT of
     # T pi(z) w gives <T pi(z) w, pi(w') w> for every w' at once; it is formed
-    # for a block of z at a time, and each block folds into the maxima for
-    # every w'-offset before the next is formed.  The squared wrapped
+    # for a block of z at a time on the block pool, and each block's maxima
+    # for every w'-offset fold into C in block order.  The squared wrapped
     # displacements come from (z, w'-time) and (z, w'-freq) tables.
     C = np.zeros((len(offsets), len(offsets)))
     for i, u in enumerate(offsets):
         z = pts + np.array(u, dtype=float)
         img = _chi_points(chi, wrap_half(z, L))
         zi = z.astype(int)
-        for b0 in range(0, lat.size, step):
-            blk = slice(b0, b0 + step)
+
+        def block_maxima(blk):
             atoms = tf_shift_matrix(w, zi[blk, 0], zi[blk, 1])
             images = (T.entries @ atoms[:, :, None])[:, :, 0]    # one gemv per atom
             if not np.isfinite(images).all():
                 raise ModelError("operator image has non-finite entries")
             V = stft_matrix(images, w)                           # [z, k, m]
-            for j, (tw, fw) in enumerate(grids):
+            maxima = []
+            for tw, fw in grids:
                 vals = np.abs(V[:, (tw % L)[:, None], fw % L])   # [z, w'-time, w'-freq]
                 d1sq = wrap_half(tw[None, :] - img[blk, 0][:, None], L) ** 2
                 d2sq = wrap_half(fw[None, :] - img[blk, 1][:, None], L) ** 2
                 weight = ((1.0 + d1sq)[:, :, None] + d2sq[:, None, :]) ** (s / 2)
-                C[i, j] = max(C[i, j], float((vals * weight).max()))
+                maxima.append(float((vals * weight).max()))
+            return maxima
+
+        blocks = [slice(b0, b0 + step) for b0 in range(0, lat.size, step)]
+        for maxima in map_blocks(block_maxima, blocks):
+            for j, m in enumerate(maxima):
+                C[i, j] = max(C[i, j], m)
     C_lattice = float(C[0, 0])
     C_offgrid = float(C.max())
     return OffgridReport(C_lattice=C_lattice, C_offgrid=C_offgrid,
@@ -475,8 +500,9 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
 
     The L^2 translates Psi(. - z) are the L x L windows of the periodically
     tiled window.  Stacks of sigma conj(Psi(. - z)) over blocks of z2, at
-    most FIT_BLOCK_ENTRIES entries each, go through one batched 2d FFT per
-    block (an L^4 log L computation overall), so L is capped at
+    most FIT_BLOCK_ENTRIES // W entries each for W workers, go through one
+    batched 2d FFT per block (an L^4 log L computation overall, run on the
+    block pool over groups of rows z1), so L is capped at
     SYMBOL_CLASS_MAX_L.  Also fits the decay exponent of the envelope
     sup_z |V_Psi sigma(z, .)| with the shared binning machinery.
     """
@@ -495,18 +521,29 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
     # translate of conj(Psi) by z = (-r, -c) mod L
     translates = np.lib.stride_tricks.sliding_window_view(
         np.tile(np.conj(Psi), (2, 2))[:-1, :-1], (L, L))
-    step = min(L, max(1, FIT_BLOCK_ENTRIES // (L * L)))
+    step = min(L, max(1, block_share(FIT_BLOCK_ENTRIES) // (L * L)))
+    # each group of rows returns its L x L envelope; at most about
+    # FIT_BLOCK_ENTRIES entries of them wait to be folded
+    rows = max(1, L * L * L // FIT_BLOCK_ENTRIES)
+
+    def rows_envelope(r0):
+        """sup of |V_Psi sigma| over the translates of rows r0, r0 + 1, ..."""
+        env_r = np.zeros((L, L))
+        stack = np.empty((step, L, L), dtype=complex)
+        mag = np.empty((step, L, L))
+        for row in translates[r0:r0 + rows]:
+            for c0 in range(0, L, step):
+                block = row[c0:c0 + step]
+                out, m = stack[:len(block)], mag[:len(block)]
+                np.multiply(sigma.values, block, out=out)
+                np.fft.fft(out, axis=2, out=out)       # fft2 over (1, 2), in place
+                np.fft.fft(out, axis=1, out=out)
+                np.maximum(env_r, np.abs(out, out=m).max(axis=0), out=env_r)
+        return env_r
+
     env = np.zeros((L, L))
-    stack = np.empty((step, L, L), dtype=complex)
-    mag = np.empty((step, L, L))
-    for row in translates:
-        for c0 in range(0, L, step):
-            block = row[c0:c0 + step]
-            out, m = stack[:len(block)], mag[:len(block)]
-            np.multiply(sigma.values, block, out=out)
-            np.fft.fft(out, axis=2, out=out)       # fft2 over (1, 2), in place
-            np.fft.fft(out, axis=1, out=out)
-            np.maximum(env, np.abs(out, out=m).max(axis=0), out=env)
+    for env_r in map_blocks(rows_envelope, range(0, L, rows)):
+        np.maximum(env, env_r, out=env)
     zw = wrap_half(np.arange(L), L)
     dist = np.sqrt(1.0 + zw[:, None] ** 2 + zw[None, :] ** 2)
     norm = float((env * dist ** s).max())

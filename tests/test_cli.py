@@ -107,6 +107,43 @@ def test_compose_pipeline(tmp_path):
     assert rep["s_fit"] >= 3.0
 
 
+def test_compose_pipeline_multiplies_only_what_it_reads(tmp_path, monkeypatch):
+    # compose checks A against the product B*C*D: folding B*C*D takes two
+    # products and verify_composition forms A (B C D), and nothing folds
+    # A*B*C*D, which no part of the pipeline reads
+    import gaborfio.algebra as algebra
+    import gaborfio.operators as ops
+    from gaborfio import ModelConfig, build_frame, default_lattice, periodized_gaussian
+
+    spec = "chirp:1*dft*chirp:2*dft"
+    cfg = write_config(tmp_path, model={"L": 64, "regime": "A"}, operator=spec,
+                       pipeline="compose")
+    calls = []
+
+    def counting(compose):
+        def wrapped(*args):
+            calls.append(args)
+            return compose(*args)
+        return wrapped
+
+    monkeypatch.setattr(ops, "compose", counting(ops.compose))
+    monkeypatch.setattr(algebra, "compose", counting(algebra.compose))
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 3
+    monkeypatch.undo()
+
+    config = ModelConfig(L=64)
+    frame = build_frame(periodized_gaussian(config), default_lattice(config))
+    _, _, parsed = cli.parse_operator(spec, config, None)
+    T2, chi2, _ = cli.parse_operator(spec.split("*", 1)[1], config, None)
+    rep = algebra.verify_composition(parsed[0][0], T2, parsed[0][1], chi2, frame)
+    assert (out / "report_algebra.json").read_text() == rep.to_json()
+    ref = tmp_path / "profile.csv"
+    cli.gm.profile_to_csv(rep.profile, ref)
+    assert (out / "profile.csv").read_bytes() == ref.read_bytes()
+
+
 def test_offgrid_pipeline(tmp_path):
     cfg = write_config(tmp_path, model={"L": 32, "regime": "A"},
                        operator="chirp:1", pipeline="offgrid",

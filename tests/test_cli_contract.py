@@ -103,3 +103,16 @@ def test_unknown_config_key_in_file_is_exit_2(tmp_path, capsys, document):
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("word", ['["foo"]', '["chirp"]', '["dilate:2"]'])
+def test_factorize_word_is_checked_before_any_allocation(tmp_path, capsys, monkeypatch,
+                                                         word):
+    def no_frame(*args, **kwargs):
+        raise AssertionError("the frame was built before the word was checked")
+
+    monkeypatch.setattr(cli.gabor, "build_frame", no_frame)
+    code, err, out = run(tmp_path, capsys, "model.L=512", "pipeline=factorize",
+                         f"word={word}")
+    assert code == 2 and err.startswith("config error: ")
+    assert not (out / "report.json").exists()
