@@ -92,12 +92,11 @@ def _refined_inverse(A: np.ndarray) -> np.ndarray:
 
 
 def verify_inverse(T: OperatorMatrix, chi: CanonicalMap, frame: GaborFrame,
-                   s_threshold: float = DEFAULT_S_THRESHOLD,
-                   cond_max: float = COND_MAX) -> AlgebraReport:
+                   s_threshold: float = DEFAULT_S_THRESHOLD) -> AlgebraReport:
     """Invert T densely (LU + one refinement step) and check decay along chi^{-1}."""
     cond = np.linalg.cond(T.entries)
-    if not np.isfinite(cond) or cond > cond_max:
-        raise SingularOperator(f"condition number {cond:.3e} exceeds {cond_max:.1e}")
+    if not np.isfinite(cond) or cond > COND_MAX:
+        raise SingularOperator(f"condition number {cond:.3e} exceeds {COND_MAX:.1e}")
     Tinv = OperatorMatrix(_refined_inverse(T.entries), T.config, tag="inverse")
     s_fwd = decay_profile(gabor_matrix(T, frame), chi).s_fit
     rep = _report("invert", frame, Tinv, chi.inverse(), s_threshold,

@@ -15,6 +15,7 @@ pipeline raised, 2 = the config did not parse or validate.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 # every run builds an argparse parser, whose gettext lookup imports locale;
@@ -57,6 +58,7 @@ _NUMERIC_FIELDS = {
     ("sweep", "repeats"): (int, 1),
     ("sweep", "probes"): (int, 1),
     ("symbol_class", "s"): (float, None),
+    ("frame", "density"): (float, None),
 }
 
 def _set_path(cfg: dict, dotted: str, raw: str) -> None:
@@ -118,11 +120,17 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"model.L must be an even integer >= 8, got {L!r}")
     if m.get("regime") not in ("A", "B"):
         raise ConfigError(f"model.regime must be 'A' or 'B', got {m.get('regime')!r}")
+    if m.get("T") is not None and not _is_number(m["T"], float):
+        raise ConfigError(f"model.T must be a number, got {m['T']!r}")
     fr = cfg.get("frame", {})
     for key in ("a", "b"):
         v = fr.get(key)
         if v is not None and (not isinstance(v, int) or v <= 0 or L % v):
             raise ConfigError(f"frame.{key} must divide L={L}, got {v!r}")
+    if (fr.get("a") is None) != (fr.get("b") is None):
+        raise ConfigError("frame.a and frame.b must be set together")
+    if fr.get("window") != "gaussian":
+        raise ConfigError(f"unknown window {fr.get('window')!r}")
     if cfg.get("pipeline") not in PIPELINES:
         raise ConfigError(f"pipeline must be one of {PIPELINES}, got {cfg.get('pipeline')!r}")
     seed = cfg.get("seed")
@@ -147,6 +155,21 @@ def _validate(cfg: dict) -> None:
             and all(_is_number(t, float) and t >= 0 for t in taus)):
         raise ConfigError(f"sweep.tau_grid must be a non-empty list of numbers >= 0, "
                           f"got {taus!r}")
+    try:
+        _model_and_lattice(cfg)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _model_and_lattice(cfg: dict):
+    """The ModelConfig (T is read in regime B only) and the frame lattice:
+    frame.a x frame.b, else the default one of frame.density."""
+    m, fr = cfg["model"], cfg["frame"]
+    config = tfcore.ModelConfig(L=m["L"], regime=m["regime"],
+                                T=m.get("T") if m["regime"] == "B" else None)
+    if fr["a"] is not None:
+        return config, gabor.Lattice(fr["a"], fr["b"], config)
+    return config, gabor.default_lattice(config, fr["density"])
 
 
 def _is_number(v, kind) -> bool:
@@ -256,11 +279,10 @@ def _perturb_id_atom(rest: str, config):
 
 
 def _metaplectic_atom(rest: str, config):
-    spec, entries = f"metaplectic:{rest}", rest.split(",")
+    spec = f"metaplectic:{rest}"
+    # _phase_for rejects a spec without four finite entries
     T = ops.fio_type1(_phase_for(config, spec), ops.symbol_ones(config))
-    if len(entries) != 4:
-        raise ConfigError(f"{spec!r} needs four entries a,b,c,d")
-    a, b, c, d = (_spec_number(t, float, spec) for t in entries)
+    a, b, c, d = (float(t) for t in rest.split(","))
     return T, pg.linear_map([[a, b], [c, d]], spec)
 
 
@@ -354,7 +376,7 @@ class _Run(SimpleNamespace):
 
 
 def _gabor_matrix(run) -> dict:
-    K = gm.gabor_matrix(run.T, run.frame, chi=run.chi)
+    K = gm.gabor_matrix(run.T, run.frame)
     gm.gabor_matrix_to_csv(K, run.out / "matrix.csv")
     return {"peak": float(np.abs(K.entries).max()), "schur_bound": gm.schur_bound(K),
             "pass": True}
@@ -412,8 +434,8 @@ def _offgrid(run) -> dict:
 
 
 def _sparsity_sweep(run) -> dict:
-    rows, run.timings["sweep"], ok = sparsity_sweep(run.cfg, run.frame, run.T, run.chi,
-                                                    run.rng, run.out)
+    rows, run.timings["sweep"], ok = sparsity_sweep(run.cfg, run.frame, run.T, run.rng,
+                                                    run.out)
     return {"rows": rows, "pass": ok}
 
 
@@ -434,18 +456,9 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
     t_start = time.monotonic()
 
     try:
-        m = cfg["model"]
-        config = tfcore.ModelConfig(L=m["L"], regime=m["regime"],
-                                    T=m.get("T") if m["regime"] == "B" else None)
+        config, lat = _model_and_lattice(cfg)
         rng = np.random.Generator(np.random.Philox(cfg["seed"]))
-        if cfg["frame"]["window"] != "gaussian":
-            raise ConfigError(f"unknown window {cfg['frame']['window']!r}")
-        g = tfcore.periodized_gaussian(config)
-        if cfg["frame"]["a"] is not None and cfg["frame"]["b"] is not None:
-            lat = gabor.Lattice(cfg["frame"]["a"], cfg["frame"]["b"], config)
-        else:
-            lat = gabor.default_lattice(config, cfg["frame"].get("density", 4))
-        frame = gabor.build_frame(g, lat)
+        frame = gabor.build_frame(tfcore.periodized_gaussian(config), lat)
         report["frame"] = {"a": lat.a, "b": lat.b, "density": lat.density,
                            "bounds": list(frame.bounds)}
 
@@ -468,17 +481,17 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
     return 0 if report["pass"] else 1
 
 
-def sparsity_sweep(cfg, frame, T, chi, rng, out: Path):
+def sparsity_sweep(cfg, frame, T, rng, out: Path):
     """Threshold sweep: per row, the measured apply error must not exceed the
     dropped Schur mass (the gate).  Returns the rows (kept fraction, Schur
     mass, measured error), the per-row dense and sparse apply times, which
     go to the report's "timings", and the gate."""
-    K = gm.gabor_matrix(T, frame, chi=chi)
+    K = gm.gabor_matrix(T, frame)
     dense = K.entries
     lat = frame.lattice
     probes = [rng.normal(size=lat.size) + 1j * rng.normal(size=lat.size)
               for _ in range(cfg["sweep"]["probes"])]
-    repeats = max(int(cfg["sweep"]["repeats"]), 5)
+    repeats = cfg["sweep"]["repeats"]
     rows, times = [], []
     for tau in cfg["sweep"]["tau_grid"]:
         Ks = gm.sparsify(K, tau)
@@ -546,6 +559,20 @@ def openblas_thread_handles() -> list:
     return handles
 
 
+@contextlib.contextmanager
+def _blas_threads(n):
+    """Every OpenBLAS pool at n threads inside the block (None: left alone)."""
+    handles = openblas_thread_handles() if n is not None else []
+    before = [get() for _, get in handles]
+    for set_threads, _ in handles:
+        set_threads(n)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(handles, before):
+            set_threads(count)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="gaborfio",
                                      description="Gabor-matrix FIO experiments")
@@ -567,17 +594,11 @@ def main(argv=None) -> int:
     if args.threads is not None and args.threads < 1:
         print(f"config error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return 2
-    if args.threads is not None:
-        handles = openblas_thread_handles()
-        for set_threads, _ in handles:
-            set_threads(args.threads)
-        if not handles:
-            print("warning: --threads has no effect: no OpenBLAS is loaded",
-                  file=sys.stderr)
 
     try:
         cfg = load_config(args.config, args.set)
-        with blockpool.worker_limit(args.threads or blockpool.workers()):
+        with _blas_threads(args.threads), \
+                blockpool.worker_limit(args.threads or blockpool.workers()):
             return run_experiment(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -86,6 +86,8 @@ class Lattice:
 
 def default_lattice(config: ModelConfig, density: float = 4.0) -> Lattice:
     """Most nearly square lattice with ab = L/density (exact divisors required)."""
+    if not density > 0:
+        raise ModelError(f"lattice density must be > 0, got {density}")
     ab = config.L / density
     if ab != int(ab):
         raise ModelError(f"L/density = {ab} is not an integer")
@@ -130,14 +132,13 @@ class CoefficientArray:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Polynomial weight v_s(z) = (1 + |z|^2)^(s/2), or an explicit table.
+    """Polynomial weight v_s(z) = (1 + |z|^2)^(s/2).
 
     v_s is moderate rather than plainly submultiplicative: the sharp bound is
     Peetre's inequality v_s(z + w) <= 2^(s/2) v_s(z) v_s(w).
     """
 
     s: float = 0.0
-    table: np.ndarray | None = None
 
     def value(self, points: np.ndarray, L: int) -> np.ndarray:
         """Evaluate the weight at (N, 2) points, wrapped to [-L/2, L/2)."""
@@ -145,19 +146,13 @@ class WeightSpec:
         return (1.0 + (d ** 2).sum(axis=-1)) ** (self.s / 2)
 
     def on_lattice(self, lattice: Lattice) -> np.ndarray:
-        if self.table is not None:
-            t = np.asarray(self.table, dtype=float)
-            if t.shape != (lattice.n_time, lattice.n_freq):
-                raise ModelError("weight table shape does not match lattice")
-            return t
         vals = self.value(lattice.points(), lattice.config.L)
         return vals.reshape(lattice.n_time, lattice.n_freq)
 
-    def peetre_defect(self, rng: np.random.Generator, n_samples: int = 200,
-                      box: float = 10.0) -> float:
-        """max of v_s(z+w) / (2^(s/2) v_s(z) v_s(w)) over sampled pairs; <= 1."""
-        z = rng.uniform(-box, box, size=(n_samples, 2))
-        w = rng.uniform(-box, box, size=(n_samples, 2))
+    def peetre_defect(self, rng: np.random.Generator) -> float:
+        """max of v_s(z+w) / (2^(s/2) v_s(z) v_s(w)) over 200 pairs in [-10, 10]^2; <= 1."""
+        z = rng.uniform(-10.0, 10.0, size=(200, 2))
+        w = rng.uniform(-10.0, 10.0, size=(200, 2))
         v = lambda p: (1.0 + (p ** 2).sum(axis=1)) ** (self.s / 2)
         return float(np.max(v(z + w) / (2 ** (self.s / 2) * v(z) * v(w))))
 
@@ -192,7 +187,7 @@ def atom_matrix(window: Signal, lattice: Lattice) -> np.ndarray:
     return tf_shift_matrix(window.values, k, m).T
 
 
-def build_frame(g: Signal, lat: Lattice, deficiency_rtol: float = 1e-12) -> GaborFrame:
+def build_frame(g: Signal, lat: Lattice) -> GaborFrame:
     """Assemble the frame operator, extract bounds and the tight window.
 
     S = sum_lambda pi(lambda) g <., pi(lambda) g> splits into n_freq Walnut
@@ -209,7 +204,7 @@ def build_frame(g: Signal, lat: Lattice, deficiency_rtol: float = 1e-12) -> Gabo
     S = nf * (G @ G.conj().transpose(0, 2, 1))
     evals, U = np.linalg.eigh(S)
     A_frame, B_frame = float(evals.min()), float(evals.max())
-    if A_frame <= deficiency_rtol * B_frame:
+    if A_frame <= 1e-12 * B_frame:
         raise FrameDeficient(
             f"lower frame bound {A_frame:.3e} at noise floor of {B_frame:.3e} "
             f"(ab = {lat.a * lat.b} vs L = {lat.config.L})")
@@ -256,14 +251,14 @@ def analysis(frame: GaborFrame, f: Signal, use_tight: bool = True) -> Coefficien
     return CoefficientArray(c.reshape(lat.n_time, lat.n_freq), lat)
 
 
-def synthesis(frame: GaborFrame, c: CoefficientArray, use_tight: bool = True) -> Signal:
+def synthesis(frame: GaborFrame, c: CoefficientArray) -> Signal:
     """sum_lambda c[lambda] pi(lambda) w; the adjoint of analysis."""
     lat = frame.lattice
     if c.lattice is not lat and (c.lattice.a, c.lattice.b, c.lattice.config.L) != (
             lat.a, lat.b, lat.config.L):
         raise ModelError("coefficient array does not match the frame lattice")
     env = np.tile(lat.n_freq * np.fft.ifft(c.values, axis=1), lat.b)
-    out = (_rolled(frame.window(use_tight).values, lat) * env).sum(axis=0)
+    out = (_rolled(frame.tight.values, lat) * env).sum(axis=0)
     return Signal(out, lat.config)
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import csv
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +59,8 @@ __all__ = [
 
 SYMBOL_CLASS_MAX_L = 128   # the 2d-STFT sweep is an L^4 log L computation
 FIT_FLOOR_RTOL = 1e-13     # envelope floor relative to the peak (rounding)
+FIT_MIN_DIST = 2.0         # bins nearer the graph do not enter the fit
+FIT_MIN_COUNT = 3          # nor do bins with fewer entries
 # entries in flight in the blocked passes (1 MiB of float64): the decay fit,
 # the off-grid STFTs and the symbol-class FFT stacks share them out over the
 # block pool's workers, FIT_BLOCK_ENTRIES // W per block; the serial CSV
@@ -78,7 +80,6 @@ class GaborMatrix:
 
     entries: np.ndarray
     frame: GaborFrame
-    chi: CanonicalMap | None = None
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -185,8 +186,7 @@ class SymbolClassReport:
 
 
 def gabor_matrix(T: OperatorMatrix, frame: GaborFrame,
-                 use_tight: bool = True,
-                 chi: CanonicalMap | None = None) -> GaborMatrix:
+                 use_tight: bool = True) -> GaborMatrix:
     """Assemble K = A T A^H over the frame lattice by two folded-FFT analyses.
 
     The default window is the canonical tight window; use_tight=False scans
@@ -199,7 +199,7 @@ def gabor_matrix(T: OperatorMatrix, frame: GaborFrame,
     lat = frame.lattice
     Y = analysis_matrix(w, lat, T.entries.conj().T)               # A T^H
     K = analysis_matrix(w, lat, np.conjugate(Y, out=Y).T)         # A (T A^H)
-    return GaborMatrix(K, frame, chi=chi)
+    return GaborMatrix(K, frame)
 
 
 def _chi_points(chi, points: np.ndarray) -> np.ndarray:
@@ -244,12 +244,10 @@ def wrapped_displacements(K: GaborMatrix, chi) -> np.ndarray:
     return np.stack([d1, d2], axis=-1)
 
 
-def envelope_fit(dists: np.ndarray, values: np.ndarray,
-                 fit_min_dist: float = 2.0, min_count: int = 3,
-                 weighted: bool = True):
+def envelope_fit(dists: np.ndarray, values: np.ndarray):
     """Shared binning + fit: geometric sqrt(2) bins of the bracketed
     distances <d> (>= 1, computed by the caller), sup envelope per bin,
-    (weighted) least squares of log envelope on log distance.  Envelopes and
+    weighted least squares of log envelope on log distance.  Envelopes and
     the values entering C_fit are clamped to the rounding floor
     FIT_FLOOR_RTOL * max|values|.
 
@@ -258,10 +256,10 @@ def envelope_fit(dists: np.ndarray, values: np.ndarray,
     """
     dist = np.asarray(dists, dtype=float).ravel()
     vals = np.abs(np.asarray(values)).ravel()
-    return _blocked_fit([None], lambda _: (dist, vals), fit_min_dist, min_count, weighted)
+    return _blocked_fit([None], lambda _: (dist, vals), FIT_MIN_COUNT, True)
 
 
-def _blocked_fit(blocks, entries, fit_min_dist: float, min_count: int, weighted: bool):
+def _blocked_fit(blocks, entries, min_count: int, weighted: bool):
     """envelope_fit over entries handed out in pieces: entries(block) gives
     the (distances, |values|) 1-d array pair of each block of the list
     blocks, once for the bins and once for C_fit, on the block pool.  Bin
@@ -291,7 +289,7 @@ def _blocked_fit(blocks, entries, fit_min_dist: float, min_count: int, weighted:
     floor = FIT_FLOOR_RTOL * float(env.max())      # env.max() is max|values|
     np.maximum(env, floor, out=env)
     dr = np.sqrt(2.0) ** (np.arange(nb) + 0.5)
-    sel = (cnt >= min_count) & (dr >= fit_min_dist) & (env > 0)
+    sel = (cnt >= min_count) & (dr >= FIT_MIN_DIST) & (env > 0)
     if sel.sum() < 4:
         raise FitError(f"only {int(sel.sum())} eligible bins, need >= 4")
     x = np.log(dr[sel])
@@ -334,17 +332,14 @@ def _bracket_distances(K: GaborMatrix, chi) -> np.ndarray:
     return _distance_rows(*(d ** 2 for d in _displacement_tables(K, chi)), slice(None))
 
 
-def decay_profile(K: GaborMatrix, chi=None, fit_min_dist: float = 2.0,
-                  min_count: int = 3, weighted: bool = True) -> DecayProfile:
+def decay_profile(K: GaborMatrix, chi, min_count: int = FIT_MIN_COUNT,
+                  weighted: bool = True) -> DecayProfile:
     """Fit |K[mu, lam]| <= C <mu - chi(lam)>^{-s} over the lattice.
 
     The fit runs on the block pool over blocks of at most FIT_BLOCK_ENTRIES
     // W entries (rows of mu) for W workers, so no N x N distance or |K|
     array is formed; the result depends neither on the block size nor on W.
     """
-    chi = chi if chi is not None else K.chi
-    if chi is None:
-        raise ModelError("no canonical map attached or supplied")
     d1sq, d2sq = (d ** 2 for d in _displacement_tables(K, chi))
     n_time, (n_freq, N) = d1sq.shape[0], d2sq.shape
     entries = K.entries.reshape(n_time, n_freq, N)
@@ -360,8 +355,7 @@ def decay_profile(K: GaborMatrix, chi=None, fit_min_dist: float = 2.0,
         return (_distance_rows(d1sq, d2sq, times, freqs).ravel(),
                 np.abs(entries[times, freqs]).ravel())
 
-    bins, s_fit, C_fit, r2 = _blocked_fit(blocks, block_entries, fit_min_dist,
-                                          min_count, weighted)
+    bins, s_fit, C_fit, r2 = _blocked_fit(blocks, block_entries, min_count, weighted)
     return DecayProfile(bins=bins, s_fit=s_fit, C_fit=C_fit, r2=r2,
                         weighted=weighted)
 

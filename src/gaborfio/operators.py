@@ -14,10 +14,10 @@ Quantization conventions (regime A, index units):
   which realizes the adjoint relation fio_type2(Phi, tau) = fio_type1(Phi, rho)^*
   with tau[n, m] = conj(rho[m, n]) entrywise.
 
-Regime-A phases are integer quadratic forms (alpha n^2 + 2 beta n m + gamma m^2) / (2L)
-plus linear terms; L even makes them L-periodic, and beta a unit mod L makes the
-FIO with flat symbol unitary.  Regime-B phases sample a tame phase on the grid
-(x_n, xi_m) with a half-turn correction m/2 coming from the x-grid offset -T/2.
+Regime-A phases are integer quadratic forms (alpha n^2 + 2 beta n m + gamma m^2) / (2L);
+L even makes them L-periodic, and beta a unit mod L makes the FIO with flat
+symbol unitary.  Regime-B phases sample a tame phase on the grid (x_n, xi_m)
+with a half-turn correction m/2 coming from the x-grid offset -T/2.
 """
 
 from __future__ import annotations
@@ -138,23 +138,20 @@ def kn_phase(config: ModelConfig) -> DiscretePhase:
     return quadratic_phase(config, 0, 1, 0)
 
 
-def quadratic_phase(config: ModelConfig, alpha: int, beta: int, gamma: int,
-                    lin: tuple[int, int] = (0, 0)) -> DiscretePhase:
-    """Integer quadratic phase (alpha n^2 + 2 beta n m + gamma m^2)/(2L) + linear.
+def quadratic_phase(config: ModelConfig, alpha: int, beta: int, gamma: int) -> DiscretePhase:
+    """Integer quadratic phase (alpha n^2 + 2 beta n m + gamma m^2)/(2L).
 
     Integer coefficients and even L make exp(2 pi i Phi) L-periodic in both
     indices; beta must be nonzero for a nondegenerate canonical map and a
     unit mod L for exact unitarity of the flat-symbol FIO.
     """
-    for name, val in (("alpha", alpha), ("beta", beta), ("gamma", gamma),
-                      ("lin0", lin[0]), ("lin1", lin[1])):
+    for name, val in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if val != int(val):
             raise ModelError(f"regime-A quadratic phase needs integer {name}, got {val}")
     L = config.L
     n = np.arange(L, dtype=float)
     N, M = np.meshgrid(n, n, indexing="ij")
-    vals = (alpha * N ** 2 + 2 * beta * N * M + gamma * M ** 2) / (2 * L) \
-        + (lin[0] * N + lin[1] * M) / L
+    vals = (alpha * N ** 2 + 2 * beta * N * M + gamma * M ** 2) / (2 * L)
     return DiscretePhase(vals, config, quad=(float(alpha), float(beta), float(gamma)))
 
 
@@ -402,15 +399,14 @@ class MetaplecticWord:
         return MetaplecticWord(self.generators + other.generators, self.config)
 
 
-def metaplectic(word: MetaplecticWord,
-                config: ModelConfig | None = None) -> tuple[OperatorMatrix, CanonicalMap]:
+def metaplectic(word: MetaplecticWord) -> tuple[OperatorMatrix, CanonicalMap]:
     """Assemble the unitary of a generator word and its linear canonical map.
 
     The intertwining U pi(z) U^* = c pi(A z mod L) holds exactly for every
     generator (and hence every word) in regime A; the scalar c is unimodular
     and not tracked beyond that.
     """
-    config = config or word.config
+    config = word.config
     U = np.eye(config.L, dtype=complex)
     for name, *arg in word.generators:
         U = U @ GENERATORS[name].build(config, *arg).entries

@@ -16,7 +16,7 @@ iterates a one-point loop would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,6 +34,7 @@ _FD_STEP = 1e-5          # central-difference step for Jacobians
 _NEWTON_TOL = 1e-12
 _NEWTON_MAXIT = 50
 _BISECT_XTOL = 1e-14     # bracket width at which the bisection fallback stops
+_SAMPLE_BOX = ((-4.0, 4.0), (-4.0, 4.0))   # (x, eta) box of the sampled checks
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,6 @@ class SymplecticMatrix:
     def C(self): return float(self.entries[1, 0])
     @property
     def D(self): return float(self.entries[1, 1])
-
-    def inverse(self) -> "SymplecticMatrix":
-        return SymplecticMatrix(np.array([[self.D, -self.B], [-self.C, self.A]]))
 
 
 @dataclass(frozen=True)
@@ -232,12 +230,11 @@ def _sample_grid(box, n_samples) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(xs, n), np.tile(es, n)
 
 
-def validate_tame(phi: TamePhase, box=((-4.0, 4.0), (-4.0, 4.0)),
-                  n_samples: int = 400) -> TameReport:
-    """Sample the Hessian over the box and compare with the declared bounds."""
+def validate_tame(phi: TamePhase, n_samples: int = 400) -> TameReport:
+    """Sample the Hessian over [-4, 4]^2 and compare with the declared bounds."""
     if n_samples < 100:
         raise ModelError("n_samples must be >= 100")
-    H = np.asarray(phi.hess(*_sample_grid(box, n_samples)), dtype=float)
+    H = np.asarray(phi.hess(*_sample_grid(_SAMPLE_BOX, n_samples)), dtype=float)
     # fmax/fmin skip NaN samples
     C2 = float(np.fmax.reduce(np.abs(H).ravel(), initial=0.0))
     delta = float(np.fmin.reduce(np.abs(H[0, 1]).ravel(), initial=np.inf))
@@ -354,7 +351,7 @@ def canonical_map_of_phase(phi: TamePhase) -> CanonicalMap:
     # grid; a failed solve makes it infinite (the error surfaces on use)
     chi = CanonicalMap(fwd, source=f"from_phase({phi.name})", _inverse_fn=back)
     try:
-        D = chi.jacobian(*_sample_grid(((-4, 4), (-4, 4)), 25))
+        D = chi.jacobian(*_sample_grid(_SAMPLE_BOX, 25))
         lip = float(np.fmax.reduce(np.linalg.norm(D, 2, axis=(-2, -1)), initial=0.0))
     except SolveError:
         lip = np.inf
@@ -362,17 +359,17 @@ def canonical_map_of_phase(phi: TamePhase) -> CanonicalMap:
     return chi
 
 
-def phase_of_symplectic(M: SymplecticMatrix, delta_min: float = 0.1) -> TamePhase:
+def phase_of_symplectic(M: SymplecticMatrix) -> TamePhase:
     """The quadratic phase generating z -> M z:
 
         Phi(x, eta) = (C/A) x^2 / 2 + (1/A) x eta - (B/A) eta^2 / 2.
 
-    Requires |A| >= delta_min (condition B3); the Fourier-transform side
-    A = 0 has no type-I phase and raises NondegeneracyViolation.
+    Requires |A| >= 0.1 (condition B3); the Fourier-transform side A = 0 has
+    no type-I phase and raises NondegeneracyViolation.
     """
-    if abs(M.A) < delta_min:
+    if abs(M.A) < 0.1:
         raise NondegeneracyViolation(
-            f"|A block| = {abs(M.A):.3e} < {delta_min}: no type-I phase exists")
+            f"|A block| = {abs(M.A):.3e} < 0.1: no type-I phase exists")
     p = M.C / M.A      # x^2/2 coefficient
     q = 1.0 / M.A      # x eta coefficient
     r = -M.B / M.A     # eta^2/2 coefficient
@@ -398,29 +395,26 @@ def check_symplectic(chi: CanonicalMap, points) -> float:
 
 
 def phase_chi_equivalence(phi: TamePhase, n_quadruples: int = 1000,
-                          box: float = 4.0, rng: np.random.Generator | None = None,
-                          eps: float = 1e-9,
-                          bounds: tuple[float, float] = (1e-3, 1e3),
-                          chi: CanonicalMap | None = None) -> EquivalenceReport:
+                          rng: np.random.Generator | None = None) -> EquivalenceReport:
     """Sampled two-sided comparison
 
         |grad_x Phi(x',eta) - eta'| + |grad_eta Phi(x',eta) - x|
         ~ |chi_1(x,eta) - x'| + |chi_2(x,eta) - eta'|
 
-    over random quadruples; the ratio of the two sides (regularized by eps)
-    must stay inside ``bounds``.
+    over random quadruples in [-4, 4]^4; the ratio of the two sides
+    (regularized by 1e-9) must stay inside [1e-3, 1e3].
     """
     rng = rng or np.random.default_rng(0)
-    chi = chi or canonical_map_of_phase(phi)
+    chi = canonical_map_of_phase(phi)
     # one draw of shape (n, 4) is the same stream as n draws of size 4
-    x, xp, eta, etap = rng.uniform(-box, box, size=(n_quadruples, 4)).T
+    x, xp, eta, etap = rng.uniform(-4.0, 4.0, size=(n_quadruples, 4)).T
     lhs = np.abs(phi.grad_x(xp, eta) - etap) + np.abs(phi.grad_eta(xp, eta) - x)
     c1, c2 = chi.forward(x, eta)
     rhs = np.abs(c1 - xp) + np.abs(c2 - etap)
-    ratios = (lhs + eps) / (rhs + eps)
+    ratios = (lhs + 1e-9) / (rhs + 1e-9)
     rmin, rmax = float(ratios.min()), float(ratios.max())
     return EquivalenceReport(ratio_min=rmin, ratio_max=rmax,
-                             passed=bounds[0] <= rmin and rmax <= bounds[1])
+                             passed=1e-3 <= rmin and rmax <= 1e3)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ F^4 = I and metaplectic operators below come out exactly unitary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # numpy loads these on first use; load them with the package so that their
@@ -102,9 +102,6 @@ class Signal:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
-
-    def __len__(self):
-        return self.config.L
 
 
 @dataclass(frozen=True)

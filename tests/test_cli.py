@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import gaborfio as gf
 import gaborfio.cli as cli
 from gaborfio.errors import ConfigError
 
@@ -252,3 +253,53 @@ def test_load_config_defaults_merge(tmp_path):
     assert cfg["thresholds"]["s_threshold"] == 3.0
     with pytest.raises(ConfigError):
         cli.load_config(path, overrides=["frame.a=5"])   # 5 does not divide 32
+
+
+def test_sweep_times_each_apply_the_configured_number_of_times(tmp_path, monkeypatch):
+    calls = []
+
+    def median_time(fn, repeats):
+        calls.append(repeats)
+        return 0.0
+
+    monkeypatch.setattr(cli, "_median_time", median_time)
+    cfg = write_config(tmp_path, model={"L": 32, "regime": "A"}, operator="chirp:1",
+                       pipeline="sparsity-sweep",
+                       sweep={"tau_grid": [1e-2, 1e-6], "repeats": 1, "probes": 1})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [1] * 4                  # a dense and a sparse apply per tau
+
+
+# ---------------------------------------------------------------------------
+# operator atoms
+# ---------------------------------------------------------------------------
+
+def atom(spec):
+    """The (operator, canonical map) of a one-atom spec at L = 64, regime A."""
+    [(T, chi)] = cli._parse_atoms(spec, gf.ModelConfig(L=64))
+    return T, chi
+
+
+def test_fio1_chirp_phase_is_the_exact_quadratic_in_regime_a():
+    cfg = gf.ModelConfig(L=64)
+    assert cli._phase_for(cfg, "chirp:2").quad == (2.0, 1.0, 0.0)
+    T, chi = atom("fio1:phase=chirp:2,symbol=ones")
+    assert np.abs(T.entries - gf.chirp_operator(cfg, 2).entries).max() <= 1e-12
+    np.testing.assert_array_equal(chi.matrix, [[1, 0], [2, 1]])
+    assert chi.mod_L == 64
+
+
+def test_metaplectic_atom_is_the_fio1_operator_with_a_real_map():
+    T, chi = atom("metaplectic:1,0,2,1")
+    fio1, _ = atom("fio1:phase=chirp:2,symbol=ones")
+    np.testing.assert_array_equal(T.entries, fio1.entries)
+    np.testing.assert_array_equal(chi.matrix, [[1, 0], [2, 1]])
+    assert chi.mod_L is None
+
+
+def test_fio2_atom_is_the_adjoint_along_the_inverse_map():
+    T, chi = atom("fio2:phase=chirp:2,symbol=ones")
+    fio1, _ = atom("fio1:phase=chirp:2,symbol=ones")
+    np.testing.assert_array_equal(T.entries, gf.adjoint(fio1).entries)
+    np.testing.assert_array_equal(chi.matrix, [[1, 0], [-2, 1]])
+    assert chi.mod_L == 64

@@ -1,5 +1,6 @@
 """Malformed configs and operator specs exit 2 with one line on stderr and
-no report; --threads resizes the BLAS pools of the running process."""
+no report; --threads resizes the BLAS pools of the running process for the
+run and puts them back after it."""
 
 import json
 
@@ -59,6 +60,16 @@ def run(tmp_path, capsys, *overrides, threads=None):
     ("operator=fio1:phase=kn,symbol=random-smooth:1:2:3",),  # seed[:bandwidth]
     ("operator=chirp:99999999999999999999",),     # beyond the int64 word matrices
     ("pipeline=factorize", 'word=["chirp:99999999999999999999"]'),
+    ("frame.density=abc",),
+    ("frame.density=0",),
+    ("frame.density=3",),                         # 32 / 3 is not an integer
+    ("frame.a=8",),                               # a without b
+    ("frame.window=box",),
+    ("model.regime=B", "model.T=abc"),
+    ("model.regime=B", "model.T=[1]"),
+    ("model.regime=B", "model.T=-1"),
+    ("operator=",),                               # empty operator spec
+    ("pipeline=compose", "operator=chirp:1"),     # compose needs two atoms
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     code, err, out = run(tmp_path, capsys, *overrides)
@@ -69,17 +80,29 @@ def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     assert not (out / "profile.csv").exists()
 
 
-def test_threads_flag_caps_openblas(tmp_path, capsys):
+def test_threads_flag_caps_openblas(tmp_path, capsys, monkeypatch):
+    """The pools run at --threads during the run and at their old count after."""
     handles = cli.openblas_thread_handles()
     if not handles:
         pytest.skip("no OpenBLAS loaded in this process")
-    before = [get() for _, get in handles]
+    original = [get() for _, get in handles]
+    during = []
+    run_experiment = cli.run_experiment
+
+    def recording(*args, **kwargs):
+        during.append([get() for _, get in handles])
+        return run_experiment(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
     try:
-        code, _, _ = run(tmp_path, capsys, "operator=identity", threads=1)
-        assert code == 0
-        assert [get() for _, get in handles] == [1] * len(handles)
+        for set_threads, _ in handles:       # an old count that differs from 1
+            set_threads(2)
+        code, err, _ = run(tmp_path, capsys, "operator=identity", threads=1)
+        assert code == 0 and err == ""
+        assert during == [[1] * len(handles)]
+        assert [get() for _, get in handles] == [2] * len(handles)
     finally:
-        for (set_threads, _), n in zip(handles, before):
+        for (set_threads, _), n in zip(handles, original):
             set_threads(n)
 
 
