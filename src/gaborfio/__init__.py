@@ -35,10 +35,12 @@ from .operators import (DiscretePhase, MetaplecticWord, OperatorMatrix,
 from .gabormatrix import (DecayProfile, GaborMatrix, OffgridReport,
                           RowPaddedMatrix, SparseGaborMatrix,
                           SymbolClassReport, decay_profile,
-                          envelope_fit, gabor_matrix, gabor_matrix_from_csv,
-                          gabor_matrix_to_csv, offgraph_max,
-                          offgrid_decay_check, profile_to_csv, schur_bound,
-                          sparse_apply, sparsify, symbol_class_norm)
+                          envelope_fit, gabor_magnitudes, gabor_matrix,
+                          gabor_matrix_from_csv, gabor_matrix_to_csv,
+                          offgraph_max, offgrid_decay_check,
+                          operator_decay_profile, profile_to_csv,
+                          schur_bound, sparse_apply, sparsify,
+                          symbol_class_norm)
 from .algebra import (DEFAULT_S_THRESHOLD, AlgebraReport,
                       factorize_metaplectic, verify_composition,
                       verify_inverse)

@@ -2,10 +2,11 @@
 operator algebra, inverse closedness (Wiener property), and factorization of
 generalized metaplectic operators into pseudodifferential times metaplectic.
 
-Every verifier assembles the relevant dense operator, takes its Gabor matrix
-over a supplied frame, fits the decay profile against the expected canonical
-transformation and reports pass/fail against an exponent threshold.  The
-default threshold is s = 2d + 1 = 3: the algebra theorems need s > 2d = 2.
+Every verifier assembles the relevant dense operator, fits the decay profile
+of its Gabor matrix over a supplied frame (from |K| alone) against the
+expected canonical transformation and reports pass/fail against an exponent
+threshold.  The default threshold is s = 2d + 1 = 3: the algebra theorems
+need s > 2d = 2.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import NotInClass, SingularOperator
 from .gabor import GaborFrame
-from .gabormatrix import DecayProfile, decay_profile, gabor_matrix
+from .gabormatrix import DecayProfile, operator_decay_profile
 from .operators import (MetaplecticWord, OperatorMatrix, SymbolGrid, adjoint,
                         compose, kn_quantize, kn_symbol_of, metaplectic)
 from .phasegeom import CanonicalMap, compose_maps
@@ -60,7 +61,7 @@ class AlgebraReport:
 
 
 def _report(operation, frame, T, chi, s_threshold, extra=None) -> AlgebraReport:
-    prof = decay_profile(gabor_matrix(T, frame), chi)
+    prof = operator_decay_profile(T, frame, chi)
     return AlgebraReport(
         operation=operation, s_fit=prof.s_fit, C_fit=prof.C_fit,
         passed=bool(prof.s_fit >= s_threshold and np.isfinite(prof.C_fit)),
@@ -76,8 +77,8 @@ def verify_composition(T1: OperatorMatrix, T2: OperatorMatrix,
     """Check that T1 T2 concentrates along chi1 o chi2."""
     prod = compose(T1, T2)
     chi = compose_maps(chi1, chi2)
-    s1 = decay_profile(gabor_matrix(T1, frame), chi1).s_fit
-    s2 = decay_profile(gabor_matrix(T2, frame), chi2).s_fit
+    s1 = operator_decay_profile(T1, frame, chi1).s_fit
+    s2 = operator_decay_profile(T2, frame, chi2).s_fit
     return _report("compose", frame, prod, chi, s_threshold,
                    extra={"s_fit_factor1": s1, "s_fit_factor2": s2,
                           "s_fit_factors_min": min(s1, s2)})
@@ -98,7 +99,7 @@ def verify_inverse(T: OperatorMatrix, chi: CanonicalMap, frame: GaborFrame,
     if not np.isfinite(cond) or cond > COND_MAX:
         raise SingularOperator(f"condition number {cond:.3e} exceeds {COND_MAX:.1e}")
     Tinv = OperatorMatrix(_refined_inverse(T.entries), T.config, tag="inverse")
-    s_fwd = decay_profile(gabor_matrix(T, frame), chi).s_fit
+    s_fwd = operator_decay_profile(T, frame, chi).s_fit
     rep = _report("invert", frame, Tinv, chi.inverse(), s_threshold,
                   extra={"condition_number": float(cond), "s_fit_forward": s_fwd})
     ratio = rep.s_fit / s_fwd if s_fwd else np.inf
@@ -122,7 +123,7 @@ def factorize_metaplectic(T: OperatorMatrix, word: MetaplecticWord,
     mu, chi = metaplectic(word)
     mu_inv = adjoint(mu)                      # metaplectic unitaries: inverse = adjoint
     P = compose(T, mu_inv)
-    prof = decay_profile(gabor_matrix(P, frame), np.eye(2))
+    prof = operator_decay_profile(P, frame, np.eye(2))
     if prof.s_fit < s_threshold:
         raise NotInClass(
             f"T mu(A)^-1 is not almost diagonal: s_fit = {prof.s_fit:.2f} "

@@ -120,8 +120,8 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"model.L must be an even integer >= 8, got {L!r}")
     if m.get("regime") not in ("A", "B"):
         raise ConfigError(f"model.regime must be 'A' or 'B', got {m.get('regime')!r}")
-    if m.get("T") is not None and not _is_number(m["T"], float):
-        raise ConfigError(f"model.T must be a number, got {m['T']!r}")
+    if m.get("T") is not None and not _is_finite(m["T"]):
+        raise ConfigError(f"model.T must be a finite number, got {m['T']!r}")
     fr = cfg.get("frame", {})
     for key in ("a", "b"):
         v = fr.get(key)
@@ -146,8 +146,8 @@ def _validate(cfg: dict) -> None:
     for (section, key), (kind, lo) in _NUMERIC_FIELDS.items():
         node = cfg.get(section)
         v = node.get(key) if isinstance(node, dict) else None
-        if not _is_number(v, kind) or (lo is not None and v < lo):
-            what = "an integer" if kind is int else "a number"
+        if not (_is_number(v, kind) and _is_finite(v)) or (lo is not None and v < lo):
+            what = "an integer" if kind is int else "a finite number"
             bound = f" >= {lo}" if lo is not None else ""
             raise ConfigError(f"{section}.{key} must be {what}{bound}, got {v!r}")
     taus = cfg["sweep"].get("tau_grid") if isinstance(cfg.get("sweep"), dict) else None
@@ -175,6 +175,12 @@ def _model_and_lattice(cfg: dict):
 def _is_number(v, kind) -> bool:
     accepted = int if kind is int else (int, float)
     return isinstance(v, accepted) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """A number that is not inf or nan (json.loads reads Infinity and NaN);
+    an int of any size counts as finite."""
+    return _is_number(v, float) and (isinstance(v, int) or isfinite(v))
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +389,10 @@ def _gabor_matrix(run) -> dict:
 
 
 def _decay(run) -> dict:
-    K = gm.gabor_matrix(run.T, run.frame)
-    prof = gm.decay_profile(K, run.chi)
+    prof = gm.operator_decay_profile(run.T, run.frame, run.chi)
     gm.profile_to_csv(prof, run.out / "profile.csv")
     if run.cfg["output"].get("matrix_csv"):
-        gm.gabor_matrix_to_csv(K, run.out / "matrix.csv")
+        gm.gabor_matrix_to_csv(gm.gabor_matrix(run.T, run.frame), run.out / "matrix.csv")
     return {"s_fit": prof.s_fit, "C_fit": prof.C_fit, "r2": prof.r2,
             "chi": run.chi.source, "pass": bool(prof.s_fit >= run.s_threshold)}
 

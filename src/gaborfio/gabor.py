@@ -215,16 +215,36 @@ def build_frame(g: Signal, lat: Lattice) -> GaborFrame:
                       bounds=(A_frame, B_frame))
 
 
+def fold(window: Signal, lat: Lattice, X: np.ndarray):
+    """The factors of the fold + FFT analysis of the columns of the L x M
+    array X (module docstring): W[q] = conj(w[q + r n_freq - j a]) as an
+    (n_freq, n_time, b) array and the views Xq[q] = X[q + r n_freq] as an
+    (n_freq, b, M) array."""
+    nf = lat.n_freq
+    W = np.conj(_rolled(window.values, lat)).reshape(lat.n_time, lat.b, nf).transpose(2, 0, 1)
+    return W, X.reshape(lat.b, nf, X.shape[1]).transpose(1, 0, 2)
+
+
+def fold_product(W: np.ndarray, Xq: np.ndarray, out: np.ndarray, q=slice(None)) -> None:
+    """out[j, q, :] = W[q] @ Xq[q] for the residues q, one GEMM per residue,
+    into the (n_time, n_freq, M) array out."""
+    np.matmul(W[q], Xq[q], out=out.transpose(1, 0, 2)[q])
+
+
+def fold_fft(out: np.ndarray, j=slice(None)) -> None:
+    """The FFT over q of the time rows j of out, in place: out[j, k, :] then
+    holds the analysis at the lattice points (j a, k b)."""
+    np.fft.fft(out[j], axis=1, out=out[j])
+
+
 def analysis_matrix(window: Signal, lat: Lattice, X: np.ndarray) -> np.ndarray:
     """Analysis of every column of the L x M array X: the (size, M) array of
     <X[:, m], pi(lambda) w>, rows in lattice order (fold + FFT, module
     docstring)."""
     nf, nt = lat.n_freq, lat.n_time
     M = X.shape[1]
-    W = np.conj(_rolled(window.values, lat)).reshape(nt, lat.b, nf).transpose(2, 0, 1)
-    Xq = X.reshape(lat.b, nf, M).transpose(1, 0, 2)
+    W, Xq = fold(window, lat, X)
     out = np.empty((nt, nf, M), dtype=complex)
-    out_q = out.transpose(1, 0, 2)
     # the batched product lands in out[j, q, :]: the FFT over q then runs in
     # place and leaves the rows in lattice order without a transposed copy.
     # Both run on the block pool in blocks of about ANALYSIS_BLOCK_ENTRIES
@@ -232,15 +252,8 @@ def analysis_matrix(window: Signal, lat: Lattice, X: np.ndarray) -> np.ndarray:
     # the product of one q and the FFT of one line are those of one call.
     q_step = max(1, ANALYSIS_BLOCK_ENTRIES // (nt * M))
     j_step = max(1, ANALYSIS_BLOCK_ENTRIES // (nf * M))
-
-    def product(q):
-        np.matmul(W[q:q + q_step], Xq[q:q + q_step], out=out_q[q:q + q_step])
-
-    def fft(j):
-        np.fft.fft(out[j:j + j_step], axis=1, out=out[j:j + j_step])
-
-    map_blocks(product, range(0, nf, q_step))
-    map_blocks(fft, range(0, nt, j_step))
+    map_blocks(lambda q: fold_product(W, Xq, out, slice(q, q + q_step)), range(0, nf, q_step))
+    map_blocks(lambda j: fold_fft(out, slice(j, j + j_step)), range(0, nt, j_step))
     return out.reshape(nt * nf, M)
 
 

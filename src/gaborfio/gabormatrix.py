@@ -10,10 +10,21 @@ docstring), so K is assembled as two analyses and no L x L x N product:
 
     X = T A^H = (A T^H)^H,        K = A X,
 
-each one batched (n_freq, n_time, b) product plus strided FFTs.  The decay
-of |K| is measured against a canonical transformation chi through the
-wrapped displacement d = mu - chi(lam), componentwise reduced to [-L/2, L/2)
-in grid-index units.
+each one batched (n_freq, n_time, b) product plus strided FFTs.  X is read
+as the transposed view of A T^H, conjugated in place, so the work arrays are
+K and that one N x L intermediate.
+
+The decay fit needs |K| only.  gabor_magnitudes runs the second analysis
+over blocks of lam columns, one scratch array per block, and writes the
+magnitudes straight into a real N x N array: half the bytes of K, bit for
+bit np.abs(K).  operator_decay_profile fits from it; decay_profile fits a
+given K.  The decay of |K| is measured against a canonical transformation
+chi through the wrapped displacement d = mu - chi(lam), componentwise
+reduced to [-L/2, L/2) in grid-index units.
+
+The N x N arrays (K, |K| and the (N, N, 2) displacement array) are checked
+against the machine's physical memory before they are allocated: a larger
+one raises SizeError.
 
 Decay fit convention
 --------------------
@@ -37,6 +48,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -44,14 +56,16 @@ import numpy as np
 
 from .blockpool import block_share, map_blocks
 from .errors import FitError, ModelError, SizeError
-from .gabor import CoefficientArray, GaborFrame, analysis_matrix
+from .gabor import (CoefficientArray, GaborFrame, analysis_matrix, fold, fold_fft,
+                    fold_product)
 from .operators import OperatorMatrix, SymbolGrid
 from .phasegeom import CanonicalMap
 from .tfcore import stft_matrix, tf_shift_matrix, wrap_half
 
 __all__ = [
     "GaborMatrix", "DecayProfile", "RowPaddedMatrix", "SparseGaborMatrix",
-    "OffgridReport", "SymbolClassReport", "gabor_matrix", "decay_profile",
+    "OffgridReport", "SymbolClassReport", "gabor_matrix", "gabor_magnitudes",
+    "decay_profile", "operator_decay_profile",
     "offgraph_max", "offgrid_decay_check", "sparsify", "sparse_apply",
     "schur_bound", "symbol_class_norm", "gabor_matrix_to_csv",
     "gabor_matrix_from_csv", "profile_to_csv",
@@ -62,10 +76,13 @@ FIT_FLOOR_RTOL = 1e-13     # envelope floor relative to the peak (rounding)
 FIT_MIN_DIST = 2.0         # bins nearer the graph do not enter the fit
 FIT_MIN_COUNT = 3          # nor do bins with fewer entries
 # entries in flight in the blocked passes (1 MiB of float64): the decay fit,
-# the off-grid STFTs and the symbol-class FFT stacks share them out over the
-# block pool's workers, FIT_BLOCK_ENTRIES // W per block; the serial CSV
-# writer takes whole blocks
+# the |K| column blocks, the off-grid STFTs and the symbol-class FFT stacks
+# share them out over the block pool's workers, FIT_BLOCK_ENTRIES // W per
+# block; the serial CSV writer takes whole blocks
 FIT_BLOCK_ENTRIES = 1 << 17
+# |K| column blocks are a multiple of this wide, so that the GEMM of a block
+# runs each column through the kernel the full-width GEMM runs it through
+COLUMN_ALIGN = 16
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
 
 
@@ -185,6 +202,31 @@ class SymbolClassReport:
     bins: list
 
 
+def _memory_budget() -> int:
+    """Bytes of physical memory of this machine (no limit where unknown)."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return 1 << 62
+
+
+def _require_memory(n_bytes: int, what: str) -> None:
+    """Raise SizeError before allocating n_bytes that the machine does not have."""
+    budget = _memory_budget()
+    if n_bytes > budget:
+        raise SizeError(f"{what} needs {n_bytes / 2 ** 20:.0f} MiB, more than the "
+                        f"{budget / 2 ** 20:.0f} MiB of physical memory")
+
+
+def _atom_images(T: OperatorMatrix, frame: GaborFrame, w) -> np.ndarray:
+    """T A^H, the L x N array of columns T pi(lam) w: the transposed view of
+    the first analysis A T^H, conjugated in place."""
+    if T.config.L != frame.config.L:
+        raise ModelError("operator/frame size mismatch")
+    Y = analysis_matrix(w, frame.lattice, T.entries.conj().T)     # A T^H
+    return np.conjugate(Y, out=Y).T
+
+
 def gabor_matrix(T: OperatorMatrix, frame: GaborFrame,
                  use_tight: bool = True) -> GaborMatrix:
     """Assemble K = A T A^H over the frame lattice by two folded-FFT analyses.
@@ -193,13 +235,47 @@ def gabor_matrix(T: OperatorMatrix, frame: GaborFrame,
     against the frame's generating window instead (the decay class does not
     depend on the window, only the constants do).
     """
-    if T.config.L != frame.config.L:
-        raise ModelError("operator/frame size mismatch")
+    N = frame.lattice.size
+    _require_memory(16 * N * N, "the Gabor matrix")
     w = frame.window(use_tight)
-    lat = frame.lattice
-    Y = analysis_matrix(w, lat, T.entries.conj().T)               # A T^H
-    K = analysis_matrix(w, lat, np.conjugate(Y, out=Y).T)         # A (T A^H)
+    K = analysis_matrix(w, frame.lattice, _atom_images(T, frame, w))  # A (T A^H)
     return GaborMatrix(K, frame)
+
+
+def _column_blocks(N: int) -> list:
+    """Slices of the N columns of |K|: COLUMN_ALIGN-multiples wide, about
+    FIT_BLOCK_ENTRIES // W entries each, the last one up to N.  A last block
+    of one column joins the one before it: numpy runs a one-column product
+    as a matrix-vector product, whose sums are not rounded as the GEMM's."""
+    width = max(1, block_share(FIT_BLOCK_ENTRIES) // (N * COLUMN_ALIGN)) * COLUMN_ALIGN
+    starts = list(range(0, N, width))
+    if len(starts) > 1 and N - starts[-1] == 1:
+        del starts[-1]
+    return [slice(c0, c1) for c0, c1 in zip(starts, starts[1:] + [N])]
+
+
+def gabor_magnitudes(T: OperatorMatrix, frame: GaborFrame) -> np.ndarray:
+    """|K| over the tight window as a real (N, N) array, without forming K.
+
+    Equal bit for bit to np.abs(gabor_matrix(T, frame).entries): the first
+    analysis is that of gabor_matrix, and the second runs its product and
+    FFT on the block pool one block of lam columns at a time, each into a
+    scratch array of one block whose magnitudes go straight into the result.
+    """
+    lat = frame.lattice
+    N = lat.size
+    _require_memory(8 * N * N, "the Gabor-matrix magnitudes")
+    W, Xq = fold(frame.tight, lat, _atom_images(T, frame, frame.tight))
+    absK = np.empty((N, N))
+
+    def column_block(cols):
+        out = np.empty((lat.n_time, lat.n_freq, cols.stop - cols.start), dtype=complex)
+        fold_product(W, Xq[:, :, cols], out)
+        fold_fft(out)
+        np.abs(out.reshape(N, -1), out=absK[:, cols])
+
+    map_blocks(column_block, _column_blocks(N))
+    return absK
 
 
 def _chi_points(chi, points: np.ndarray) -> np.ndarray:
@@ -214,12 +290,11 @@ def _chi_points(chi, points: np.ndarray) -> np.ndarray:
     raise ModelError(f"cannot interpret chi of type {type(chi)!r}")
 
 
-def _displacement_tables(K: GaborMatrix, chi) -> tuple[np.ndarray, np.ndarray]:
-    """The two components of d as in wrapped_displacements: mu's time
-    coordinate takes only n_time values and its frequency coordinate n_freq
-    values, so they come from an (n_time, N) and an (n_freq, N) table."""
-    lat = K.lattice
-    L = K.frame.config.L
+def _displacement_tables(lat, L: int, chi) -> tuple[np.ndarray, np.ndarray]:
+    """The two components of d as in wrapped_displacements over the lattice
+    lat of Z_L: mu's time coordinate takes only n_time values and its
+    frequency coordinate n_freq values, so they come from an (n_time, N) and
+    an (n_freq, N) table."""
     img = _chi_points(chi, wrap_half(lat.points().astype(float), L))
     t = (lat.a * np.arange(lat.n_time)).astype(float)
     f = (lat.b * np.arange(lat.n_freq)).astype(float)
@@ -238,6 +313,7 @@ def wrapped_displacements(K: GaborMatrix, chi) -> np.ndarray:
     """
     pts = K.lattice.points().astype(float)
     L = K.frame.config.L
+    _require_memory(16 * len(pts) ** 2, "the displacement array")
     img = _chi_points(chi, wrap_half(pts, L))
     d1 = wrap_half(pts[:, 0][:, None] - img[:, 0][None, :], L)
     d2 = wrap_half(pts[:, 1][:, None] - img[:, 1][None, :], L)
@@ -329,20 +405,22 @@ def _distance_rows(d1sq: np.ndarray, d2sq: np.ndarray, times: slice,
 
 def _bracket_distances(K: GaborMatrix, chi) -> np.ndarray:
     """<mu - chi(lam)> as an (N, N) array, d as in wrapped_displacements."""
-    return _distance_rows(*(d ** 2 for d in _displacement_tables(K, chi)), slice(None))
+    tables = _displacement_tables(K.lattice, K.frame.config.L, chi)
+    return _distance_rows(*(d ** 2 for d in tables), slice(None))
 
 
-def decay_profile(K: GaborMatrix, chi, min_count: int = FIT_MIN_COUNT,
-                  weighted: bool = True) -> DecayProfile:
-    """Fit |K[mu, lam]| <= C <mu - chi(lam)>^{-s} over the lattice.
+def _fit_rows(rows, lat, L: int, chi, min_count: int = FIT_MIN_COUNT,
+              weighted: bool = True) -> DecayProfile:
+    """The decay fit over the lattice lat of Z_L, |K| read by rows(times,
+    freqs): the (len(times), len(freqs), N) array of |K[mu, lam]| at the rows
+    mu = (j, k) with j in times and k in freqs.
 
     The fit runs on the block pool over blocks of at most FIT_BLOCK_ENTRIES
-    // W entries (rows of mu) for W workers, so no N x N distance or |K|
-    array is formed; the result depends neither on the block size nor on W.
+    // W entries (rows of mu) for W workers, so no N x N distance array is
+    formed; the result depends neither on the block size nor on W.
     """
-    d1sq, d2sq = (d ** 2 for d in _displacement_tables(K, chi))
+    d1sq, d2sq = (d ** 2 for d in _displacement_tables(lat, L, chi))
     n_time, (n_freq, N) = d1sq.shape[0], d2sq.shape
-    entries = K.entries.reshape(n_time, n_freq, N)
     # whole time rows j when they fit in a block, else pieces of one row
     share = block_share(FIT_BLOCK_ENTRIES)
     k_step = min(n_freq, max(1, share // N))
@@ -351,13 +429,29 @@ def decay_profile(K: GaborMatrix, chi, min_count: int = FIT_MIN_COUNT,
               for j in range(0, n_time, j_step) for k in range(0, n_freq, k_step)]
 
     def block_entries(block):
-        times, freqs = block
-        return (_distance_rows(d1sq, d2sq, times, freqs).ravel(),
-                np.abs(entries[times, freqs]).ravel())
+        return (_distance_rows(d1sq, d2sq, *block).ravel(), rows(*block).ravel())
 
     bins, s_fit, C_fit, r2 = _blocked_fit(blocks, block_entries, min_count, weighted)
     return DecayProfile(bins=bins, s_fit=s_fit, C_fit=C_fit, r2=r2,
                         weighted=weighted)
+
+
+def decay_profile(K: GaborMatrix, chi, min_count: int = FIT_MIN_COUNT,
+                  weighted: bool = True) -> DecayProfile:
+    """Fit |K[mu, lam]| <= C <mu - chi(lam)>^{-s} over the lattice, taking
+    |K| of one block of rows at a time (no N x N |K| array is formed)."""
+    lat = K.lattice
+    entries = K.entries.reshape(lat.n_time, lat.n_freq, -1)
+    return _fit_rows(lambda times, freqs: np.abs(entries[times, freqs]),
+                     lat, K.frame.config.L, chi, min_count, weighted)
+
+
+def operator_decay_profile(T: OperatorMatrix, frame: GaborFrame, chi) -> DecayProfile:
+    """decay_profile(gabor_matrix(T, frame), chi), field for field, fitted
+    from gabor_magnitudes(T, frame): the complex K is never formed."""
+    lat = frame.lattice
+    absK = gabor_magnitudes(T, frame).reshape(lat.n_time, lat.n_freq, -1)
+    return _fit_rows(lambda times, freqs: absK[times, freqs], lat, frame.config.L, chi)
 
 
 def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:
@@ -365,7 +459,7 @@ def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:
     from the graph mu = chi(lam); steps scale the wrapped displacement by
     (1/a, 1/b).  One time row of mu is formed at a time."""
     lat = K.lattice
-    d1, d2 = _displacement_tables(K, chi)
+    d1, d2 = _displacement_tables(lat, K.frame.config.L, chi)
     s1, s2 = (d1 / lat.a) ** 2, (d2 / lat.b) ** 2
     absK = np.abs(K.entries).reshape(lat.n_time, lat.n_freq, -1)
     # |K| >= 0, so -1 marks a row with no entry that far from the graph

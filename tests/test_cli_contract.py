@@ -70,6 +70,10 @@ def run(tmp_path, capsys, *overrides, threads=None):
     ("model.regime=B", "model.T=-1"),
     ("operator=",),                               # empty operator spec
     ("pipeline=compose", "operator=chirp:1"),     # compose needs two atoms
+    ("model.T=Infinity", "model.regime=B"),
+    ("offgrid.s=Infinity",),
+    ("symbol_class.s=NaN",),
+    ("thresholds.s_threshold=NaN",),
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     code, err, out = run(tmp_path, capsys, *overrides)
