@@ -39,8 +39,7 @@ from .gabormatrix import (DecayProfile, GaborMatrix, OffgridReport,
                           gabor_matrix_from_csv, gabor_matrix_to_csv,
                           offgraph_max, offgrid_decay_check,
                           operator_decay_profile, profile_to_csv,
-                          schur_bound, sparse_apply, sparsify,
-                          symbol_class_norm)
+                          schur_bound, sparsify, symbol_class_norm)
 from .algebra import (DEFAULT_S_THRESHOLD, AlgebraReport,
                       factorize_metaplectic, verify_composition,
                       verify_inverse)

@@ -152,9 +152,9 @@ def _validate(cfg: dict) -> None:
             raise ConfigError(f"{section}.{key} must be {what}{bound}, got {v!r}")
     taus = cfg["sweep"].get("tau_grid") if isinstance(cfg.get("sweep"), dict) else None
     if not (isinstance(taus, list) and taus
-            and all(_is_number(t, float) and t >= 0 for t in taus)):
-        raise ConfigError(f"sweep.tau_grid must be a non-empty list of numbers >= 0, "
-                          f"got {taus!r}")
+            and all(_is_finite(t) and t >= 0 for t in taus)):
+        raise ConfigError(f"sweep.tau_grid must be a non-empty list of finite numbers "
+                          f">= 0, got {taus!r}")
     try:
         _model_and_lattice(cfg)
     except ModelError as exc:
@@ -351,10 +351,10 @@ def _parse_atoms(spec: str, config) -> list:
     return parsed
 
 
-def parse_operator(spec: str, config, rng):
+def parse_operator(spec: str, config):
     """'A*B*...' -> (product OperatorMatrix, composed CanonicalMap, atom list).
 
-    Every atom draws from its own seeded generator, so rng is not used."""
+    Every atom that draws random numbers has its own seeded generator."""
     parsed = _parse_atoms(spec, config)
     return (*_product(parsed), parsed)
 
@@ -462,6 +462,8 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
 
     try:
         config, lat = _model_and_lattice(cfg)
+        # every pipeline builds L x L complex operators
+        gm._require_memory(16 * config.L ** 2, "an L x L operator")
         rng = np.random.Generator(np.random.Philox(cfg["seed"]))
         frame = gabor.build_frame(tfcore.periodized_gaussian(config), lat)
         report["frame"] = {"a": lat.a, "b": lat.b, "density": lat.density,

@@ -125,10 +125,6 @@ class CoefficientArray:
         """Flatten in the canonical time-major order."""
         return self.values.ravel()
 
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, lattice: Lattice) -> "CoefficientArray":
-        return cls(np.asarray(flat).reshape(lattice.n_time, lattice.n_freq), lattice)
-
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -148,13 +144,6 @@ class WeightSpec:
     def on_lattice(self, lattice: Lattice) -> np.ndarray:
         vals = self.value(lattice.points(), lattice.config.L)
         return vals.reshape(lattice.n_time, lattice.n_freq)
-
-    def peetre_defect(self, rng: np.random.Generator) -> float:
-        """max of v_s(z+w) / (2^(s/2) v_s(z) v_s(w)) over 200 pairs in [-10, 10]^2; <= 1."""
-        z = rng.uniform(-10.0, 10.0, size=(200, 2))
-        w = rng.uniform(-10.0, 10.0, size=(200, 2))
-        v = lambda p: (1.0 + (p ** 2).sum(axis=1)) ** (self.s / 2)
-        return float(np.max(v(z + w) / (2 ** (self.s / 2) * v(z) * v(w))))
 
 
 @dataclass(frozen=True)

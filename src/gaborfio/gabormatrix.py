@@ -34,7 +34,8 @@ The exponent is the slope of log envelope against log bin distance by least
 squares *weighted by bin occupancy*: the outermost torus bins hold only the
 corner sliver of displacements (orders of magnitude fewer samples), and
 unweighted fitting lets that sliver fake a steep slope on profiles that are
-actually flat.  The unweighted variant is kept as an option.
+actually flat.  Bins nearer than FIT_MIN_DIST or with fewer than
+FIT_MIN_COUNT entries do not enter the fit.
 
 Entries at the rounding floor carry no decay information: the outermost
 torus bins of an exactly concentrated matrix hold values of order 1e-16 of
@@ -56,8 +57,7 @@ import numpy as np
 
 from .blockpool import block_share, map_blocks
 from .errors import FitError, ModelError, SizeError
-from .gabor import (CoefficientArray, GaborFrame, analysis_matrix, fold, fold_fft,
-                    fold_product)
+from .gabor import GaborFrame, analysis_matrix, fold, fold_fft, fold_product
 from .operators import OperatorMatrix, SymbolGrid
 from .phasegeom import CanonicalMap
 from .tfcore import stft_matrix, tf_shift_matrix, wrap_half
@@ -66,7 +66,7 @@ __all__ = [
     "GaborMatrix", "DecayProfile", "RowPaddedMatrix", "SparseGaborMatrix",
     "OffgridReport", "SymbolClassReport", "gabor_matrix", "gabor_magnitudes",
     "decay_profile", "operator_decay_profile",
-    "offgraph_max", "offgrid_decay_check", "sparsify", "sparse_apply",
+    "offgraph_max", "offgrid_decay_check", "sparsify",
     "schur_bound", "symbol_class_norm", "gabor_matrix_to_csv",
     "gabor_matrix_from_csv", "profile_to_csv",
 ]
@@ -118,7 +118,6 @@ class DecayProfile:
     s_fit: float
     C_fit: float
     r2: float
-    weighted: bool = True
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,6 @@ class SparseGaborMatrix:
     threshold: float
     kept_fraction: float
     dropped_schur_mass: float
-    lattice_shape: tuple[int, int]
 
     @property
     def nnz(self) -> int:
@@ -279,14 +277,11 @@ def gabor_magnitudes(T: OperatorMatrix, frame: GaborFrame) -> np.ndarray:
 
 
 def _chi_points(chi, points: np.ndarray) -> np.ndarray:
-    """Apply a CanonicalMap, 2x2 matrix, or callable to (N, 2) index points."""
+    """Apply a CanonicalMap or a 2x2 matrix to (N, 2) index points."""
     if isinstance(chi, CanonicalMap):
         return chi.map_points(points)
-    arr = np.asarray(chi, dtype=float) if not callable(chi) else None
-    if arr is not None and arr.shape == (2, 2):
-        return points @ arr.T
-    if callable(chi):
-        return np.array([chi(float(p[0]), float(p[1])) for p in points])
+    if np.shape(chi) == (2, 2):
+        return points @ np.asarray(chi, dtype=float).T
     raise ModelError(f"cannot interpret chi of type {type(chi)!r}")
 
 
@@ -332,10 +327,10 @@ def envelope_fit(dists: np.ndarray, values: np.ndarray):
     """
     dist = np.asarray(dists, dtype=float).ravel()
     vals = np.abs(np.asarray(values)).ravel()
-    return _blocked_fit([None], lambda _: (dist, vals), FIT_MIN_COUNT, True)
+    return _blocked_fit([None], lambda _: (dist, vals))
 
 
-def _blocked_fit(blocks, entries, min_count: int, weighted: bool):
+def _blocked_fit(blocks, entries):
     """envelope_fit over entries handed out in pieces: entries(block) gives
     the (distances, |values|) 1-d array pair of each block of the list
     blocks, once for the bins and once for C_fit, on the block pool.  Bin
@@ -365,12 +360,12 @@ def _blocked_fit(blocks, entries, min_count: int, weighted: bool):
     floor = FIT_FLOOR_RTOL * float(env.max())      # env.max() is max|values|
     np.maximum(env, floor, out=env)
     dr = np.sqrt(2.0) ** (np.arange(nb) + 0.5)
-    sel = (cnt >= min_count) & (dr >= FIT_MIN_DIST) & (env > 0)
+    sel = (cnt >= FIT_MIN_COUNT) & (dr >= FIT_MIN_DIST) & (env > 0)
     if sel.sum() < 4:
         raise FitError(f"only {int(sel.sum())} eligible bins, need >= 4")
     x = np.log(dr[sel])
     y = np.log(env[sel])
-    w = cnt[sel].astype(float) if weighted else np.ones(sel.sum())
+    w = cnt[sel].astype(float)
     w = w / w.sum()
     xm = float((w * x).sum())
     ym = float((w * y).sum())
@@ -403,14 +398,7 @@ def _distance_rows(d1sq: np.ndarray, d2sq: np.ndarray, times: slice,
     return np.sqrt(rows, out=rows).reshape(-1, d2sq.shape[1])
 
 
-def _bracket_distances(K: GaborMatrix, chi) -> np.ndarray:
-    """<mu - chi(lam)> as an (N, N) array, d as in wrapped_displacements."""
-    tables = _displacement_tables(K.lattice, K.frame.config.L, chi)
-    return _distance_rows(*(d ** 2 for d in tables), slice(None))
-
-
-def _fit_rows(rows, lat, L: int, chi, min_count: int = FIT_MIN_COUNT,
-              weighted: bool = True) -> DecayProfile:
+def _fit_rows(rows, lat, L: int, chi) -> DecayProfile:
     """The decay fit over the lattice lat of Z_L, |K| read by rows(times,
     freqs): the (len(times), len(freqs), N) array of |K[mu, lam]| at the rows
     mu = (j, k) with j in times and k in freqs.
@@ -431,19 +419,17 @@ def _fit_rows(rows, lat, L: int, chi, min_count: int = FIT_MIN_COUNT,
     def block_entries(block):
         return (_distance_rows(d1sq, d2sq, *block).ravel(), rows(*block).ravel())
 
-    bins, s_fit, C_fit, r2 = _blocked_fit(blocks, block_entries, min_count, weighted)
-    return DecayProfile(bins=bins, s_fit=s_fit, C_fit=C_fit, r2=r2,
-                        weighted=weighted)
+    bins, s_fit, C_fit, r2 = _blocked_fit(blocks, block_entries)
+    return DecayProfile(bins=bins, s_fit=s_fit, C_fit=C_fit, r2=r2)
 
 
-def decay_profile(K: GaborMatrix, chi, min_count: int = FIT_MIN_COUNT,
-                  weighted: bool = True) -> DecayProfile:
+def decay_profile(K: GaborMatrix, chi) -> DecayProfile:
     """Fit |K[mu, lam]| <= C <mu - chi(lam)>^{-s} over the lattice, taking
     |K| of one block of rows at a time (no N x N |K| array is formed)."""
     lat = K.lattice
     entries = K.entries.reshape(lat.n_time, lat.n_freq, -1)
     return _fit_rows(lambda times, freqs: np.abs(entries[times, freqs]),
-                     lat, K.frame.config.L, chi, min_count, weighted)
+                     lat, K.frame.config.L, chi)
 
 
 def operator_decay_profile(T: OperatorMatrix, frame: GaborFrame, chi) -> DecayProfile:
@@ -552,33 +538,15 @@ def sparsify(K: GaborMatrix, tau: float) -> SparseGaborMatrix:
     mass = max(dropped.sum(axis=1).max(), dropped.sum(axis=0).max()) \
         if (~keep).any() else 0.0
     mat = RowPaddedMatrix.from_dense(np.where(keep, K.entries, 0.0))
-    lat = K.lattice
     return SparseGaborMatrix(matrix=mat, threshold=float(tau),
                              kept_fraction=float(keep.mean()),
-                             dropped_schur_mass=float(mass),
-                             lattice_shape=(lat.n_time, lat.n_freq))
-
-
-def sparse_apply(Ks: SparseGaborMatrix, c: CoefficientArray) -> CoefficientArray:
-    """Sparse matrix-vector product on coefficient arrays (cost ~ kept entries)."""
-    if (c.lattice.n_time, c.lattice.n_freq) != Ks.lattice_shape:
-        raise ModelError("coefficient index set does not match the sparse matrix")
-    out = Ks.matrix @ c.ravel()
-    return CoefficientArray.from_flat(out, c.lattice)
+                             dropped_schur_mass=float(mass))
 
 
 def schur_bound(K) -> float:
     """max(max_mu sum_lam |K|, max_lam sum_mu |K|): an upper bound for the
     l2 operator norm of the matrix (Schur's test)."""
-    if isinstance(K, GaborMatrix):
-        A = np.abs(K.entries)
-    elif isinstance(K, SparseGaborMatrix):
-        M = K.matrix
-        A = np.hypot(M.re, M.im)                  # padding slots are 0
-        col_sums = np.bincount(M.cols.ravel(), weights=A.ravel(), minlength=M.shape[1])
-        return float(max(A.sum(axis=0).max(initial=0.0), col_sums.max(initial=0.0)))
-    else:
-        A = np.abs(np.asarray(K))
+    A = np.abs(K.entries if isinstance(K, GaborMatrix) else np.asarray(K))
     return float(max(A.sum(axis=1).max(), A.sum(axis=0).max()))
 
 

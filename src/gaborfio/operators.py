@@ -176,7 +176,6 @@ def index_map_of_tame(phi: TamePhase, config: ModelConfig) -> CanonicalMap:
         return g
 
     return CanonicalMap(in_index_units(chi.forward), source=f"index({chi.source})",
-                        lipschitz_est=chi.lipschitz_est * max(T * T / L, L / (T * T)),
                         _inverse_fn=in_index_units(chi.inverse().forward))
 
 
@@ -368,7 +367,7 @@ GENERATORS = {
 class MetaplecticWord:
     """A word in the generators of GENERATORS: dft, chirp(c), dilate(u).
 
-    Concatenation maps to operator products in the same order:
+    Letters map to operator products in the same order:
     word [g1, g2] realizes U(g1) U(g2) and accumulates A(g1) A(g2).
     The accumulated matrix is tracked in SL(2, Z_L) (integer entries mod L,
     used for wrapped displacements) together with its real lift.
@@ -392,11 +391,6 @@ class MetaplecticWord:
         for name, *arg in self.generators:
             M = M @ np.array(GENERATORS[name].matrix(self.config.L, *arg), dtype=np.int64)
         return M
-
-    def __add__(self, other: "MetaplecticWord") -> "MetaplecticWord":
-        if other.config.L != self.config.L:
-            raise ModelError("cannot concatenate words over different configs")
-        return MetaplecticWord(self.generators + other.generators, self.config)
 
 
 def metaplectic(word: MetaplecticWord) -> tuple[OperatorMatrix, CanonicalMap]:

@@ -120,7 +120,6 @@ class CanonicalMap:
     forward: Callable[[float, float], tuple[float, float]]
     source: str = "explicit"
     matrix: np.ndarray | None = None
-    lipschitz_est: float = np.inf
     mod_L: int | None = None
     _inverse_fn: Callable[[float, float], tuple[float, float]] | None = None
 
@@ -160,7 +159,6 @@ class CanonicalMap:
                               mod_L=self.mod_L)
         if self._inverse_fn is not None:
             return CanonicalMap(self._inverse_fn, source=f"inverse({self.source})",
-                                lipschitz_est=self.lipschitz_est,
                                 _inverse_fn=self.forward)
 
         def back(x, xi, _fwd=self.forward, _jac=self.jacobian):
@@ -181,7 +179,6 @@ class CanonicalMap:
             raise SolveError("2d Newton inversion stagnated")
 
         return CanonicalMap(back, source=f"inverse({self.source})",
-                            lipschitz_est=self.lipschitz_est,
                             _inverse_fn=self.forward)
 
 
@@ -199,8 +196,7 @@ def linear_map(matrix: np.ndarray, source: str = "linear",
                mod_L: int | None = None) -> CanonicalMap:
     m = np.asarray(matrix, dtype=float)
     return CanonicalMap(lambda y, eta: tuple(m @ (y, eta)), source=source,
-                        matrix=m, lipschitz_est=float(np.linalg.norm(m, 2)),
-                        mod_L=mod_L)
+                        matrix=m, mod_L=mod_L)
 
 
 def compose_maps(chi1: CanonicalMap, chi2: CanonicalMap) -> CanonicalMap:
@@ -216,7 +212,6 @@ def compose_maps(chi1: CanonicalMap, chi2: CanonicalMap) -> CanonicalMap:
                           source=f"{chi1.source}*{chi2.source}", mod_L=mod)
     return CanonicalMap(lambda y, eta: chi1.forward(*chi2.forward(y, eta)),
                         source=f"{chi1.source}*{chi2.source}",
-                        lipschitz_est=chi1.lipschitz_est * chi2.lipschitz_est,
                         _inverse_fn=lambda x, xi: chi2.inverse().forward(
                             *chi1.inverse().forward(x, xi)))
 
@@ -300,25 +295,23 @@ def _fresh(v, shape: tuple) -> np.ndarray:
     return np.array(np.broadcast_to(v, shape), dtype=float)[()]
 
 
-def _solve_x(phi: TamePhase, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Solve y = dPhi/deta(x, eta) for x, elementwise over the float arrays
-    y and eta of one shape: Newton from x0 = y, a bisection fallback per point."""
-    yf, ef = y.ravel(), eta.ravel()
-    x = yf.copy()
-    unsolved = _newton_1d(lambda t, i: phi.grad_eta(t, ef[i]) - yf[i],
-                          lambda t, i: phi.hess(t, ef[i])[1, 0], x)
-    # residual is monotone in x (|Phi_xeta| >= delta), so bracket and bisect
-    for i in unsolved:
-        resid = lambda t: phi.grad_eta(t, ef[i]) - yf[i]
-        if abs(resid(x[i])) < _NEWTON_TOL:
+def _solve_monotone(resid, slope, t: np.ndarray, failure) -> None:
+    """Solve resid(t, i) = 0 for every entry of the flat array t, in place.
+
+    Newton (_newton_1d) from the given t; the residual is monotone in t, so
+    each point Newton leaves unsolved is bracketed and bisected.  A point
+    already within _NEWTON_TOL is kept; one whose bracket holds no root, or
+    whose bisected residual is not below 1e-10, raises SolveError with the
+    message failure(i).
+    """
+    for i in _newton_1d(resid, slope, t):
+        r = lambda s: resid(s, i)
+        if abs(r(t[i])) < _NEWTON_TOL:
             continue
-        sol = _bracket_root(resid, x[i])
-        if sol is None or not abs(resid(sol)) < 1e-10:
-            raise SolveError(
-                f"canonical-map solve stagnated at (y, eta)=({yf[i]}, {ef[i]}); "
-                "check the derivative oracles")
-        x[i] = sol
-    return x.reshape(y.shape)
+        sol = _bracket_root(r, t[i])
+        if sol is None or not abs(r(sol)) < 1e-10:
+            raise SolveError(failure(i))
+        t[i] = sol
 
 
 def canonical_map_of_phase(phi: TamePhase) -> CanonicalMap:
@@ -327,36 +320,31 @@ def canonical_map_of_phase(phi: TamePhase) -> CanonicalMap:
     Both directions take scalars or arrays of points."""
 
     def fwd(y, eta):
+        # y = Phi_eta(x, eta) is monotone in x (|Phi_xeta| >= delta), from
+        # x0 = y; then xi = Phi_x(x, eta)
         y, eta = _as_points(y, eta)
-        x = _solve_x(phi, y, eta)
+        yf, ef = y.ravel(), eta.ravel()
+        x = yf.copy()
+        _solve_monotone(lambda t, i: phi.grad_eta(t, ef[i]) - yf[i],
+                        lambda t, i: phi.hess(t, ef[i])[1, 0], x,
+                        lambda i: f"canonical-map solve stagnated at (y, eta)="
+                                  f"({yf[i]}, {ef[i]}); check the derivative oracles")
+        x = x.reshape(y.shape)
         return x[()], _fresh(phi.grad_x(x, eta), x.shape)
 
     def back(x, xi):
-        # same machinery with the roles swapped: xi = Phi_x(x, eta) is
-        # monotone in eta, then y = Phi_eta(x, eta)
+        # the roles swapped: xi = Phi_x(x, eta) is monotone in eta, from
+        # eta0 = x; then y = Phi_eta(x, eta)
         x, xi = _as_points(x, xi)
         xf, xif = x.ravel(), xi.ravel()
         eta = xf.copy()
-        unsolved = _newton_1d(lambda t, i: phi.grad_x(xf[i], t) - xif[i],
-                              lambda t, i: phi.hess(xf[i], t)[0, 1], eta)
-        for i in unsolved:
-            sol = _bracket_root(lambda t: phi.grad_x(xf[i], t) - xif[i], eta[i])
-            if sol is None:
-                raise SolveError("inverse canonical-map solve stagnated")
-            eta[i] = sol
+        _solve_monotone(lambda t, i: phi.grad_x(xf[i], t) - xif[i],
+                        lambda t, i: phi.hess(xf[i], t)[0, 1], eta,
+                        lambda i: "inverse canonical-map solve stagnated")
         eta = eta.reshape(x.shape)
         return _fresh(phi.grad_eta(x, eta), x.shape), eta[()]
 
-    # rough Lipschitz estimate from finite-difference Jacobians on a 5 x 5
-    # grid; a failed solve makes it infinite (the error surfaces on use)
-    chi = CanonicalMap(fwd, source=f"from_phase({phi.name})", _inverse_fn=back)
-    try:
-        D = chi.jacobian(*_sample_grid(_SAMPLE_BOX, 25))
-        lip = float(np.fmax.reduce(np.linalg.norm(D, 2, axis=(-2, -1)), initial=0.0))
-    except SolveError:
-        lip = np.inf
-    object.__setattr__(chi, "lipschitz_est", lip)
-    return chi
+    return CanonicalMap(fwd, source=f"from_phase({phi.name})", _inverse_fn=back)
 
 
 def phase_of_symplectic(M: SymplecticMatrix) -> TamePhase:

@@ -304,7 +304,7 @@ def test_criterion_10_sparsity_sweep(tmp_path):
     }))
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "sweep.csv").open()))
+    rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
     assert len(rows) == 9
     # the gate: measured apply error never exceeds the dropped Schur mass
     for r in rows:

@@ -49,7 +49,7 @@ def test_decay_pipeline_dft(tmp_path):
     assert rep["s_fit"] >= 3.0
     assert rep["chi"] == "dft"
     assert (out / "profile.csv").exists()
-    rows = list(csv.DictReader((out / "profile.csv").open()))
+    rows = list(csv.DictReader((out / "profile.csv").read_text().splitlines()))
     assert {"bin_dist", "envelope", "count", "log10_dist", "log10_envelope"} \
         <= set(rows[0])
 
@@ -136,8 +136,8 @@ def test_compose_pipeline_multiplies_only_what_it_reads(tmp_path, monkeypatch):
 
     config = ModelConfig(L=64)
     frame = build_frame(periodized_gaussian(config), default_lattice(config))
-    _, _, parsed = cli.parse_operator(spec, config, None)
-    T2, chi2, _ = cli.parse_operator(spec.split("*", 1)[1], config, None)
+    _, _, parsed = cli.parse_operator(spec, config)
+    T2, chi2, _ = cli.parse_operator(spec.split("*", 1)[1], config)
     rep = algebra.verify_composition(parsed[0][0], T2, parsed[0][1], chi2, frame)
     assert (out / "report_algebra.json").read_text() == rep.to_json()
     ref = tmp_path / "profile.csv"
@@ -182,7 +182,7 @@ def test_sparsity_sweep_pipeline(tmp_path):
                               "probes": 3})
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "sweep.csv").open()))
+    rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
     assert len(rows) == 3
     # tau = 0 keeps everything; CSR vs dense matmul differ only in rounding
     assert float(rows[0]["measured_rel_error"]) <= 1e-14

@@ -74,6 +74,8 @@ def run(tmp_path, capsys, *overrides, threads=None):
     ("offgrid.s=Infinity",),
     ("symbol_class.s=NaN",),
     ("thresholds.s_threshold=NaN",),
+    ("pipeline=sparsity-sweep", "sweep.tau_grid=[Infinity]"),
+    ("pipeline=sparsity-sweep", "sweep.tau_grid=[1e400]"),    # json reads it as inf
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     code, err, out = run(tmp_path, capsys, *overrides)

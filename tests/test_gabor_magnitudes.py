@@ -112,13 +112,13 @@ PROFILE_CASES = [
 @pytest.mark.parametrize("L,regime,spec", PROFILE_CASES)
 def test_operator_decay_profile_equals_the_profile_of_K(L, regime, spec):
     frame = frame_for(L, None, regime)
-    T, chi, _ = cli.parse_operator(spec, frame.config, None)
+    T, chi, _ = cli.parse_operator(spec, frame.config)
     want = gf.decay_profile(gf.gabor_matrix(T, frame), chi)
     for workers in (1, 2):
         with blockpool.worker_limit(workers):
             got = gf.operator_decay_profile(T, frame, chi)
-        assert (got.bins, got.s_fit, got.C_fit, got.r2, got.weighted) == \
-            (want.bins, want.s_fit, want.C_fit, want.r2, want.weighted)
+        assert (got.bins, got.s_fit, got.C_fit, got.r2) == \
+            (want.bins, want.s_fit, want.C_fit, want.r2)
 
 
 def test_size_guard_raises_before_the_n_by_n_arrays(monkeypatch, frame16):
@@ -150,3 +150,42 @@ def test_decay_over_budget_exits_1_with_a_size_error_report(monkeypatch, tmp_pat
     report = json.loads((out / "report.json").read_text())
     assert report["error"]["type"] == "SizeError"
     assert not (out / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("pipeline", cli.PIPELINES)
+def test_operator_over_budget_exits_1_before_the_frame_is_built(monkeypatch, tmp_path,
+                                                                pipeline):
+    # every pipeline builds L x L complex operators: 16 L^2 bytes are checked
+    # before the frame, so a budget one byte short stops the run there
+    L = 64
+    calls, build_frame = [], cli.gabor.build_frame
+    monkeypatch.setattr(cli.gabor, "build_frame",
+                        lambda *args: calls.append(args) or build_frame(*args))
+    monkeypatch.setattr(gm, "_memory_budget", lambda: 16 * L * L - 1)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"L": L}, "operator": "chirp:1*dft",
+                                "pipeline": pipeline}))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "SizeError"
+    assert "L x L operator" in report["error"]["message"]
+    assert not calls
+
+
+def test_operator_guard_admits_exactly_one_operator(monkeypatch, tmp_path):
+    # at 16 L^2 bytes the run gets past the guard to the frame, and then
+    # stops at the N x N guard of the Gabor-matrix magnitudes
+    L = 64
+    calls, build_frame = [], cli.gabor.build_frame
+    monkeypatch.setattr(cli.gabor, "build_frame",
+                        lambda *args: calls.append(args) or build_frame(*args))
+    monkeypatch.setattr(gm, "_memory_budget", lambda: 16 * L * L)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"L": L}, "operator": "chirp:1"}))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "SizeError"
+    assert "magnitudes" in report["error"]["message"]
+    assert len(calls) == 1

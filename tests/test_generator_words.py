@@ -28,7 +28,7 @@ def test_operator_spec_and_word_agree(L_word):
     L, gens = L_word
     cfg = gf.ModelConfig(L=L)
     spec = "*".join(":".join(map(str, g)) for g in gens) or "identity"
-    T, chi, _ = parse_operator(spec, cfg, None)
+    T, chi, _ = parse_operator(spec, cfg)
     word = gf.MetaplecticWord(tuple(gens), cfg)
     U, _ = gf.metaplectic(word)
     assert np.linalg.norm(T.entries - U.entries) <= 1e-12 * np.linalg.norm(U.entries)

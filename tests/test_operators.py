@@ -205,12 +205,17 @@ def test_metaplectic_intertwining_exact(cfg16, gens):
     assert intertwining_deviation(U, word.matrix_modL(), cfg16) <= 1e-10
 
 
+def concatenate(w1, w2):
+    """The word of w1's letters followed by w2's."""
+    return gf.MetaplecticWord(w1.generators + w2.generators, w1.config)
+
+
 def test_metaplectic_group_law_up_to_scalar(cfg16):
     w1 = gf.MetaplecticWord((("chirp", 1), ("dft",)), cfg16)
     w2 = gf.MetaplecticWord((("dilate", 3), ("chirp", 2)), cfg16)
     U1, _ = gf.metaplectic(w1)
     U2, _ = gf.metaplectic(w2)
-    U12, chi12 = gf.metaplectic(w1 + w2)
+    U12, chi12 = gf.metaplectic(concatenate(w1, w2))
     prod = U1.entries @ U2.entries
     # equal up to one unimodular scalar
     i = np.unravel_index(np.argmax(np.abs(prod)), prod.shape)
@@ -230,7 +235,7 @@ def test_fourier_transform_word_counterexample(cfg16):
     np.testing.assert_array_equal(w1.matrix_modL(), [[1, 1], [0, 1]])
     w2 = gf.MetaplecticWord((("dft",), ("chirp", 1)), cfg16)
     np.testing.assert_array_equal(w2.matrix_modL(), [[1, 1], [-1, 0]])
-    word = w1 + w2
+    word = concatenate(w1, w2)
     np.testing.assert_array_equal(word.matrix_modL(), [[0, 1], [-1, 0]])
     U, _ = gf.metaplectic(word)
     F = gf.dft_matrix(16)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gaborfio as gf
-from gaborfio.gabormatrix import _bracket_distances
+from gaborfio.gabormatrix import _displacement_tables, _distance_rows
 
 RTOL = 1e-12
 MJ = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -38,6 +38,13 @@ def dense_frame(g, lat):
     evals, U = np.linalg.eigh(V @ V.conj().T)
     tight = (U * evals ** -0.5) @ (U.conj().T @ g.values)
     return (evals[0], evals[-1]), tight
+
+
+def bracket_distances(K, chi):
+    """<mu - chi(lam)> as an (N, N) array, from the displacement tables the
+    blocked decay fit reads."""
+    tables = _displacement_tables(K.lattice, K.frame.config.L, chi)
+    return _distance_rows(*(d ** 2 for d in tables), slice(None))
 
 
 def rel_err(got, want):
@@ -98,9 +105,9 @@ def test_bracket_distances_bit_identical(L, steps):
     frame = gf.build_frame(gf.periodized_gaussian(cfg), lattice_for(cfg, steps))
     K = gf.gabor_matrix(gf.identity_operator(cfg), frame)
     for chi in (np.eye(2), MJ, gf.linear_map(SHEAR, mod_L=L),
-                lambda x, xi: (x + 0.3 * np.sin(xi), xi - 0.2 * np.cos(x))):
+                gf.canonical_map_of_phase(gf.tame_phase("perturbed:0.2"))):
         full = np.sqrt(1 + (gf.gabormatrix.wrapped_displacements(K, chi) ** 2).sum(-1))
-        np.testing.assert_array_equal(_bracket_distances(K, chi), full)
+        np.testing.assert_array_equal(bracket_distances(K, chi), full)
 
 
 @pytest.mark.parametrize("L,steps", [(64, None), (96, (6, 4)), (128, (4, 8))])
@@ -142,7 +149,7 @@ def test_blocked_decay_fit_matches_whole_array_fit(monkeypatch, L, steps):
     cfg = gf.ModelConfig(L=L)
     frame = gf.build_frame(gf.periodized_gaussian(cfg), lattice_for(cfg, steps))
     K = gf.gabor_matrix(gf.chirp_operator(cfg, 1), frame)
-    whole = gf.envelope_fit(_bracket_distances(K, SHEAR), K.entries)
+    whole = gf.envelope_fit(bracket_distances(K, SHEAR), K.entries)
     N = frame.lattice.size
     for block in (1, 7, N, 3 * N + 5, N * N):
         monkeypatch.setattr(gf.gabormatrix, "FIT_BLOCK_ENTRIES", block)
