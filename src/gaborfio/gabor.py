@@ -25,15 +25,19 @@ through q, which gives two exact factorizations (indices mod L):
       <f, pi(j a, k b) w> = FFT_q( sum_r conj(w[q + r n_freq - j a]) f[q + r n_freq] )[k],
 
   one batched (n_freq, n_time, b) @ (n_freq, b, M) product for M signals.
+  It runs over blocks of the M columns (column_blocks), each by the one
+  step fold_fft, so every array of Gabor coefficients the library forms
+  comes from the same calls, whatever the block widths.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blockpool import map_blocks
+from .blockpool import map_blocks, workers
 from .errors import FrameDeficient, ModelError, WindowError
 from .tfcore import ModelConfig, Signal, tf_shift_matrix, wrap_half
 
@@ -43,9 +47,13 @@ __all__ = [
     "atom_matrix", "analysis_matrix", "default_lattice",
 ]
 
-# outputs per block of analysis_matrix on the block pool; the blocks write
-# into the result, so this sets the work per block, not memory
+# least outputs per block of analysis_matrix on the block pool; the blocks
+# write into the result, so this sets the work per block, not memory
 ANALYSIS_BLOCK_ENTRIES = 1 << 17
+# column blocks of the analysis are a multiple of this wide, so that the
+# GEMM of a block runs each column through the kernel the full-width GEMM
+# runs it through
+COLUMN_ALIGN = 16
 
 
 @dataclass(frozen=True)
@@ -89,12 +97,15 @@ def default_lattice(config: ModelConfig, density: float = 4.0) -> Lattice:
     if not density > 0:
         raise ModelError(f"lattice density must be > 0, got {density}")
     ab = config.L / density
-    if ab != int(ab):
+    if not math.isfinite(ab) or ab != int(ab):
         raise ModelError(f"L/density = {ab} is not an integer")
     ab = int(ab)
     best = None
-    for a in range(1, ab + 1):
-        if ab % a or config.L % a or config.L % (ab // a):
+    # a must divide L: its candidates are the divisors of L up to ab, ascending
+    for a in _divisors(config.L):
+        if a > ab:
+            break
+        if ab % a or config.L % (ab // a):
             continue
         b = ab // a
         score = abs(np.log(a / b))
@@ -105,6 +116,12 @@ def default_lattice(config: ModelConfig, density: float = 4.0) -> Lattice:
     if best is None:
         raise ModelError(f"no divisor pair with ab = {ab} for L = {config.L}")
     return Lattice(best[1], best[2], config)
+
+
+def _divisors(n: int) -> list:
+    """The divisors of n in ascending order, from a scan up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 @dataclass(frozen=True)
@@ -214,16 +231,26 @@ def fold(window: Signal, lat: Lattice, X: np.ndarray):
     return W, X.reshape(lat.b, nf, X.shape[1]).transpose(1, 0, 2)
 
 
-def fold_product(W: np.ndarray, Xq: np.ndarray, out: np.ndarray, q=slice(None)) -> None:
-    """out[j, q, :] = W[q] @ Xq[q] for the residues q, one GEMM per residue,
-    into the (n_time, n_freq, M) array out."""
-    np.matmul(W[q], Xq[q], out=out.transpose(1, 0, 2)[q])
+def fold_fft(W: np.ndarray, Xq: np.ndarray, out: np.ndarray) -> None:
+    """The analysis from the fold W, Xq of M columns into the (n_time,
+    n_freq, M) array out: out[j, q, :] = W[q] @ Xq[q], one GEMM per residue
+    q, then the FFT over q in place, after which out[j, k, :] holds the
+    analysis at the lattice points (j a, k b)."""
+    np.matmul(W, Xq, out=out.transpose(1, 0, 2))
+    np.fft.fft(out, axis=1, out=out)
 
 
-def fold_fft(out: np.ndarray, j=slice(None)) -> None:
-    """The FFT over q of the time rows j of out, in place: out[j, k, :] then
-    holds the analysis at the lattice points (j a, k b)."""
-    np.fft.fft(out[j], axis=1, out=out[j])
+def column_blocks(n_cols: int, width: int) -> list:
+    """Slices of n_cols columns, width rounded down to a multiple of
+    COLUMN_ALIGN (one at least) wide, the last one up to n_cols.  A last
+    block of one column joins the one before it: numpy runs a one-column
+    product as a matrix-vector product, whose sums are not rounded as the
+    GEMM's."""
+    width = max(1, width // COLUMN_ALIGN) * COLUMN_ALIGN
+    starts = list(range(0, n_cols, width))
+    if len(starts) > 1 and n_cols - starts[-1] == 1:
+        del starts[-1]
+    return [slice(c0, c1) for c0, c1 in zip(starts, starts[1:] + [n_cols])]
 
 
 def analysis_matrix(window: Signal, lat: Lattice, X: np.ndarray) -> np.ndarray:
@@ -234,15 +261,14 @@ def analysis_matrix(window: Signal, lat: Lattice, X: np.ndarray) -> np.ndarray:
     M = X.shape[1]
     W, Xq = fold(window, lat, X)
     out = np.empty((nt, nf, M), dtype=complex)
-    # the batched product lands in out[j, q, :]: the FFT over q then runs in
-    # place and leaves the rows in lattice order without a transposed copy.
-    # Both run on the block pool in blocks of about ANALYSIS_BLOCK_ENTRIES
-    # outputs, the product over residues q and the FFT over time rows j;
-    # the product of one q and the FFT of one line are those of one call.
-    q_step = max(1, ANALYSIS_BLOCK_ENTRIES // (nt * M))
-    j_step = max(1, ANALYSIS_BLOCK_ENTRIES // (nf * M))
-    map_blocks(lambda q: fold_product(W, Xq, out, slice(q, q + q_step)), range(0, nf, q_step))
-    map_blocks(lambda j: fold_fft(out, slice(j, j + j_step)), range(0, nt, j_step))
+    # each block of columns lands in its slice of out, transposed to
+    # out[j, q, cols]: the FFT over q then runs in place and leaves the rows
+    # in lattice order without a copy.  One block per worker, but at least
+    # ANALYSIS_BLOCK_ENTRIES outputs wide, so smaller analyses run inline
+    per_worker = -(-M // (workers() * COLUMN_ALIGN)) * COLUMN_ALIGN
+    width = max(ANALYSIS_BLOCK_ENTRIES // lat.size, per_worker)
+    map_blocks(lambda cols: fold_fft(W, Xq[:, :, cols], out[:, :, cols]),
+               column_blocks(M, width))
     return out.reshape(nt * nf, M)
 
 

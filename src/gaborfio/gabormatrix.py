@@ -10,17 +10,18 @@ docstring), so K is assembled as two analyses and no L x L x N product:
 
     X = T A^H = (A T^H)^H,        K = A X,
 
-each one batched (n_freq, n_time, b) product plus strided FFTs.  X is read
-as the transposed view of A T^H, conjugated in place, so the work arrays are
-K and that one N x L intermediate.
+each gabor.analysis_matrix over blocks of columns.  X is read as the
+transposed view of A T^H, conjugated in place, so the work arrays are K
+and that one N x L intermediate.
 
 The decay fit needs |K| only.  gabor_magnitudes runs the second analysis
-over blocks of lam columns, one scratch array per block, and writes the
-magnitudes straight into a real N x N array: half the bytes of K, bit for
-bit np.abs(K).  operator_decay_profile fits from it; decay_profile fits a
-given K.  The decay of |K| is measured against a canonical transformation
-chi through the wrapped displacement d = mu - chi(lam), componentwise
-reduced to [-L/2, L/2) in grid-index units.
+by the same step gabor.fold_fft over blocks of lam columns, one scratch
+array per block, and writes the magnitudes straight into a real N x N
+array: half the bytes of K, bit for bit np.abs(K).  operator_decay_profile
+fits from it; decay_profile fits a given K.  The decay of |K| is measured
+against a canonical transformation chi through the wrapped displacement
+d = mu - chi(lam), componentwise reduced to [-L/2, L/2) in grid-index
+units.
 
 The N x N arrays (K, |K| and the (N, N, 2) displacement array) are checked
 against the machine's physical memory before they are allocated: a larger
@@ -57,9 +58,9 @@ import numpy as np
 
 from .blockpool import block_share, map_blocks
 from .errors import FitError, ModelError, SizeError
-from .gabor import GaborFrame, analysis_matrix, fold, fold_fft, fold_product
+from .gabor import GaborFrame, analysis_matrix, column_blocks, fold, fold_fft
 from .operators import OperatorMatrix, SymbolGrid
-from .phasegeom import CanonicalMap
+from .phasegeom import CanonicalMap, linear_map
 from .tfcore import stft_matrix, tf_shift_matrix, wrap_half
 
 __all__ = [
@@ -80,9 +81,6 @@ FIT_MIN_COUNT = 3          # nor do bins with fewer entries
 # share them out over the block pool's workers, FIT_BLOCK_ENTRIES // W per
 # block; the serial CSV writer takes whole blocks
 FIT_BLOCK_ENTRIES = 1 << 17
-# |K| column blocks are a multiple of this wide, so that the GEMM of a block
-# runs each column through the kernel the full-width GEMM runs it through
-COLUMN_ALIGN = 16
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
 
 
@@ -240,18 +238,6 @@ def gabor_matrix(T: OperatorMatrix, frame: GaborFrame,
     return GaborMatrix(K, frame)
 
 
-def _column_blocks(N: int) -> list:
-    """Slices of the N columns of |K|: COLUMN_ALIGN-multiples wide, about
-    FIT_BLOCK_ENTRIES // W entries each, the last one up to N.  A last block
-    of one column joins the one before it: numpy runs a one-column product
-    as a matrix-vector product, whose sums are not rounded as the GEMM's."""
-    width = max(1, block_share(FIT_BLOCK_ENTRIES) // (N * COLUMN_ALIGN)) * COLUMN_ALIGN
-    starts = list(range(0, N, width))
-    if len(starts) > 1 and N - starts[-1] == 1:
-        del starts[-1]
-    return [slice(c0, c1) for c0, c1 in zip(starts, starts[1:] + [N])]
-
-
 def gabor_magnitudes(T: OperatorMatrix, frame: GaborFrame) -> np.ndarray:
     """|K| over the tight window as a real (N, N) array, without forming K.
 
@@ -268,11 +254,10 @@ def gabor_magnitudes(T: OperatorMatrix, frame: GaborFrame) -> np.ndarray:
 
     def column_block(cols):
         out = np.empty((lat.n_time, lat.n_freq, cols.stop - cols.start), dtype=complex)
-        fold_product(W, Xq[:, :, cols], out)
-        fold_fft(out)
+        fold_fft(W, Xq[:, :, cols], out)
         np.abs(out.reshape(N, -1), out=absK[:, cols])
 
-    map_blocks(column_block, _column_blocks(N))
+    map_blocks(column_block, column_blocks(N, block_share(FIT_BLOCK_ENTRIES) // N))
     return absK
 
 
@@ -281,7 +266,7 @@ def _chi_points(chi, points: np.ndarray) -> np.ndarray:
     if isinstance(chi, CanonicalMap):
         return chi.map_points(points)
     if np.shape(chi) == (2, 2):
-        return points @ np.asarray(chi, dtype=float).T
+        return linear_map(chi).map_points(points)
     raise ModelError(f"cannot interpret chi of type {type(chi)!r}")
 
 

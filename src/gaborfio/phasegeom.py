@@ -146,8 +146,8 @@ class CanonicalMap:
         return np.moveaxis(D, (0, 1), (-2, -1))
 
     def inverse(self) -> "CanonicalMap":
-        """Exact inverse for linear maps and maps that carry one; Newton on the
-        forward map otherwise."""
+        """Exact inverse for linear maps; the carried inverse otherwise.
+        Raises ModelError for a map that carries neither."""
         if self.matrix is not None:
             m = self.matrix
             if self.mod_L is not None:
@@ -157,28 +157,9 @@ class CanonicalMap:
                 inv = np.linalg.inv(m)
             return linear_map(inv, source=f"inverse({self.source})",
                               mod_L=self.mod_L)
-        if self._inverse_fn is not None:
-            return CanonicalMap(self._inverse_fn, source=f"inverse({self.source})",
-                                _inverse_fn=self.forward)
-
-        def back(x, xi, _fwd=self.forward, _jac=self.jacobian):
-            # 2-D Newton per point, over all points at once: a point drops
-            # out once its residual is small, as in a one-point loop
-            x, xi = _as_points(x, xi)
-            target = np.stack([x.ravel(), xi.ravel()], axis=1)
-            z = target.copy()
-            idx = np.arange(len(z))
-            for _ in range(_NEWTON_MAXIT):
-                r = np.stack(_fwd(z[idx, 0], z[idx, 1]), axis=1) - target[idx]
-                keep = ~(np.abs(r).max(axis=1) < _NEWTON_TOL)   # NaN stays unsolved
-                idx, r = idx[keep], r[keep]
-                if not idx.size:
-                    return z[:, 0].reshape(x.shape)[()], z[:, 1].reshape(x.shape)[()]
-                step = np.linalg.solve(_jac(z[idx, 0], z[idx, 1]), r[:, :, None])
-                z[idx] = z[idx] - step[:, :, 0]
-            raise SolveError("2d Newton inversion stagnated")
-
-        return CanonicalMap(back, source=f"inverse({self.source})",
+        if self._inverse_fn is None:
+            raise ModelError(f"map {self.source!r} carries neither a matrix nor an inverse")
+        return CanonicalMap(self._inverse_fn, source=f"inverse({self.source})",
                             _inverse_fn=self.forward)
 
 
@@ -203,8 +184,7 @@ def compose_maps(chi1: CanonicalMap, chi2: CanonicalMap) -> CanonicalMap:
     """chi1 o chi2 (apply chi2 first), matching operator composition T1 T2.
 
     A non-linear product carries its inverse chi2^-1 o chi1^-1, built from the
-    inverses of the factors, so inverting it never runs the 2-D Newton on the
-    product itself."""
+    inverses of the factors."""
     if chi1.matrix is not None and chi2.matrix is not None:
         mod = chi1.mod_L if chi1.mod_L == chi2.mod_L else None
         prod = chi1.matrix @ chi2.matrix

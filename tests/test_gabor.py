@@ -23,6 +23,46 @@ def test_default_lattice(cfg64):
     assert (lat.a, lat.b) == (4, 4)
 
 
+def scanned_lattice(L, density):
+    """The (a, b) of the search over every a <= L/density that the divisor
+    walk of default_lattice replaces, or None where it finds no pair."""
+    ab = L / density
+    if ab != int(ab):
+        return None
+    ab = int(ab)
+    best = None
+    for a in range(1, ab + 1):
+        if ab % a or L % a or L % (ab // a):
+            continue
+        b = ab // a
+        score = abs(np.log(a / b))
+        if best is None or score < best[0] - 1e-12 or (
+                abs(score - best[0]) < 1e-12 and a > best[1]):
+            best = (score, a, b)
+    return None if best is None else best[1:]
+
+
+@pytest.mark.parametrize("density", [0.5, 1, 2, 3, 4, 8])
+def test_default_lattice_equals_the_full_scan(density):
+    for L in range(8, 513, 2):
+        want = scanned_lattice(L, density)
+        cfg = gf.ModelConfig(L=L)
+        if want is None:
+            with pytest.raises(gf.ModelError):
+                gf.default_lattice(cfg, density)
+        else:
+            lat = gf.default_lattice(cfg, density)
+            assert (lat.a, lat.b) == want, L
+
+
+@pytest.mark.parametrize("density", [1e-6, 1e-9, 5e-324])
+def test_default_lattice_rejects_a_tiny_density(cfg64, density):
+    # ab = L/density is 64e6, which no divisor pair of 64 reaches, then a
+    # float just short of 64e9 and inf, neither of them an integer
+    with pytest.raises(gf.ModelError):
+        gf.default_lattice(cfg64, density)
+
+
 def test_full_lattice_frame_operator(cfg8, rng):
     # a = b = 1: S = L ||g||^2 I, assembled directly for comparison
     g = gf.random_signal(cfg8, rng)

@@ -1,7 +1,8 @@
-"""|K| built in column blocks without K: gabor_magnitudes equals np.abs of
-the Gabor matrix bit for bit for every worker count and block width, the
-fit from it equals the fit from K field for field, and the size guard stops
-the N x N allocations the machine cannot hold."""
+"""The column-blocked fold + FFT analysis and |K| built without K: the
+analyses, K and |K| equal a one-block reference bit for bit for every
+worker count and block width, the fit from |K| equals the fit from K field
+for field, and the size guard stops the N x N allocations the machine
+cannot hold."""
 
 import json
 
@@ -11,6 +12,7 @@ import pytest
 import gaborfio as gf
 import gaborfio.cli as cli
 from gaborfio import blockpool
+from gaborfio import gabor
 from gaborfio import gabormatrix as gm
 
 # (L, lattice steps or None for the default density-4 lattice)
@@ -41,7 +43,7 @@ def set_width(monkeypatch, setting, N, workers):
     if setting is not None:
         align, width = setting
         if align is not None:
-            monkeypatch.setattr(gm, "COLUMN_ALIGN", align)
+            monkeypatch.setattr(gabor, "COLUMN_ALIGN", align)
         monkeypatch.setattr(gm, "FIT_BLOCK_ENTRIES", width * N * workers)
 
 
@@ -63,6 +65,61 @@ def test_magnitudes_equal_abs_of_the_gabor_matrix(monkeypatch, L, steps, regime)
                 np.testing.assert_array_equal(got, want, err_msg=f"{workers} {setting}")
 
 
+def reference_analysis(window, lat, X):
+    """The analysis of the columns of X in one block: the fold, one matmul
+    over all residues and all columns, one FFT over the residues."""
+    W, Xq = gabor.fold(window, lat, X)
+    return np.fft.fft(np.matmul(W, Xq), axis=0).transpose(1, 0, 2).reshape(lat.size, -1)
+
+
+def force_width(monkeypatch, setting):
+    """Blocks of `width` columns in every analysis, whatever the worker
+    count; an align of None keeps COLUMN_ALIGN."""
+    if setting is not None:
+        align, width = setting
+        if align is not None:
+            monkeypatch.setattr(gabor, "COLUMN_ALIGN", align)
+        column_blocks = gabor.column_blocks
+
+        def blocks(n_cols, _):
+            return column_blocks(n_cols, width)
+
+        monkeypatch.setattr(gabor, "column_blocks", blocks)
+        monkeypatch.setattr(gm, "column_blocks", blocks)
+
+
+REFERENCE_CASES = [(16, (2, 2)), (16, None), (64, (4, 8)), (64, None),
+                   (96, (6, 4)), (128, (8, 2)), (256, None)]
+
+
+@pytest.mark.parametrize("L,steps", REFERENCE_CASES,
+                         ids=[f"L{L}-{s or 'default'}" for L, s in REFERENCE_CASES])
+@pytest.mark.parametrize("regime", "AB")
+@pytest.mark.parametrize("use_tight", [True, False], ids=["tight", "raw"])
+def test_blocked_analyses_equal_the_one_block_reference(monkeypatch, L, steps, regime,
+                                                         use_tight):
+    frame = frame_for(L, steps, regime)
+    lat, cfg, N = frame.lattice, frame.config, frame.lattice.size
+    w = frame.window(use_tight)
+    rng = np.random.Generator(np.random.Philox(3 * L + N))
+    T = gf.OperatorMatrix(rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)), cfg)
+    first = reference_analysis(w, lat, T.entries.conj().T)               # A T^H
+    K = reference_analysis(w, lat, np.conj(first).T)                     # A T A^H
+    for workers in (1, 2, 3):
+        with blockpool.worker_limit(workers):
+            for setting in (None, (None, 40), (1, 7), (1, N - 1)):
+                msg = f"{workers} {setting}"
+                with monkeypatch.context() as m:
+                    force_width(m, setting)
+                    np.testing.assert_array_equal(
+                        gabor.analysis_matrix(w, lat, T.entries.conj().T), first, err_msg=msg)
+                    np.testing.assert_array_equal(
+                        gf.gabor_matrix(T, frame, use_tight=use_tight).entries, K, err_msg=msg)
+                    if use_tight:
+                        np.testing.assert_array_equal(
+                            gf.gabor_magnitudes(T, frame), np.abs(K), err_msg=msg)
+
+
 @pytest.mark.parametrize("L", [64, 128])
 def test_aligned_blocks_keep_the_bits_of_a_complex_window(monkeypatch, L):
     # with a complex window the GEMM kernels of a column tail round
@@ -71,27 +128,28 @@ def test_aligned_blocks_keep_the_bits_of_a_complex_window(monkeypatch, L):
     cfg = gf.ModelConfig(L=L)
     chirped = gf.periodized_gaussian(cfg).values * np.exp(0.37j * np.pi * np.arange(L) ** 2 / L)
     frame = gf.build_frame(gf.Signal(chirped, cfg), gf.default_lattice(cfg))
-    N = frame.lattice.size
+    lat = frame.lattice
     T = gf.dft_operator(cfg)
-    want = np.abs(gf.gabor_matrix(T, frame).entries)
-    for workers in (1, 2):
+    first = reference_analysis(frame.tight, lat, T.entries.conj().T)
+    K = reference_analysis(frame.tight, lat, np.conj(first).T)
+    for workers in (1, 2, 3):
         with blockpool.worker_limit(workers):
             for setting in (None, (None, 22), (None, 37), (None, 50)):
                 with monkeypatch.context() as m:
-                    set_width(m, setting, N, workers)
-                    np.testing.assert_array_equal(gf.gabor_magnitudes(T, frame), want)
+                    force_width(m, setting)
+                    np.testing.assert_array_equal(gf.gabor_matrix(T, frame).entries, K)
+                    np.testing.assert_array_equal(gf.gabor_magnitudes(T, frame), np.abs(K))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 17, 33, 64, 289, 1024, 2048, 4097])
 @pytest.mark.parametrize("entries", [1, 40, 1 << 12, 1 << 17])
-def test_column_blocks_cover_the_columns_and_none_is_one_wide(monkeypatch, N, entries):
-    monkeypatch.setattr(gm, "FIT_BLOCK_ENTRIES", entries)
+def test_column_blocks_cover_the_columns_and_none_is_one_wide(N, entries):
     for workers in (1, 2, 3):
         with blockpool.worker_limit(workers):
-            blocks = gm._column_blocks(N)
+            blocks = gabor.column_blocks(N, blockpool.block_share(entries) // N)
         assert blocks[0].start == 0 and blocks[-1].stop == N
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-        assert all((b.stop - b.start) % gm.COLUMN_ALIGN == 0 for b in blocks[:-1])
+        assert all((b.stop - b.start) % gabor.COLUMN_ALIGN == 0 for b in blocks[:-1])
         assert N == 1 or all(b.stop - b.start > 1 for b in blocks)
 
 
