@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import copy
 import json
+import os
 # every run builds an argparse parser, whose gettext lookup imports locale;
 # import it with the module so that it counts as start-up
 import locale  # noqa: F401
@@ -589,7 +590,8 @@ def main(argv=None) -> int:
     runp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                       help="override a config entry (dotted path)")
     runp.add_argument("--threads", type=int, default=None,
-                      help="cap the BLAS thread pools and the block pool's workers "
+                      help="cap the BLAS thread pools and the block pool's workers, "
+                           "at most the machine's CPU count "
                            "(default: the CPUs this process may use)")
     runp.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
@@ -598,8 +600,11 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
 
-    if args.threads is not None and args.threads < 1:
-        print(f"config error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+    # the block rules split their budget by W: a large W starts as many threads
+    cpus = os.cpu_count() or 1
+    if args.threads is not None and not 1 <= args.threads <= cpus:
+        print(f"config error: --threads must be between 1 and the {cpus} CPUs "
+              f"of this machine, got {args.threads}", file=sys.stderr)
         return 2
 
     try:

@@ -23,6 +23,10 @@ against a canonical transformation chi through the wrapped displacement
 d = mu - chi(lam), componentwise reduced to [-L/2, L/2) in grid-index
 units.
 
+Every pass over rows (the mu of K or |K|, the atoms z of the off-grid
+check, the translates of the symbol-class sweep) splits them by _row_blocks
+into contiguous slices of about FIT_BLOCK_ENTRIES // W entries each.
+
 The N x N arrays (K, |K| and the (N, N, 2) displacement array) are checked
 against the machine's physical memory before they are allocated: a larger
 one raises SizeError.
@@ -76,10 +80,9 @@ SYMBOL_CLASS_MAX_L = 128   # the 2d-STFT sweep is an L^4 log L computation
 FIT_FLOOR_RTOL = 1e-13     # envelope floor relative to the peak (rounding)
 FIT_MIN_DIST = 2.0         # bins nearer the graph do not enter the fit
 FIT_MIN_COUNT = 3          # nor do bins with fewer entries
-# entries in flight in the blocked passes (1 MiB of float64): the decay fit,
-# the |K| column blocks, the off-grid STFTs and the symbol-class FFT stacks
-# share them out over the block pool's workers, FIT_BLOCK_ENTRIES // W per
-# block; the serial CSV writer takes whole blocks
+# entries in flight in the blocked passes (1 MiB of float64): the row
+# blocks and the |K| column blocks share them out over the block pool's
+# workers, FIT_BLOCK_ENTRIES // W per block
 FIT_BLOCK_ENTRIES = 1 << 17
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
 
@@ -332,16 +335,14 @@ def _blocked_fit(blocks, entries):
         np.maximum.at(env, idx, vals)
         return env, np.bincount(idx, minlength=nb)
 
-    env = np.zeros(0)
-    cnt = np.zeros(0, dtype=np.intp)
-    for env_b, cnt_b in map_blocks(bin_block, blocks):
-        nb = env_b.size
-        if nb > env.size:
-            env = np.concatenate([env, np.zeros(nb - env.size)])
-            cnt = np.concatenate([cnt, np.zeros(nb - cnt.size, dtype=np.intp)])
-        np.maximum(env[:nb], env_b, out=env[:nb])
-        cnt[:nb] += cnt_b
-    nb = env.size
+    parts = map_blocks(bin_block, blocks)
+    nb = max(env_b.size for env_b, _ in parts)
+    env = np.zeros(nb)
+    cnt = np.zeros(nb, dtype=np.intp)
+    for env_b, cnt_b in parts:
+        n = env_b.size
+        np.maximum(env[:n], env_b, out=env[:n])
+        cnt[:n] += cnt_b
     floor = FIT_FLOOR_RTOL * float(env.max())      # env.max() is max|values|
     np.maximum(env, floor, out=env)
     dr = np.sqrt(2.0) ** (np.arange(nb) + 0.5)
@@ -373,70 +374,67 @@ def _blocked_fit(blocks, entries):
     return bins, s_fit, C_fit, r2
 
 
-def _distance_rows(d1sq: np.ndarray, d2sq: np.ndarray, times: slice,
-                   freqs: slice = slice(None)) -> np.ndarray:
-    """<mu - chi(lam)> = sqrt(1 + |d|^2) for the rows mu = (j, k) with j in
-    times and k in freqs, from the squared displacement tables; the
-    arithmetic per entry is that of the full displacement array."""
-    rows = d1sq[times, None, :] + d2sq[None, freqs, :]
-    rows += 1.0
-    return np.sqrt(rows, out=rows).reshape(-1, d2sq.shape[1])
+def _row_blocks(n_rows: int, row_entries: int) -> list:
+    """Contiguous slices of n_rows rows of row_entries entries each, about
+    FIT_BLOCK_ENTRIES // W entries (one row at least) per slice for W
+    workers: the one split of every pass over rows in this module."""
+    step = max(1, block_share(FIT_BLOCK_ENTRIES) // row_entries)
+    return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
 def _fit_rows(rows, lat, L: int, chi) -> DecayProfile:
-    """The decay fit over the lattice lat of Z_L, |K| read by rows(times,
-    freqs): the (len(times), len(freqs), N) array of |K[mu, lam]| at the rows
-    mu = (j, k) with j in times and k in freqs.
+    """The decay fit over the lattice lat of Z_L, |K| read by rows(mu): the
+    (rows, N) array of |K[mu, lam]| over the lattice rows mu of a slice.
 
-    The fit runs on the block pool over blocks of at most FIT_BLOCK_ENTRIES
-    // W entries (rows of mu) for W workers, so no N x N distance array is
-    formed; the result depends neither on the block size nor on W.
+    The fit runs on the block pool over the slices of _row_blocks.  A block's
+    distances come from the rows j, k of the displacement tables of its mu =
+    j n_freq + k, with the arithmetic of the full displacement array, so no
+    N x N distance array is formed; the result depends neither on the block
+    size nor on W.
     """
     d1sq, d2sq = (d ** 2 for d in _displacement_tables(lat, L, chi))
-    n_time, (n_freq, N) = d1sq.shape[0], d2sq.shape
-    # whole time rows j when they fit in a block, else pieces of one row
-    share = block_share(FIT_BLOCK_ENTRIES)
-    k_step = min(n_freq, max(1, share // N))
-    j_step = max(1, share // (n_freq * N))
-    blocks = [(slice(j, j + j_step), slice(k, k + k_step))
-              for j in range(0, n_time, j_step) for k in range(0, n_freq, k_step)]
 
-    def block_entries(block):
-        return (_distance_rows(d1sq, d2sq, *block).ravel(), rows(*block).ravel())
+    def block_entries(mu):
+        j, k = np.divmod(np.arange(mu.start, mu.stop), lat.n_freq)
+        dist = d1sq[j] + d2sq[k]
+        dist += 1.0
+        return np.sqrt(dist, out=dist).ravel(), rows(mu).ravel()
 
-    bins, s_fit, C_fit, r2 = _blocked_fit(blocks, block_entries)
+    bins, s_fit, C_fit, r2 = _blocked_fit(_row_blocks(lat.size, lat.size), block_entries)
     return DecayProfile(bins=bins, s_fit=s_fit, C_fit=C_fit, r2=r2)
 
 
 def decay_profile(K: GaborMatrix, chi) -> DecayProfile:
     """Fit |K[mu, lam]| <= C <mu - chi(lam)>^{-s} over the lattice, taking
     |K| of one block of rows at a time (no N x N |K| array is formed)."""
-    lat = K.lattice
-    entries = K.entries.reshape(lat.n_time, lat.n_freq, -1)
-    return _fit_rows(lambda times, freqs: np.abs(entries[times, freqs]),
-                     lat, K.frame.config.L, chi)
+    return _fit_rows(lambda mu: np.abs(K.entries[mu]), K.lattice, K.frame.config.L, chi)
 
 
 def operator_decay_profile(T: OperatorMatrix, frame: GaborFrame, chi) -> DecayProfile:
     """decay_profile(gabor_matrix(T, frame), chi), field for field, fitted
     from gabor_magnitudes(T, frame): the complex K is never formed."""
-    lat = frame.lattice
-    absK = gabor_magnitudes(T, frame).reshape(lat.n_time, lat.n_freq, -1)
-    return _fit_rows(lambda times, freqs: absK[times, freqs], lat, frame.config.L, chi)
+    absK = gabor_magnitudes(T, frame)
+    return _fit_rows(lambda mu: absK[mu], frame.lattice, frame.config.L, chi)
 
 
 def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:
     """Largest |K| (relative to the peak) at lattice-step distance >= min_steps
     from the graph mu = chi(lam); steps scale the wrapped displacement by
-    (1/a, 1/b).  One time row of mu is formed at a time."""
+    (1/a, 1/b).  |K| is formed one block of rows at a time."""
     lat = K.lattice
     d1, d2 = _displacement_tables(lat, K.frame.config.L, chi)
     s1, s2 = (d1 / lat.a) ** 2, (d2 / lat.b) ** 2
-    absK = np.abs(K.entries).reshape(lat.n_time, lat.n_freq, -1)
-    # |K| >= 0, so -1 marks a row with no entry that far from the graph
-    far = max(np.where(np.sqrt(s1[j] + s2) >= min_steps, row, -1.0).max()
-              for j, row in enumerate(absK))
-    return float(far / absK.max()) if far >= 0 else 0.0
+
+    def block_maxima(mu):
+        absK = np.abs(K.entries[mu])
+        j, k = np.divmod(np.arange(mu.start, mu.stop), lat.n_freq)
+        steps = np.sqrt(s1[j] + s2[k])
+        # |K| >= 0, so -1 marks a block with no entry that far from the graph
+        far = np.where(steps >= min_steps, absK, -1.0).max()
+        return far, absK.max()
+
+    far, peak = np.max(map_blocks(block_maxima, _row_blocks(lat.size, lat.size)), axis=0)
+    return float(far / peak) if far >= 0 else 0.0
 
 
 def _offsets_for(lat, n_offsets: int) -> list:
@@ -475,7 +473,6 @@ def offgrid_decay_check(T: OperatorMatrix, frame: GaborFrame, chi, s: float,
     t = lat.a * np.arange(lat.n_time)
     f = lat.b * np.arange(lat.n_freq)
     grids = [(t + u[0], f + u[1]) for u in offsets]
-    step = max(1, block_share(FIT_BLOCK_ENTRIES) // (L * L))
 
     # C[i, j] is the constant for z-offset i and w'-offset j.  The STFT of
     # T pi(z) w gives <T pi(z) w, pi(w') w> for every w' at once; it is formed
@@ -503,8 +500,7 @@ def offgrid_decay_check(T: OperatorMatrix, frame: GaborFrame, chi, s: float,
                 maxima.append(float((vals * weight).max()))
             return maxima
 
-        blocks = [slice(b0, b0 + step) for b0 in range(0, lat.size, step)]
-        for maxima in map_blocks(block_maxima, blocks):
+        for maxima in map_blocks(block_maxima, _row_blocks(lat.size, L * L)):
             for j, m in enumerate(maxima):
                 C[i, j] = max(C[i, j], m)
     C_lattice = float(C[0, 0])
@@ -515,17 +511,14 @@ def offgrid_decay_check(T: OperatorMatrix, frame: GaborFrame, chi, s: float,
 
 def sparsify(K: GaborMatrix, tau: float) -> SparseGaborMatrix:
     """Keep entries with |K| >= tau; record the Schur mass of what was dropped."""
-    if tau < 0:
-        raise ModelError("threshold must be >= 0")
+    if not tau >= 0:
+        raise ModelError(f"threshold must be >= 0, got {tau!r}")
     absK = np.abs(K.entries)
     keep = absK >= tau
-    dropped = np.where(keep, 0.0, absK)
-    mass = max(dropped.sum(axis=1).max(), dropped.sum(axis=0).max()) \
-        if (~keep).any() else 0.0
     mat = RowPaddedMatrix.from_dense(np.where(keep, K.entries, 0.0))
     return SparseGaborMatrix(matrix=mat, threshold=float(tau),
                              kept_fraction=float(keep.mean()),
-                             dropped_schur_mass=float(mass))
+                             dropped_schur_mass=schur_bound(np.where(keep, 0.0, absK)))
 
 
 def schur_bound(K) -> float:
@@ -540,8 +533,8 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
     """Weighted sup of the 2d STFT of a symbol: sup_z sup_zeta |V_Psi sigma| <zeta>^s.
 
     The L^2 translates Psi(. - z) are the L x L windows of the periodically
-    tiled window.  Stacks of sigma conj(Psi(. - z)) over blocks of z2, at
-    most FIT_BLOCK_ENTRIES // W entries each for W workers, go through one
+    tiled window.  Stacks of sigma conj(Psi(. - z)) over the _row_blocks
+    slices of z2, about FIT_BLOCK_ENTRIES // W entries each, go through one
     batched 2d FFT per block (an L^4 log L computation overall, run on the
     block pool over groups of rows z1), so L is capped at
     SYMBOL_CLASS_MAX_L.  Also fits the decay exponent of the envelope
@@ -562,7 +555,7 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
     # translate of conj(Psi) by z = (-r, -c) mod L
     translates = np.lib.stride_tricks.sliding_window_view(
         np.tile(np.conj(Psi), (2, 2))[:-1, :-1], (L, L))
-    step = min(L, max(1, block_share(FIT_BLOCK_ENTRIES) // (L * L)))
+    cols = _row_blocks(L, L * L)
     # each group of rows returns its L x L envelope; at most about
     # FIT_BLOCK_ENTRIES entries of them wait to be folded
     rows = max(1, L * L * L // FIT_BLOCK_ENTRIES)
@@ -570,11 +563,11 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
     def rows_envelope(r0):
         """sup of |V_Psi sigma| over the translates of rows r0, r0 + 1, ..."""
         env_r = np.zeros((L, L))
-        stack = np.empty((step, L, L), dtype=complex)
-        mag = np.empty((step, L, L))
+        stack = np.empty((cols[0].stop, L, L), dtype=complex)
+        mag = np.empty((cols[0].stop, L, L))
         for row in translates[r0:r0 + rows]:
-            for c0 in range(0, L, step):
-                block = row[c0:c0 + step]
+            for c in cols:
+                block = row[c]
                 out, m = stack[:len(block)], mag[:len(block)]
                 np.multiply(sigma.values, block, out=out)
                 np.fft.fft(out, axis=2, out=out)       # fft2 over (1, 2), in place
@@ -600,17 +593,16 @@ def gabor_matrix_to_csv(K: GaborMatrix, path) -> None:
     """Write rows (mu_k, mu_m, lam_k, lam_m, re, im) in lattice order.
 
     The bytes are those of csv.writer (\r\n line ends) with the floats
-    written as repr; the rows go out in blocks of whole mu rows.
+    written as repr; the rows go out in the blocks of whole mu rows of
+    _row_blocks.
     """
     pts = [f"{k},{m}," for k, m in K.lattice.points().tolist()]
     N = len(pts)
-    step = max(1, FIT_BLOCK_ENTRIES // N)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
-        for i0 in range(0, N, step):
-            block = K.entries[i0:i0 + step]
-            mu = itertools.chain.from_iterable(
-                itertools.repeat(p, N) for p in pts[i0:i0 + step])
+        for rows in _row_blocks(N, N):
+            block = K.entries[rows]
+            mu = itertools.chain.from_iterable(itertools.repeat(p, N) for p in pts[rows])
             lam = itertools.chain.from_iterable(itertools.repeat(pts, block.shape[0]))
             fh.write("".join(map("{}{}{!r},{!r}\r\n".format, mu, lam,
                                  block.real.ravel().tolist(), block.imag.ravel().tolist())))

@@ -116,8 +116,7 @@ class DiscretePhase:
             if beta == 0:
                 raise ModelError("degenerate quadratic phase (beta = 0)")
             L = self.config.L
-            ints = all(v == int(v) for v in self.quad)
-            if ints and gcd(int(beta) % L, L) == 1:
+            if gcd(int(beta) % L, L) == 1:
                 binv = pow(int(beta) % L, -1, L)
                 m = np.array([[binv, -int(gamma) * binv],
                               [int(alpha) * binv,

@@ -1,6 +1,7 @@
 """The block pool: every blocked pass gives the same bits for every worker
 count and block size; --threads sets the worker count of one run only."""
 
+import itertools
 import json
 import os
 import sys
@@ -98,6 +99,19 @@ def test_decay_profile_many_blocks_match_one_block(monkeypatch, workers):
             prof = gf.decay_profile(K, SHEAR)
             results.append((prof.bins, prof.s_fit, prof.C_fit, prof.r2))
     assert results[1] == results[0] and results[2] == results[0]
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 17, 1024, 4097])
+def test_row_blocks_cover_the_rows_in_order(monkeypatch, n_rows):
+    for entries, row_entries, workers in itertools.product(
+            (1, 40, 1 << 12, 1 << 17), (1, 7, n_rows, 4096), (1, 2, 3)):
+        monkeypatch.setattr(gf.gabormatrix, "FIT_BLOCK_ENTRIES", entries)
+        with blockpool.worker_limit(workers):
+            blocks = gf.gabormatrix._row_blocks(n_rows, row_entries)
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n_rows))
+        rows = max(1, max(1, entries // workers) // row_entries)
+        assert all(b.stop - b.start == rows for b in blocks[:-1])
+        assert 1 <= blocks[-1].stop - blocks[-1].start <= rows
 
 
 def test_threads_1_starts_no_pool_thread(tmp_path, restore_blas, monkeypatch):

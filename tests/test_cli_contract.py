@@ -3,6 +3,7 @@ no report; --threads resizes the BLAS pools of the running process for the
 run and puts them back after it."""
 
 import json
+import os
 
 import pytest
 
@@ -76,6 +77,10 @@ def run(tmp_path, capsys, *overrides, threads=None):
     ("thresholds.s_threshold=NaN",),
     ("pipeline=sparsity-sweep", "sweep.tau_grid=[Infinity]"),
     ("pipeline=sparsity-sweep", "sweep.tau_grid=[1e400]"),    # json reads it as inf
+    ("model.regime=C",),
+    ("operator=5",),                              # not a string spec
+    ('word="dft"',),                              # a string, not a list
+    ("operator=fio1:foo",),                       # no phase=
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     code, err, out = run(tmp_path, capsys, *overrides)
@@ -113,8 +118,12 @@ def test_threads_flag_caps_openblas(tmp_path, capsys, monkeypatch):
 
 
 def test_threads_flag_rejects_zero(tmp_path, capsys):
-    code, err, _ = run(tmp_path, capsys, threads=0)
-    assert code == 2 and err.startswith("config error: ")
+    # beyond the machine's CPUs too; no pass may run with such a count
+    for threads in (0, (os.cpu_count() or 1) + 1):
+        code, err, out = run(tmp_path, capsys, threads=threads)
+        lines = err.strip().splitlines()
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: ")
+        assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("document", [

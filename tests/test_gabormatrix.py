@@ -179,6 +179,12 @@ def test_sparsify_zero_threshold(K_chirp64):
     assert S.dropped_schur_mass == 0.0
 
 
+@pytest.mark.parametrize("tau", [-1e-3, float("nan")])
+def test_sparsify_rejects_a_threshold_below_zero_or_nan(K_chirp64, tau):
+    with pytest.raises(gf.ModelError, match="threshold"):
+        gf.sparsify(K_chirp64, tau)
+
+
 def test_sparsify_above_peak(K_chirp64):
     S = gf.sparsify(K_chirp64, np.abs(K_chirp64.entries).max() * 1.01)
     assert S.nnz == 0

@@ -152,6 +152,13 @@ def test_quadratic_phase_canonical_map():
     cfg = gf.ModelConfig(L=16)
     chi = gf.quadratic_phase(cfg, 2, 1, 0).canonical_map()
     np.testing.assert_allclose(chi.matrix, [[1.0, 0.0], [2.0, 1.0]])
+    assert chi.mod_L == 16
+    # beta = 2 is no unit mod 16: the real map, not a torus map
+    chi = gf.quadratic_phase(cfg, 1, 2, 0).canonical_map()
+    np.testing.assert_array_equal(chi.matrix, [[0.5, 0.0], [0.5, 2.0]])
+    assert chi.mod_L is None
+    with pytest.raises(gf.ModelError, match="beta = 0"):
+        gf.quadratic_phase(cfg, 1, 0, 1).canonical_map()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gaborfio as gf
+from gaborfio import blockpool
 
 SHEAR = np.array([[1.0, 0.0], [1.0, 1.0]])
 
@@ -92,10 +93,11 @@ def frame_for(L, regime="A", steps=None):
 
 @pytest.mark.parametrize("L", [16, 64])
 @pytest.mark.parametrize("regime", ["A", "B"])
-def test_csv_bytes_and_readback_match_loops(tmp_path, L, regime):
+def test_csv_bytes_and_readback_match_loops(tmp_path, monkeypatch, L, regime):
     frame = frame_for(L, regime)
     rng = np.random.Generator(np.random.Philox(L))
     cfg = frame.config
+    N = frame.lattice.size
     T = gf.OperatorMatrix(rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)), cfg)
     for op in (gf.chirp_operator(cfg, 1), T):
         K = gf.gabor_matrix(op, frame)
@@ -107,6 +109,13 @@ def test_csv_bytes_and_readback_match_loops(tmp_path, L, regime):
         got = gf.gabor_matrix_from_csv(tmp_path / "ref.csv", frame).entries
         np.testing.assert_array_equal(bits(got), bits(loop_from_csv(tmp_path / "ref.csv",
                                                                     frame)))
+    # the last K in blocks of one row, of odd row counts and of all rows; the
+    # writer is serial, so W enters only through the block size
+    for workers, rows in ((1, 1), (2, 3), (3, 7), (2, N)):
+        with monkeypatch.context() as m, blockpool.worker_limit(workers):
+            m.setattr(gf.gabormatrix, "FIT_BLOCK_ENTRIES", rows * N * workers)
+            gf.gabor_matrix_to_csv(K, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_csv_reader_accepts_any_row_order(tmp_path, frame16):

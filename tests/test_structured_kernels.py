@@ -2,11 +2,14 @@
 references built from their definitions, and the decay-profile distances
 against the full displacement array."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import gaborfio as gf
-from gaborfio.gabormatrix import _displacement_tables, _distance_rows
+from gaborfio import blockpool
+from gaborfio.gabormatrix import _displacement_tables
 
 RTOL = 1e-12
 MJ = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -43,8 +46,9 @@ def dense_frame(g, lat):
 def bracket_distances(K, chi):
     """<mu - chi(lam)> as an (N, N) array, from the displacement tables the
     blocked decay fit reads."""
-    tables = _displacement_tables(K.lattice, K.frame.config.L, chi)
-    return _distance_rows(*(d ** 2 for d in tables), slice(None))
+    d1, d2 = _displacement_tables(K.lattice, K.frame.config.L, chi)
+    j, k = np.divmod(np.arange(K.lattice.size), K.lattice.n_freq)
+    return np.sqrt((d1[j] ** 2 + d2[k] ** 2) + 1.0)
 
 
 def rel_err(got, want):
@@ -111,11 +115,13 @@ def test_bracket_distances_bit_identical(L, steps):
 
 
 @pytest.mark.parametrize("L,steps", [(64, None), (96, (6, 4)), (128, (4, 8))])
-def test_offgraph_max_bit_identical(L, steps):
-    # offgraph_max against its definition on the full displacement array
+def test_offgraph_max_bit_identical(monkeypatch, L, steps):
+    # offgraph_max against its definition on the full displacement array,
+    # for blocks of one row, of odd row counts and of all rows, on W workers
     cfg = gf.ModelConfig(L=L)
     lat = lattice_for(cfg, steps)
     frame = gf.build_frame(gf.periodized_gaussian(cfg), lat)
+    N = lat.size
     for T, chi in ((gf.chirp_operator(cfg, 1), SHEAR), (gf.dft_operator(cfg), MJ),
                    (gf.identity_operator(cfg), SHEAR)):
         K = gf.gabor_matrix(T, frame)
@@ -126,6 +132,10 @@ def test_offgraph_max_bit_identical(L, steps):
             mask = steps_ >= min_steps
             full = float(absK[mask].max() / absK.max()) if mask.any() else 0.0
             assert gf.offgraph_max(K, chi, min_steps=min_steps) == full
+            for workers, rows in itertools.product((1, 2, 3), (1, 3, 7, N)):
+                with monkeypatch.context() as m, blockpool.worker_limit(workers):
+                    m.setattr(gf.gabormatrix, "FIT_BLOCK_ENTRIES", rows * N * workers)
+                    assert gf.offgraph_max(K, chi, min_steps=min_steps) == full
 
 
 @pytest.mark.parametrize("make_op,chi", [(gf.identity_operator, np.eye(2)),
