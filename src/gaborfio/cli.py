@@ -35,6 +35,11 @@ from . import (algebra, blockpool, gabor, gabormatrix as gm, operators as ops,
                phasegeom as pg, tfcore)
 from .errors import ConfigError, GaborFIOError, ModelError, UnitError
 
+try:
+    import resource
+except ImportError:                 # Windows: the report has no peak_rss_mb
+    resource = None
+
 DEFAULT_CONFIG = {
     "model": {"L": 64, "regime": "A", "T": None},
     "frame": {"a": None, "b": None, "window": "gaussian", "density": 4},
@@ -484,6 +489,10 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
 
     timings["total_s"] = time.monotonic() - t_start
     timings["workers"] = blockpool.workers()
+    if resource is not None:
+        # the peak resident set of the process so far: KiB on Linux, bytes on macOS
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        timings["peak_rss_mb"] = maxrss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
     report["timings"] = timings
     (out / "report.json").write_text(json.dumps(report, indent=2, default=str))
     return 0 if report["pass"] else 1

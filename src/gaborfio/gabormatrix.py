@@ -14,22 +14,27 @@ each gabor.analysis_matrix over blocks of columns.  X is read as the
 transposed view of A T^H, conjugated in place, so the work arrays are K
 and that one N x L intermediate.
 
-The decay fit needs |K| only.  gabor_magnitudes runs the second analysis
-by the same step gabor.fold_fft over blocks of lam columns, one scratch
-array per block, and writes the magnitudes straight into a real N x N
-array: half the bytes of K, bit for bit np.abs(K).  operator_decay_profile
-fits from it; decay_profile fits a given K.  The decay of |K| is measured
-against a canonical transformation chi through the wrapped displacement
-d = mu - chi(lam), componentwise reduced to [-L/2, L/2) in grid-index
-units.
+The decay fit needs |K| only.  _magnitude_columns runs the second
+analysis by the same step gabor.fold_fft over blocks of lam columns, one
+scratch array per block.  gabor_magnitudes writes the magnitudes of each
+block straight into a real N x N array: half the bytes of K, bit for bit
+np.abs(K).  The decay of |K| is measured against a canonical transformation
+chi through the wrapped displacement d = mu - chi(lam), componentwise
+reduced to [-L/2, L/2) in grid-index units.  decay_profile fits a given K
+by rows.  operator_decay_profile gives the same profile without forming K:
+where chi sends the lattice to integer points (every regime-A map, the
+identity in regime B), every squared distance x = |d|^2 is an integer in
+[0, L^2 / 2], so the fit folds each column block into a maximum and a count
+per x and forms no N x N array at all; otherwise it fits gabor_magnitudes
+by rows.
 
 Every pass over rows (the mu of K or |K|, the atoms z of the off-grid
 check, the translates of the symbol-class sweep) splits them by _row_blocks
 into contiguous slices of about FIT_BLOCK_ENTRIES // W entries each.
 
-The N x N arrays (K, |K| and the (N, N, 2) displacement array) are checked
-against the machine's physical memory before they are allocated: a larger
-one raises SizeError.
+The N x N arrays (K, |K| and the (N, N, 2) displacement array) and the
+N x L first analysis are checked against the machine's physical memory
+before they are allocated: a larger one raises SizeError.
 
 Decay fit convention
 --------------------
@@ -55,6 +60,7 @@ from __future__ import annotations
 import csv
 import itertools
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -82,7 +88,8 @@ FIT_MIN_DIST = 2.0         # bins nearer the graph do not enter the fit
 FIT_MIN_COUNT = 3          # nor do bins with fewer entries
 # entries in flight in the blocked passes (1 MiB of float64): the row
 # blocks and the |K| column blocks share them out over the block pool's
-# workers, FIT_BLOCK_ENTRIES // W per block
+# workers, FIT_BLOCK_ENTRIES // W per block (a quarter of that in the key
+# fold, whose blocks hold 32 bytes per entry)
 FIT_BLOCK_ENTRIES = 1 << 17
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
 
@@ -222,6 +229,7 @@ def _atom_images(T: OperatorMatrix, frame: GaborFrame, w) -> np.ndarray:
     the first analysis A T^H, conjugated in place."""
     if T.config.L != frame.config.L:
         raise ModelError("operator/frame size mismatch")
+    _require_memory(16 * frame.lattice.size * frame.config.L, "the N x L first analysis")
     Y = analysis_matrix(w, frame.lattice, T.entries.conj().T)     # A T^H
     return np.conjugate(Y, out=Y).T
 
@@ -244,24 +252,37 @@ def gabor_matrix(T: OperatorMatrix, frame: GaborFrame,
 def gabor_magnitudes(T: OperatorMatrix, frame: GaborFrame) -> np.ndarray:
     """|K| over the tight window as a real (N, N) array, without forming K.
 
-    Equal bit for bit to np.abs(gabor_matrix(T, frame).entries): the first
-    analysis is that of gabor_matrix, and the second runs its product and
-    FFT on the block pool one block of lam columns at a time, each into a
-    scratch array of one block whose magnitudes go straight into the result.
+    Equal bit for bit to np.abs(gabor_matrix(T, frame).entries): the
+    magnitudes of each block of _magnitude_columns go straight into the
+    result.
     """
-    lat = frame.lattice
-    N = lat.size
+    N = frame.lattice.size
     _require_memory(8 * N * N, "the Gabor-matrix magnitudes")
-    W, Xq = fold(frame.tight, lat, _atom_images(T, frame, frame.tight))
     absK = np.empty((N, N))
+
+    def write_block(cols, out):
+        np.abs(out.reshape(N, -1), out=absK[:, cols])
+
+    _magnitude_columns(T, frame, write_block, FIT_BLOCK_ENTRIES)
+    return absK
+
+
+def _magnitude_columns(T: OperatorMatrix, frame: GaborFrame, column_fn,
+                       entries: int) -> None:
+    """The second analysis of K over the tight window, one block of lam
+    columns at a time on the block pool: column_fn(cols, out) gets each
+    block's scratch array out[j, k, :] = K[j n_freq + k, cols].  The first
+    analysis is that of gabor_matrix, and the blocks hold about
+    entries // W entries each."""
+    lat = frame.lattice
+    W, Xq = fold(frame.tight, lat, _atom_images(T, frame, frame.tight))
 
     def column_block(cols):
         out = np.empty((lat.n_time, lat.n_freq, cols.stop - cols.start), dtype=complex)
         fold_fft(W, Xq[:, :, cols], out)
-        np.abs(out.reshape(N, -1), out=absK[:, cols])
+        column_fn(cols, out)
 
-    map_blocks(column_block, column_blocks(N, block_share(FIT_BLOCK_ENTRIES) // N))
-    return absK
+    map_blocks(column_block, column_blocks(lat.size, block_share(entries) // lat.size))
 
 
 def _chi_points(chi, points: np.ndarray) -> np.ndarray:
@@ -273,12 +294,17 @@ def _chi_points(chi, points: np.ndarray) -> np.ndarray:
     raise ModelError(f"cannot interpret chi of type {type(chi)!r}")
 
 
-def _displacement_tables(lat, L: int, chi) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_images(lat, L: int, chi) -> np.ndarray:
+    """chi(lam) of the points lam of the lattice lat of Z_L, each reduced to
+    [-L/2, L/2) first, as in wrapped_displacements: an (N, 2) array."""
+    return _chi_points(chi, wrap_half(lat.points().astype(float), L))
+
+
+def _displacement_tables(lat, L: int, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two components of d as in wrapped_displacements over the lattice
-    lat of Z_L: mu's time coordinate takes only n_time values and its
-    frequency coordinate n_freq values, so they come from an (n_time, N) and
-    an (n_freq, N) table."""
-    img = _chi_points(chi, wrap_half(lat.points().astype(float), L))
+    lat of Z_L, from the _lattice_images img: mu's time coordinate takes
+    only n_time values and its frequency coordinate n_freq values, so they
+    come from an (n_time, N) and an (n_freq, N) table."""
     t = (lat.a * np.arange(lat.n_time)).astype(float)
     f = (lat.b * np.arange(lat.n_freq)).astype(float)
     return (wrap_half(t[:, None] - img[:, 0][None, :], L),      # (n_time, N)
@@ -318,31 +344,33 @@ def envelope_fit(dists: np.ndarray, values: np.ndarray):
     return _blocked_fit([None], lambda _: (dist, vals))
 
 
-def _blocked_fit(blocks, entries):
-    """envelope_fit over entries handed out in pieces: entries(block) gives
-    the (distances, |values|) 1-d array pair of each block of the list
-    blocks, once for the bins and once for C_fit, on the block pool.  Bin
-    maxima, counts and the C_fit maximum do not depend on how the entries
-    are split, so every split and worker count gives the same result."""
+def _bracket(x: np.ndarray) -> np.ndarray:
+    """<d> = sqrt(x + 1.0) of squared distances x, computed in x itself when
+    x is a float array (a caller's temporary) and in a new one otherwise."""
+    dist = x.astype(float, copy=False)
+    dist += 1.0
+    return np.sqrt(dist, out=dist)
 
-    def bin_block(block):
-        dist, vals = entries(block)
-        idx = np.log(dist)
-        idx /= np.log(np.sqrt(2))
-        idx = np.floor(idx, out=idx).astype(np.intp)
-        nb = int(idx.max()) + 1
-        env = np.zeros(nb)
-        np.maximum.at(env, idx, vals)
-        return env, np.bincount(idx, minlength=nb)
 
-    parts = map_blocks(bin_block, blocks)
-    nb = max(env_b.size for env_b, _ in parts)
-    env = np.zeros(nb)
-    cnt = np.zeros(nb, dtype=np.intp)
-    for env_b, cnt_b in parts:
-        n = env_b.size
-        np.maximum(env[:n], env_b, out=env[:n])
-        cnt[:n] += cnt_b
+def _bin_index(dist: np.ndarray) -> np.ndarray:
+    """The sqrt(2) bin of each bracketed distance: floor(log <d> / log sqrt 2)."""
+    idx = np.log(dist)
+    idx /= np.log(np.sqrt(2))
+    return np.floor(idx, out=idx).astype(np.intp)
+
+
+def _weighted_max(dist: np.ndarray, vals: np.ndarray, s_fit: float, floor: float) -> float:
+    """max of <d>^s_fit max(|value|, floor): the C_fit of these entries."""
+    weighted_vals = dist ** s_fit
+    weighted_vals *= np.maximum(vals, floor)
+    return float(weighted_vals.max())
+
+
+def _regression(env: np.ndarray, cnt: np.ndarray):
+    """The fit from the bin maxima env (clamped to the floor in place) and
+    the bin counts cnt: (floor, bins, s_fit, r2).  Raises FitError with
+    fewer than four eligible bins."""
+    nb = env.size
     floor = FIT_FLOOR_RTOL * float(env.max())      # env.max() is max|values|
     np.maximum(env, floor, out=env)
     dr = np.sqrt(2.0) ** (np.arange(nb) + 0.5)
@@ -359,18 +387,37 @@ def _blocked_fit(blocks, entries):
     yhat = ym + slope * (x - xm)
     ss_tot = float((w * (y - ym) ** 2).sum())
     r2 = 1.0 - float((w * (y - yhat) ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
-    s_fit = -slope
-
-    def weighted_max(block):
-        dist, vals = entries(block)
-        weighted_vals = dist ** s_fit
-        weighted_vals *= np.maximum(vals, floor)
-        return float(weighted_vals.max())
-
-    C_fit = 0.0
-    for c in map_blocks(weighted_max, blocks):
-        C_fit = max(C_fit, c)
     bins = [(float(dr[i]), float(env[i]), int(cnt[i])) for i in range(nb) if cnt[i]]
+    return floor, bins, -slope, r2
+
+
+def _blocked_fit(blocks, entries):
+    """envelope_fit over entries handed out in pieces: entries(block) gives
+    the (distances, |values|) 1-d array pair of each block of the list
+    blocks, once for the bins and once for C_fit, on the block pool.  Bin
+    maxima, counts and the C_fit maximum do not depend on how the entries
+    are split, so every split and worker count gives the same result."""
+
+    def bin_block(block):
+        dist, vals = entries(block)
+        idx = _bin_index(dist)
+        nb = int(idx.max()) + 1
+        env = np.zeros(nb)
+        np.maximum.at(env, idx, vals)
+        return env, np.bincount(idx, minlength=nb)
+
+    parts = map_blocks(bin_block, blocks)
+    nb = max(env_b.size for env_b, _ in parts)
+    env = np.zeros(nb)
+    cnt = np.zeros(nb, dtype=np.intp)
+    for env_b, cnt_b in parts:
+        n = env_b.size
+        np.maximum(env[:n], env_b, out=env[:n])
+        cnt[:n] += cnt_b
+    floor, bins, s_fit, r2 = _regression(env, cnt)
+    C_fit = 0.0
+    for c in map_blocks(lambda block: _weighted_max(*entries(block), s_fit, floor), blocks):
+        C_fit = max(C_fit, c)
     return bins, s_fit, C_fit, r2
 
 
@@ -382,9 +429,10 @@ def _row_blocks(n_rows: int, row_entries: int) -> list:
     return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
-def _fit_rows(rows, lat, L: int, chi) -> DecayProfile:
-    """The decay fit over the lattice lat of Z_L, |K| read by rows(mu): the
-    (rows, N) array of |K[mu, lam]| over the lattice rows mu of a slice.
+def _fit_rows(rows, lat, tables) -> DecayProfile:
+    """The decay fit over the lattice lat, |K| read by rows(mu): the (rows,
+    N) array of |K[mu, lam]| over the lattice rows mu of a slice, with the
+    displacement tables of _displacement_tables (squared in place).
 
     The fit runs on the block pool over the slices of _row_blocks.  A block's
     distances come from the rows j, k of the displacement tables of its mu =
@@ -392,29 +440,82 @@ def _fit_rows(rows, lat, L: int, chi) -> DecayProfile:
     N x N distance array is formed; the result depends neither on the block
     size nor on W.
     """
-    d1sq, d2sq = (d ** 2 for d in _displacement_tables(lat, L, chi))
+    d1sq, d2sq = (np.square(d, out=d) for d in tables)
 
     def block_entries(mu):
         j, k = np.divmod(np.arange(mu.start, mu.stop), lat.n_freq)
-        dist = d1sq[j] + d2sq[k]
-        dist += 1.0
-        return np.sqrt(dist, out=dist).ravel(), rows(mu).ravel()
+        return _bracket(d1sq[j] + d2sq[k]).ravel(), rows(mu).ravel()
 
     bins, s_fit, C_fit, r2 = _blocked_fit(_row_blocks(lat.size, lat.size), block_entries)
+    return DecayProfile(bins=bins, s_fit=s_fit, C_fit=C_fit, r2=r2)
+
+
+def _key_fit(T: OperatorMatrix, frame: GaborFrame, sq1: np.ndarray,
+             sq2: np.ndarray) -> DecayProfile:
+    """The decay fit of T from integer squared displacement tables sq1
+    (n_time, N) and sq2 (n_freq, N), folded over the keys x = d1^2 + d2^2.
+
+    The key of K[j n_freq + k, lam] is sq1[j, lam] + sq2[k, lam], an integer
+    in [0, L^2 / 2], and its distance <d> = sqrt(x + 1.0) and bin are those
+    of every entry with that key.  Each column block of _magnitude_columns
+    folds its |K| into its worker's maximum and count of each key, so no
+    N x N array is formed.  The bins come from the keys that hold entries,
+    and C_fit is the max over them of <d>^s_fit max(key max, floor): a
+    positive weight times a correctly rounded product is monotone, so this
+    is the max over the entries bit for bit.  Maxima and integer counts do
+    not depend on the order of the fold, so the result is that of _fit_rows
+    for every W.
+    """
+    n_keys = int(sq1.max()) + int(sq2.max()) + 1
+    accs = {}                                  # thread -> (key maxima, key counts)
+
+    def fold_block(cols, out):
+        acc = accs.get(threading.get_ident())
+        if acc is None:
+            acc = accs[threading.get_ident()] = (np.zeros(n_keys), np.zeros(n_keys, np.intp))
+        envx_w, cntx_w = acc
+        key = (sq1[:, None, cols] + sq2[None, :, cols]).ravel()
+        np.maximum.at(envx_w, key, np.abs(out).ravel())
+        np.add.at(cntx_w, key, 1)
+
+    _magnitude_columns(T, frame, fold_block, FIT_BLOCK_ENTRIES // 4)
+    (envx, cntx), *rest = accs.values()
+    for envx_w, cntx_w in rest:
+        np.maximum(envx, envx_w, out=envx)
+        cntx += cntx_w
+    seen = np.flatnonzero(cntx)
+    dist = _bracket(seen)
+    key_bin = _bin_index(dist)
+    nb = int(key_bin.max()) + 1
+    env, cnt = np.zeros(nb), np.zeros(nb, dtype=np.intp)
+    np.maximum.at(env, key_bin, envx[seen])
+    np.add.at(cnt, key_bin, cntx[seen])
+    floor, bins, s_fit, r2 = _regression(env, cnt)
+    C_fit = _weighted_max(dist, envx[seen], s_fit, floor)
     return DecayProfile(bins=bins, s_fit=s_fit, C_fit=C_fit, r2=r2)
 
 
 def decay_profile(K: GaborMatrix, chi) -> DecayProfile:
     """Fit |K[mu, lam]| <= C <mu - chi(lam)>^{-s} over the lattice, taking
     |K| of one block of rows at a time (no N x N |K| array is formed)."""
-    return _fit_rows(lambda mu: np.abs(K.entries[mu]), K.lattice, K.frame.config.L, chi)
+    lat, L = K.lattice, K.frame.config.L
+    tables = _displacement_tables(lat, L, _lattice_images(lat, L, chi))
+    return _fit_rows(lambda mu: np.abs(K.entries[mu]), lat, tables)
 
 
 def operator_decay_profile(T: OperatorMatrix, frame: GaborFrame, chi) -> DecayProfile:
-    """decay_profile(gabor_matrix(T, frame), chi), field for field, fitted
-    from gabor_magnitudes(T, frame): the complex K is never formed."""
+    """decay_profile(gabor_matrix(T, frame), chi), field for field, without
+    forming K.  Where chi sends the lattice to integer points (then every
+    displacement is an integer) the fit folds the |K| column blocks by
+    distance (_key_fit) and forms no N x N array; otherwise it fits from
+    gabor_magnitudes(T, frame) by rows, with the tables built after |K|."""
+    lat, L = frame.lattice, frame.config.L
+    img = _lattice_images(lat, L, chi)
+    if np.array_equal(img, np.round(img)):
+        return _key_fit(T, frame, *((d ** 2).astype(np.intp)
+                                    for d in _displacement_tables(lat, L, img)))
     absK = gabor_magnitudes(T, frame)
-    return _fit_rows(lambda mu: absK[mu], frame.lattice, frame.config.L, chi)
+    return _fit_rows(lambda mu: absK[mu], lat, _displacement_tables(lat, L, img))
 
 
 def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:
@@ -422,7 +523,8 @@ def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:
     from the graph mu = chi(lam); steps scale the wrapped displacement by
     (1/a, 1/b).  |K| is formed one block of rows at a time."""
     lat = K.lattice
-    d1, d2 = _displacement_tables(lat, K.frame.config.L, chi)
+    L = K.frame.config.L
+    d1, d2 = _displacement_tables(lat, L, _lattice_images(lat, L, chi))
     s1, s2 = (d1 / lat.a) ** 2, (d2 / lat.b) ** 2
 
     def block_maxima(mu):

@@ -238,6 +238,16 @@ def test_reproducibility_byte_equal_except_timings(tmp_path):
     assert (out1 / "profile.csv").read_bytes() == (out2 / "profile.csv").read_bytes()
 
 
+def test_report_records_the_peak_resident_set(tmp_path):
+    resource = pytest.importorskip("resource")
+    cfg = write_config(tmp_path, model={"L": 32, "regime": "A"}, operator="dft")
+    out = tmp_path / "o"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    peak = read_report(out)["timings"]["peak_rss_mb"]
+    # the peak of this process so far, in MiB (ru_maxrss is KiB on Linux)
+    assert 0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def test_operator_grammar_errors(tmp_path):
     for bad in ["kn", "fio1:phase=chirp:1", "wat:1"]:
         cfg = write_config(tmp_path, model={"L": 32, "regime": "A"},

@@ -5,6 +5,8 @@ for field, and the size guard stops the N x N allocations the machine
 cannot hold."""
 
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,38 +156,174 @@ def test_column_blocks_cover_the_columns_and_none_is_one_wide(N, entries):
 
 
 # (L, regime, operator spec): regime A and B, exact and sampled phases, the
-# bisection fallback of sine:0.5 included
+# bisection fallback of sine:0.5 included.  The regime-A maps and the
+# identity of fio1:phase=kn send the lattice to integer points and take the
+# key fold; the sine phases keep the row fit of gabor_magnitudes
 PROFILE_CASES = [
     (64, "A", "chirp:1"),
     (64, "A", "dft*chirp:2"),
     (64, "A", "dilate:-1"),
     (64, "A", "kn:symbol=random-smooth:3"),
     (256, "A", "fio1:phase=chirp:-3,symbol=random-smooth:5"),
+    (64, "A", "fio1:phase=sine:0.5:8:8,symbol=ones"),
     (64, "B", "fio1:phase=sine:0.5:8:8,symbol=ones"),
+    (64, "B", "fio1:phase=kn,symbol=ones"),
     (256, "B", "fio1:phase=sine:0.2:11.3137:11.3137,symbol=random-smooth:3"),
     (256, "B", "fio2:phase=sine:0.2:11.3137:11.3137,symbol=ones"),
 ]
 
 
+def tables_of(lat, L, chi):
+    return gm._displacement_tables(lat, L, gm._lattice_images(lat, L, chi))
+
+
+def integral(tables):
+    return all(np.array_equal(d, np.round(d)) for d in tables)
+
+
 @pytest.mark.parametrize("L,regime,spec", PROFILE_CASES)
-def test_operator_decay_profile_equals_the_profile_of_K(L, regime, spec):
+def test_operator_decay_profile_equals_the_profile_of_K(monkeypatch, L, regime, spec):
     frame = frame_for(L, None, regime)
     T, chi, _ = cli.parse_operator(spec, frame.config)
     want = gf.decay_profile(gf.gabor_matrix(T, frame), chi)
-    for workers in (1, 2):
+    keyed = integral(tables_of(frame.lattice, L, chi))
+    key_fits, key_fit = [], gm._key_fit
+    monkeypatch.setattr(gm, "_key_fit", lambda *args: key_fits.append(1) or key_fit(*args))
+    for workers in (1, 2, 3):
         with blockpool.worker_limit(workers):
-            got = gf.operator_decay_profile(T, frame, chi)
-        assert (got.bins, got.s_fit, got.C_fit, got.r2) == \
-            (want.bins, want.s_fit, want.C_fit, want.r2)
+            # the default blocks, then 16-column and one-row blocks
+            for entries in (gm.FIT_BLOCK_ENTRIES, 1):
+                with monkeypatch.context() as m:
+                    m.setattr(gm, "FIT_BLOCK_ENTRIES", entries)
+                    got = gf.operator_decay_profile(T, frame, chi)
+                assert (got.bins, got.s_fit, got.C_fit, got.r2) == \
+                    (want.bins, want.s_fit, want.C_fit, want.r2), f"{workers} {entries}"
+    assert len(key_fits) == (6 if keyed else 0)
+
+
+def test_key_fold_keeps_every_count_under_thread_switching(monkeypatch):
+    # more workers than CPUs, switching threads every microsecond, over
+    # 16-column blocks: a lost update of a worker's key counts or maxima
+    # would change the total count or the profile
+    frame = frame_for(64, None, "A")
+    T, chi, _ = cli.parse_operator("dft*chirp:2", frame.config)
+    want = gf.decay_profile(gf.gabor_matrix(T, frame), chi)
+    monkeypatch.setattr(gm, "FIT_BLOCK_ENTRIES", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with blockpool.worker_limit(6):
+            for _ in range(20):
+                got = gf.operator_decay_profile(T, frame, chi)
+                assert sum(count for _, _, count in got.bins) == frame.lattice.size ** 2
+                assert (got.bins, got.s_fit, got.C_fit, got.r2) == \
+                    (want.bins, want.s_fit, want.C_fit, want.r2)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def feed_columns(absK, width):
+    """A stand-in for _magnitude_columns that hands out the columns of the
+    given |K| in blocks of `width`, shaped as the analysis blocks."""
+    def magnitude_columns(T, frame, column_fn, entries):
+        lat = frame.lattice
+        for cols in gabor.column_blocks(lat.size, width):
+            column_fn(cols, absK[:, cols].reshape(lat.n_time, lat.n_freq, -1).astype(complex))
+    return magnitude_columns
+
+
+@pytest.mark.parametrize("L,steps", [(16, (2, 2)), (64, None), (96, (6, 4))])
+def test_key_fold_equals_the_row_fit_with_a_distance_of_zeros(monkeypatch, L, steps):
+    # a Gaussian-decaying |K| with the farthest occupied distance set to
+    # exact zeros: that key still counts in its bin and enters C_fit at the
+    # floor, where it is the largest weighted value
+    frame = frame_for(L, steps, "A")
+    lat, N = frame.lattice, frame.lattice.size
+    tables = tables_of(lat, L, np.eye(2))
+    sq1, sq2 = ((d ** 2).astype(np.intp) for d in tables)
+    j, k = np.divmod(np.arange(N), lat.n_freq)
+    key = sq1[j] + sq2[k]                                  # (N, N)
+    rng = np.random.Generator(np.random.Philox(L))
+    absK = np.exp(-key / L) * rng.uniform(0.5, 1.0, size=(N, N))
+    absK[key == key.max()] = 0.0
+    want = gm._fit_rows(lambda mu: absK[mu], lat, tables)
+    assert want.bins[-1][2] > 0
+    for workers in (1, 2, 3):
+        with blockpool.worker_limit(workers):
+            for width in (16, 40, N):
+                monkeypatch.setattr(gm, "_magnitude_columns", feed_columns(absK, width))
+                got = gm._key_fit(None, frame, sq1, sq2)
+                assert (got.bins, got.s_fit, got.C_fit, got.r2) == \
+                    (want.bins, want.s_fit, want.C_fit, want.r2), f"{workers} {width}"
+
+
+# a map that sends lattice points off the integer grid: the row fit
+SHEAR = np.array([[1.0, 0.0], [0.1, 1.0]])
+
+
+@pytest.mark.parametrize("regime", "AB")
+def test_both_fit_paths_raise_the_same_fit_error(regime):
+    # a zero operator has no envelope above the floor: no bin is eligible
+    frame = frame_for(64, None, regime)
+    T = gf.OperatorMatrix(np.zeros((64, 64), dtype=complex), frame.config)
+    with pytest.raises(gf.FitError) as rows:
+        gf.decay_profile(gf.gabor_matrix(T, frame), np.eye(2))
+    for chi in (np.eye(2), SHEAR):                         # key fold, row fit
+        with pytest.raises(gf.FitError) as got:
+            gf.operator_decay_profile(T, frame, chi)
+        assert str(got.value) == str(rows.value) == "only 0 eligible bins, need >= 4"
+
+
+def test_key_fold_forms_no_n_by_n_array():
+    # the row fit's |K| alone is 8 N^2 bytes; the key fold stays below it
+    frame = frame_for(256, None, "A")
+    N = frame.lattice.size
+    T = gf.dft_operator(frame.config)
+    chi = cli.parse_operator("dft", frame.config)[1]
+    peaks = []
+    for chi_ in (chi, SHEAR):                              # key fold, row fit
+        tracemalloc.start()
+        try:
+            gf.operator_decay_profile(T, frame, chi_)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 8 * N * N <= peaks[1]
+
+
+def decay_a_specs(L):
+    """The operators of the decay-a benchmark workload at size L."""
+    for c in (1, 2, 3, 4):
+        for sign in (1, -1):
+            yield f"chirp:{sign * c}"
+            if c < 4:
+                yield f"dft*chirp:{sign * c}"
+                yield f"fio1:phase=chirp:{sign * c},symbol=random-smooth:{c}"
+    yield from ("dft", "dilate:-1", f"dilate:{L - 1}", "kn:symbol=random-smooth:9")
+
+
+def test_benchmark_decay_runs_take_the_key_fold():
+    cfg = gf.ModelConfig(L=512)
+    lat = gf.default_lattice(cfg)
+    for spec in decay_a_specs(512):
+        assert integral(tables_of(lat, 512, cli.parse_operator(spec, cfg)[1])), spec
+    # tame-b: the identity of fio1:phase=kn folds by keys, its sine phases do not
+    cfg = gf.ModelConfig(L=256, regime="B")
+    lat = gf.default_lattice(cfg)
+    for spec, keyed in (("fio1:phase=kn,symbol=ones", True),
+                        ("fio1:phase=sine:0.2:16:16,symbol=ones", False),
+                        ("fio2:phase=sine:0.2:16:16,symbol=ones", False)):
+        assert integral(tables_of(lat, 256, cli.parse_operator(spec, cfg)[1])) == keyed, spec
 
 
 def test_size_guard_raises_before_the_n_by_n_arrays(monkeypatch, frame16):
     T = gf.dft_operator(frame16.config)
     K = gf.gabor_matrix(T, frame16)
-    N = frame16.lattice.size
+    N, L = frame16.lattice.size, frame16.config.L
     # each guard admits exactly its own array
     for budget, call in ((16 * N * N, lambda: gf.gabor_matrix(T, frame16)),
                          (8 * N * N, lambda: gf.gabor_magnitudes(T, frame16)),
+                         (16 * N * L, lambda: gm._atom_images(T, frame16, frame16.tight)),
                          (16 * N * N, lambda: gm.wrapped_displacements(K, np.eye(2)))):
         monkeypatch.setattr(gm, "_memory_budget", lambda: budget)
         call()
@@ -233,7 +371,7 @@ def test_operator_over_budget_exits_1_before_the_frame_is_built(monkeypatch, tmp
 
 def test_operator_guard_admits_exactly_one_operator(monkeypatch, tmp_path):
     # at 16 L^2 bytes the run gets past the guard to the frame, and then
-    # stops at the N x N guard of the Gabor-matrix magnitudes
+    # stops at the guard of the N x L first analysis of the key fold
     L = 64
     calls, build_frame = [], cli.gabor.build_frame
     monkeypatch.setattr(cli.gabor, "build_frame",
@@ -245,5 +383,5 @@ def test_operator_guard_admits_exactly_one_operator(monkeypatch, tmp_path):
     assert cli.main(["run", str(path), "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert report["error"]["type"] == "SizeError"
-    assert "magnitudes" in report["error"]["message"]
+    assert "N x L first analysis" in report["error"]["message"]
     assert len(calls) == 1

@@ -9,7 +9,7 @@ import pytest
 
 import gaborfio as gf
 from gaborfio import blockpool
-from gaborfio.gabormatrix import _displacement_tables
+from gaborfio.gabormatrix import _displacement_tables, _lattice_images
 
 RTOL = 1e-12
 MJ = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -46,7 +46,8 @@ def dense_frame(g, lat):
 def bracket_distances(K, chi):
     """<mu - chi(lam)> as an (N, N) array, from the displacement tables the
     blocked decay fit reads."""
-    d1, d2 = _displacement_tables(K.lattice, K.frame.config.L, chi)
+    lat, L = K.lattice, K.frame.config.L
+    d1, d2 = _displacement_tables(lat, L, _lattice_images(lat, L, chi))
     j, k = np.divmod(np.arange(K.lattice.size), K.lattice.n_freq)
     return np.sqrt((d1[j] ** 2 + d2[k] ** 2) + 1.0)
 
