@@ -215,30 +215,27 @@ def _parse_symbol(spec: str, config):
         seed = _spec_number(parts[1], int, spec, lo=0) if len(parts) > 1 else 0
         bandwidth = _spec_number(parts[2], int, spec, lo=0) if len(parts) > 2 else 2
         local = np.random.Generator(np.random.Philox(seed))
-        return ops.random_smooth_symbol(config, local, bandwidth=bandwidth)
+        try:
+            return ops.random_smooth_symbol(config, local, bandwidth=bandwidth)
+        except ModelError as exc:
+            raise ConfigError(f"{spec!r}: {exc}") from None
     raise ConfigError(f"unknown symbol spec {spec!r}")
 
 
 def _phase_for(config, phase_spec: str):
-    """A DiscretePhase for a catalog phase name, exact where possible.
+    """A DiscretePhase for a catalog phase name: in regime A a quadratic
+    phase with integer (p, q, r) is the exact integer phase, any other
+    phase is sampled.
 
     A spec the catalog rejects is a ConfigError; a metaplectic matrix with a
     zero A block stays a NondegeneracyViolation (a pipeline failure)."""
-    if config.regime == "A" and phase_spec == "kn":
-        return ops.kn_phase(config)
     try:
         phase = pg.tame_phase(phase_spec)
     except ModelError as exc:
         raise ConfigError(str(exc)) from None
-    if config.regime == "A":
-        head, _, arg = phase_spec.partition(":")
-        if head == "chirp" and float(arg).is_integer():
-            return ops.quadratic_phase(config, int(float(arg)), 1, 0)
-        if head == "metaplectic":
-            a, b, c, d = (float(t) for t in arg.split(","))
-            coeffs = (c / a, 1 / a, -b / a)
-            if all(x == int(x) for x in coeffs):
-                return ops.quadratic_phase(config, *(int(x) for x in coeffs))
+    if (config.regime == "A" and phase.quad is not None
+            and all(v.is_integer() for v in phase.quad)):
+        return ops.quadratic_phase(config, *map(int, phase.quad))
     return ops.discrete_phase_from_tame(phase, config)
 
 
@@ -489,13 +486,31 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
 
     timings["total_s"] = time.monotonic() - t_start
     timings["workers"] = blockpool.workers()
-    if resource is not None:
-        # the peak resident set of the process so far: KiB on Linux, bytes on macOS
-        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        timings["peak_rss_mb"] = maxrss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+    peak = _peak_rss_mb()
+    if peak is not None:
+        timings["peak_rss_mb"] = peak
     report["timings"] = timings
     (out / "report.json").write_text(json.dumps(report, indent=2, default=str))
     return 0 if report["pass"] else 1
+
+
+def _peak_rss_mb() -> float | None:
+    """The peak resident set of this process so far, in MiB: VmHWM where
+    /proc/self/status has it, else ru_maxrss (None on Windows).  ru_maxrss
+    keeps a parent's peak across exec, so a small run spawned by a large
+    process would read the parent's peak."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 2 ** 10        # kB
+    except OSError:
+        pass
+    if resource is None:
+        return None
+    # KiB on Linux, bytes on macOS
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return maxrss / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
 def sparsity_sweep(cfg, frame, T, rng, out: Path):

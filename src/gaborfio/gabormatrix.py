@@ -286,12 +286,17 @@ def _magnitude_columns(T: OperatorMatrix, frame: GaborFrame, column_fn,
 
 
 def _chi_points(chi, points: np.ndarray) -> np.ndarray:
-    """Apply a CanonicalMap or a 2x2 matrix to (N, 2) index points."""
+    """Apply a CanonicalMap or a 2x2 matrix to (N, 2) index points; a point
+    sent to inf or nan raises ModelError (no displacement is defined)."""
     if isinstance(chi, CanonicalMap):
-        return chi.map_points(points)
-    if np.shape(chi) == (2, 2):
-        return linear_map(chi).map_points(points)
-    raise ModelError(f"cannot interpret chi of type {type(chi)!r}")
+        img = chi.map_points(points)
+    elif np.shape(chi) == (2, 2):
+        img = linear_map(chi).map_points(points)
+    else:
+        raise ModelError(f"cannot interpret chi of type {type(chi)!r}")
+    if not np.isfinite(img).all():
+        raise ModelError("chi sends a lattice point to a non-finite image")
+    return img
 
 
 def _lattice_images(lat, L: int, chi) -> np.ndarray:

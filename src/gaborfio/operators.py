@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ModelError, UnitError
 from .phasegeom import CanonicalMap, TamePhase, canonical_map_of_phase, linear_map
-from .tfcore import ModelConfig, Signal, wrap_half
+from .tfcore import ModelConfig, Signal, dft_matrix, wrap_half
 
 __all__ = [
     "SymbolGrid", "OperatorMatrix", "DiscretePhase", "MetaplecticWord", "GENERATORS",
@@ -281,12 +281,19 @@ def random_smooth_symbol(config: ModelConfig, rng: np.random.Generator,
                          bandwidth: int = 2) -> SymbolGrid:
     """Random trigonometric polynomial on Z_L^2 with modes |q| <= bandwidth,
     normalized to unit sup norm.  Smooth in the discrete sense: its KN
-    operator is a short combination of small time-frequency shifts."""
+    operator is a short combination of small time-frequency shifts.
+
+    The 2 bandwidth + 1 modes per axis must be distinct mod L, else
+    ModelError.  They draw their real, then imaginary parts from rng in
+    q1-major order."""
     L = config.L
+    if not 0 <= bandwidth <= (L - 1) // 2:
+        raise ModelError(f"symbol bandwidth must lie in [0, {(L - 1) // 2}] "
+                         f"at L = {L}, got {bandwidth}")
+    q = np.arange(-bandwidth, bandwidth + 1) % L
+    z = rng.normal(size=(q.size, q.size, 2))
     c = np.zeros((L, L), dtype=complex)
-    for q1 in range(-bandwidth, bandwidth + 1):
-        for q2 in range(-bandwidth, bandwidth + 1):
-            c[q1 % L, q2 % L] = rng.normal() + 1j * rng.normal()
+    c[np.ix_(q, q)] = z[..., 0] + 1j * z[..., 1]
     vals = np.fft.ifft2(c) * L * L
     return SymbolGrid(vals / np.abs(vals).max(), config)
 
@@ -308,8 +315,7 @@ def chirp_operator(config: ModelConfig, c: int = 1) -> OperatorMatrix:
 
 def dft_operator(config: ModelConfig) -> OperatorMatrix:
     """Unitary DFT, the unitary of GENERATORS["dft"]."""
-    L = config.L
-    return OperatorMatrix(np.fft.fft(np.eye(L)) / np.sqrt(L), config, tag="metaplectic")
+    return OperatorMatrix(dft_matrix(config.L), config, tag="metaplectic")
 
 
 def dilation_operator(config: ModelConfig, u: int) -> OperatorMatrix:

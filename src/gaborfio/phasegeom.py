@@ -51,6 +51,9 @@ class TamePhase:
     and ``hess`` returns either a constant 2x2 matrix or an array of shape
     ``(2, 2) + shape``.  The solves, the sampling of the phase on a grid and
     the checks below call them once per array, never once per point.
+
+    ``quad`` holds the coefficients (p, q, r) of a quadratic phase
+    p x^2/2 + q x eta + r eta^2/2 (see :func:`_quadratic`), None otherwise.
     """
 
     eval: Callable[[float, float], float]
@@ -60,6 +63,7 @@ class TamePhase:
     declared_C2: float
     declared_delta: float
     name: str = ""
+    quad: tuple[float, float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -338,9 +342,14 @@ def phase_of_symplectic(M: SymplecticMatrix) -> TamePhase:
     if abs(M.A) < 0.1:
         raise NondegeneracyViolation(
             f"|A block| = {abs(M.A):.3e} < 0.1: no type-I phase exists")
-    p = M.C / M.A      # x^2/2 coefficient
-    q = 1.0 / M.A      # x eta coefficient
-    r = -M.B / M.A     # eta^2/2 coefficient
+    return _quadratic(M.C / M.A, 1.0 / M.A, -M.B / M.A,
+                      f"metaplectic({M.A:g},{M.B:g},{M.C:g},{M.D:g})")
+
+
+def _quadratic(p: float, q: float, r: float, name: str) -> TamePhase:
+    """Phi = p x^2/2 + q x eta + r eta^2/2, the phase of every linear
+    canonical map with a nonzero A block: kn is (0, 1, 0), chirp:c is
+    (c, 1, 0) and phase_of_symplectic(M) is (C/A, 1/A, -B/A)."""
     H = np.array([[p, q], [q, r]])
     return TamePhase(
         eval=lambda x, e: 0.5 * p * x * x + q * x * e + 0.5 * r * e * e,
@@ -349,8 +358,7 @@ def phase_of_symplectic(M: SymplecticMatrix) -> TamePhase:
         hess=lambda x, e: H.copy(),
         declared_C2=float(np.abs(H).max()),
         declared_delta=abs(q),
-        name=f"metaplectic({M.A:g},{M.B:g},{M.C:g},{M.D:g})",
-    )
+        name=name, quad=(p, q, r))
 
 
 def check_symplectic(chi: CanonicalMap, points) -> float:
@@ -389,26 +397,6 @@ def phase_chi_equivalence(phi: TamePhase, n_quadruples: int = 1000,
 # built-in phase catalog
 # ---------------------------------------------------------------------------
 
-def _kn_phase() -> TamePhase:
-    H = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return TamePhase(
-        eval=lambda x, e: x * e,
-        grad_x=lambda x, e: e,
-        grad_eta=lambda x, e: x,
-        hess=lambda x, e: H.copy(),
-        declared_C2=1.0, declared_delta=1.0, name="kn")
-
-
-def _chirp_phase(c: float) -> TamePhase:
-    H = np.array([[c, 1.0], [1.0, 0.0]])
-    return TamePhase(
-        eval=lambda x, e: 0.5 * c * x * x + x * e,
-        grad_x=lambda x, e: c * x + e,
-        grad_eta=lambda x, e: x,
-        hess=lambda x, e: H.copy(),
-        declared_C2=max(abs(c), 1.0), declared_delta=1.0, name=f"chirp:{c:g}")
-
-
 def _sine_phase(eps: float, px: float, pe: float, name: str) -> TamePhase:
     """Phi = x eta + eps (px pe / 4 pi^2) sin(2 pi x / px) sin(2 pi eta / pe).
 
@@ -437,10 +425,6 @@ def _sine_phase(eps: float, px: float, pe: float, name: str) -> TamePhase:
         name=name)
 
 
-def _perturbed_phase(eps: float) -> TamePhase:
-    return _sine_phase(eps, 2 * np.pi, 2 * np.pi, f"perturbed:{eps:g}")
-
-
 def tame_phase(spec: str) -> TamePhase:
     """Look up a phase by name: ``kn``, ``chirp:c``, ``metaplectic:a,b,c,d``,
     ``perturbed:eps``, or ``sine:eps:px:pe`` (perturbation with explicit
@@ -463,11 +447,13 @@ def tame_phase(spec: str) -> TamePhase:
     if head == "kn":
         if arg:
             raise ModelError(f"phase kn takes no argument, got {spec!r}")
-        return _kn_phase()
+        return _quadratic(0.0, 1.0, 0.0, "kn")
     if head == "chirp":
-        return _chirp_phase(*numbers([arg]))
+        c, = numbers([arg])
+        return _quadratic(c, 1.0, 0.0, f"chirp:{c:g}")
     if head == "perturbed":
-        return _perturbed_phase(*numbers([arg]))
+        eps, = numbers([arg])
+        return _sine_phase(eps, 2 * np.pi, 2 * np.pi, f"perturbed:{eps:g}")
     if head == "sine":
         parts = arg.split(":")
         if len(parts) > 3:

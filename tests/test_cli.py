@@ -317,6 +317,36 @@ def test_fio1_chirp_phase_is_the_exact_quadratic_in_regime_a():
     assert chi.mod_L == 64
 
 
+# spec -> its (p, q, r) where regime A builds the exact integer phase; None: sampled
+PHASE_TABLE = {
+    "kn": (0, 1, 0),
+    "chirp:2": (2, 1, 0),
+    "chirp:2.0": (2, 1, 0),
+    "chirp:-3": (-3, 1, 0),
+    "chirp:1.5": None,
+    "metaplectic:1,0,1,1": (1, 1, 0),
+    "metaplectic:1,0,2,1": (2, 1, 0),
+    "metaplectic:2,0,0,0.5": None,            # q = 1/2
+    "sine:0.2:8:8": None,
+    "perturbed:0.1": None,
+}
+
+
+@pytest.mark.parametrize("regime", ["A", "B"])
+@pytest.mark.parametrize("spec", PHASE_TABLE)
+def test_phase_for_is_exact_only_for_integer_quadratics_in_regime_a(spec, regime):
+    cfg = gf.ModelConfig(L=64, regime=regime)
+    dp = cli._phase_for(cfg, spec)
+    quad = PHASE_TABLE[spec] if regime == "A" else None
+    if quad is not None:
+        assert dp.quad == quad and dp.tame is None
+        np.testing.assert_array_equal(dp.values, gf.quadratic_phase(cfg, *quad).values)
+    else:
+        assert dp.quad is None and dp.tame.name == gf.tame_phase(spec).name
+        np.testing.assert_array_equal(
+            dp.values, gf.discrete_phase_from_tame(gf.tame_phase(spec), cfg).values)
+
+
 def test_metaplectic_atom_is_the_fio1_operator_with_a_real_map():
     T, chi = atom("metaplectic:1,0,2,1")
     fio1, _ = atom("fio1:phase=chirp:2,symbol=ones")

@@ -81,6 +81,7 @@ def run(tmp_path, capsys, *overrides, threads=None):
     ("operator=5",),                              # not a string spec
     ('word="dft"',),                              # a string, not a list
     ("operator=fio1:foo",),                       # no phase=
+    ("operator=kn:symbol=random-smooth:1:16",),   # 33 modes per axis alias at L = 32
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     code, err, out = run(tmp_path, capsys, *overrides)
@@ -89,6 +90,19 @@ def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert not (out / "report.json").exists()
     assert not (out / "profile.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # the overflow is the input
+@pytest.mark.parametrize("overrides", [
+    ("operator=metaplectic:1,0,1e308,1",),
+    ("operator=metaplectic:1,0,1e308,1", "model.regime=B"),
+    ("operator=fio1:phase=chirp:1e308,symbol=ones", "model.regime=B"),
+])
+def test_non_finite_chi_images_exit_1_with_a_report(tmp_path, capsys, overrides):
+    code, err, out = run(tmp_path, capsys, "model.L=16", *overrides)
+    assert code == 1 and "Traceback" not in err
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "ModelError"
 
 
 def test_threads_flag_caps_openblas(tmp_path, capsys, monkeypatch):

@@ -278,6 +278,35 @@ def test_random_smooth_symbol_band_limit(cfg16, rng):
     assert np.abs(sigma.values).max() == pytest.approx(1.0)
 
 
+def mode_loop_symbol(cfg, rng, bandwidth):
+    """random_smooth_symbol's values drawn one mode at a time."""
+    L = cfg.L
+    c = np.zeros((L, L), dtype=complex)
+    for q1 in range(-bandwidth, bandwidth + 1):
+        for q2 in range(-bandwidth, bandwidth + 1):
+            c[q1 % L, q2 % L] = rng.normal() + 1j * rng.normal()
+    vals = np.fft.ifft2(c) * L * L
+    return vals / np.abs(vals).max()
+
+
+@pytest.mark.parametrize("L", [8, 16, 64])
+@pytest.mark.parametrize("seed", [0, 7, 123456])
+def test_random_smooth_symbol_draws_like_the_mode_loop(L, seed):
+    cfg = gf.ModelConfig(L=L)
+    for bandwidth in range(L // 2):
+        rngs = [np.random.Generator(np.random.Philox(seed)) for _ in range(2)]
+        np.testing.assert_array_equal(
+            gf.random_smooth_symbol(cfg, rngs[0], bandwidth).values,
+            mode_loop_symbol(cfg, rngs[1], bandwidth))
+
+
+@pytest.mark.parametrize("bandwidth", [-1, 8, 9])
+def test_random_smooth_symbol_rejects_aliased_bandwidth(cfg16, rng, bandwidth):
+    # 2 bandwidth + 1 > 16 modes per axis would fold onto each other
+    with pytest.raises(gf.ModelError):
+        gf.random_smooth_symbol(cfg16, rng, bandwidth)
+
+
 def test_regime_b_kn_phase_sampling_matches_exact():
     # sampling Phi(x, xi) = x xi on the regime-B grid (with the half-turn
     # correction) reproduces the exact torus KN phase, so sigma = 1 -> identity

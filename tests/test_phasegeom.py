@@ -3,6 +3,7 @@ import pytest
 
 import gaborfio as gf
 from gaborfio.phasegeom import TamePhase
+from gaborfio.tfcore import wrap_half
 
 
 def quartic_phase():
@@ -206,3 +207,60 @@ def test_symplectic_matrix_validation():
 def test_phase_catalog_unknown():
     with pytest.raises(gf.ModelError):
         gf.tame_phase("nosuch:1")
+
+
+# ---------------------------------------------------------------------------
+# the quadratic catalog phases against their closed forms
+# ---------------------------------------------------------------------------
+
+def closed_form(spec):
+    """(phase, (p, q, r)) of a quadratic catalog spec, with the phase written
+    out in closed form: kn and chirp:c in their own terms, metaplectic:a,b,c,d
+    through the coefficients of phase_of_symplectic."""
+    head, _, arg = spec.partition(":")
+    if head == "kn":
+        H = np.array([[0.0, 1.0], [1.0, 0.0]])
+        return TamePhase(eval=lambda x, e: x * e, grad_x=lambda x, e: e,
+                         grad_eta=lambda x, e: x, hess=lambda x, e: H.copy(),
+                         declared_C2=1.0, declared_delta=1.0, name="kn"), (0, 1, 0)
+    if head == "chirp":
+        c = float(arg)
+        H = np.array([[c, 1.0], [1.0, 0.0]])
+        return TamePhase(eval=lambda x, e: 0.5 * c * x * x + x * e,
+                         grad_x=lambda x, e: c * x + e, grad_eta=lambda x, e: x,
+                         hess=lambda x, e: H.copy(), declared_C2=max(abs(c), 1.0),
+                         declared_delta=1.0, name=f"chirp:{c:g}"), (c, 1, 0)
+    a, b, c, d = (float(t) for t in arg.split(","))
+    p, q, r = c / a, 1.0 / a, -b / a
+    H = np.array([[p, q], [q, r]])
+    return TamePhase(eval=lambda x, e: 0.5 * p * x * x + q * x * e + 0.5 * r * e * e,
+                     grad_x=lambda x, e: p * x + q * e, grad_eta=lambda x, e: q * x + r * e,
+                     hess=lambda x, e: H.copy(), declared_C2=float(np.abs(H).max()),
+                     declared_delta=abs(q), name=f"metaplectic({a:g},{b:g},{c:g},{d:g})"), \
+        (p, q, r)
+
+
+@pytest.mark.parametrize("spec", [
+    "kn", "chirp:2", "chirp:-1.5", "chirp:0", "metaplectic:1,0,1,1",
+    "metaplectic:2,0,0,0.5", "metaplectic:1,0.5,0,1", "metaplectic:-1,0,0.5,-1"])
+def test_quadratic_catalog_phase_matches_its_closed_form(spec):
+    # metaplectic:a,b,c,d is phase_of_symplectic of its matrix.
+    # assert_array_equal counts -0.0 equal to +0.0: the shared form adds
+    # zero terms such as 0 * x * x, which may flip the sign of a zero
+    phi = gf.tame_phase(spec)
+    ref, quad = closed_form(spec)
+    assert phi.quad == quad and phi.name == ref.name
+    assert (phi.declared_C2, phi.declared_delta) == (ref.declared_C2, ref.declared_delta)
+    x, e = np.meshgrid(np.linspace(-4, 4, 9), np.linspace(-3, 3, 7), indexing="ij")
+    for oracle in ("eval", "grad_x", "grad_eta", "hess"):
+        np.testing.assert_array_equal(getattr(phi, oracle)(x, e),
+                                      getattr(ref, oracle)(x, e))
+    for cfg in (gf.ModelConfig(L=64), gf.ModelConfig(L=64, regime="B")):
+        dp, dp_ref = (gf.discrete_phase_from_tame(f, cfg) for f in (phi, ref))
+        np.testing.assert_array_equal(dp.values, dp_ref.values)
+        pts = wrap_half(gf.Lattice(4, 4, cfg).points().astype(float), cfg.L)
+        chi, chi_ref = dp.canonical_map(), dp_ref.canonical_map()
+        np.testing.assert_array_equal(chi.map_points(pts), chi_ref.map_points(pts))
+        np.testing.assert_array_equal(chi.inverse().map_points(pts),
+                                      chi_ref.inverse().map_points(pts))
+

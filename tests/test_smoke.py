@@ -1,11 +1,13 @@
 """Whole-program smoke checks: what `import gaborfio.cli` loads, and that
 every demo runs to completion."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,3 +42,19 @@ def test_six_demos_present():
 def test_demo_exits_0(demo):
     proc = run_python([str(demo)], timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="peak_rss_mb falls back on ru_maxrss without /proc")
+def test_peak_rss_is_the_run_s_own_not_its_parent_s(tmp_path):
+    # ru_maxrss survives exec: a run spawned by this process would read the
+    # 256 MiB held here as its own peak
+    held = np.ones(2 ** 25)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"model": {"L": 16, "regime": "A"}, "pipeline": "decay",
+                               "operator": "dft"}))
+    proc = run_python(["-m", "gaborfio.cli", "run", str(cfg), "--out", str(tmp_path / "out")],
+                      timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert held.sum() == 2 ** 25 and report["timings"]["peak_rss_mb"] < 150
