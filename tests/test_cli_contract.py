@@ -97,6 +97,7 @@ def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     ("operator=metaplectic:1,0,1e308,1",),
     ("operator=metaplectic:1,0,1e308,1", "model.regime=B"),
     ("operator=fio1:phase=chirp:1e308,symbol=ones", "model.regime=B"),
+    ("operator=metaplectic:0.5,0,1e308,2",),      # C/A overflows to inf
 ])
 def test_non_finite_chi_images_exit_1_with_a_report(tmp_path, capsys, overrides):
     code, err, out = run(tmp_path, capsys, "model.L=16", *overrides)

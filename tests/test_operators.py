@@ -301,8 +301,9 @@ def test_random_smooth_symbol_draws_like_the_mode_loop(L, seed):
 
 
 @pytest.mark.parametrize("bandwidth", [-1, 8, 9])
-def test_random_smooth_symbol_rejects_aliased_bandwidth(cfg16, rng, bandwidth):
-    # 2 bandwidth + 1 > 16 modes per axis would fold onto each other
+def test_random_smooth_symbol_rejects_bandwidth_without_distinct_modes(cfg16, rng,
+                                                                      bandwidth):
+    # -1 has no modes; 2 bandwidth + 1 > 16 modes per axis fold onto each other
     with pytest.raises(gf.ModelError):
         gf.random_smooth_symbol(cfg16, rng, bandwidth)
 

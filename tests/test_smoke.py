@@ -1,5 +1,6 @@
-"""Whole-program smoke checks: what `import gaborfio.cli` loads, and that
-every demo runs to completion."""
+"""Whole-program smoke checks: what `import gaborfio.cli` loads, that
+every demo runs to completion, and what a spawned run reports as its peak
+memory."""
 
 import json
 import os

@@ -51,7 +51,7 @@ def _configs() -> list[dict]:
             _cfg(32, "sparsity-sweep", "chirp:1", regime),
         ]
     table.append(_cfg(32, "offgrid", "chirp:1"))
-    # the operator forms of the perfbench workloads, at smaller L in regime A
+    # the operator forms of the perfbench workloads (regime A mostly at smaller L)
     for spec in ("dft", "chirp:-3", "dilate:-1", "dilate:63", "dft*chirp:2",
                  "fio1:phase=chirp:3,symbol=random-smooth:17",
                  "kn:symbol=random-smooth:29"):
@@ -65,6 +65,7 @@ def _configs() -> list[dict]:
             ("offgrid", "chirp:-2", {}),
             ("gabor-matrix", "chirp:-2", {})):
         table.append(_cfg(64, pipeline, spec, **extra))
+    table.append(_cfg(512, "decay", "fio1:phase=chirp:-3,symbol=random-smooth:123"))
     for spec in ("fio1:phase=sine:0.2:16:16,symbol=random-smooth:3",
                  "fio2:phase=sine:0.2:16:16,symbol=random-smooth:4",
                  "fio1:phase=kn,symbol=ones"):
