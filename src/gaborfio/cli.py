@@ -342,9 +342,11 @@ def _product(parsed):
 
 def _parse_atoms(spec: str, config) -> list:
     """'A*B*...' -> the (OperatorMatrix, CanonicalMap) pair of every atom."""
-    atoms = [a.strip() for a in spec.split("*") if a.strip()]
-    if not atoms:
+    if not spec.strip():
         raise ConfigError("empty operator spec")
+    atoms = [a.strip() for a in spec.split("*")]
+    if "" in atoms:
+        raise ConfigError(f"empty atom in operator spec {spec!r}")
     parsed = []
     for atom in atoms:
         head, _, rest = atom.partition(":")
@@ -397,7 +399,8 @@ def _decay(run) -> dict:
     if run.cfg["output"].get("matrix_csv"):
         gm.gabor_matrix_to_csv(gm.gabor_matrix(run.T, run.frame), run.out / "matrix.csv")
     return {"s_fit": prof.s_fit, "C_fit": prof.C_fit, "r2": prof.r2,
-            "chi": run.chi.source, "pass": bool(prof.s_fit >= run.s_threshold)}
+            "chi": run.chi.source,
+            "pass": bool(prof.s_fit >= run.s_threshold and np.isfinite(prof.C_fit))}
 
 
 def _algebra_entries(rep, out: Path, *keys) -> dict:

@@ -26,7 +26,9 @@ where chi sends the lattice to integer points (every regime-A map, the
 identity in regime B), every squared distance x = |d|^2 is an integer in
 [0, L^2 / 2], so the fit folds each column block into a maximum and a count
 per x and forms no N x N array at all; otherwise it fits gabor_magnitudes
-by rows.
+by rows.  Either way one core, _blocked_fit, forms the bins, the floor, the
+regression and C_fit: from (distance, |value|) pairs of row blocks, or from
+(distance, maximum, count) triples of the occupied keys.
 
 Every pass over rows (the mu of K or |K|, the atoms z of the off-grid
 check, the translates of the symbol-class sweep) splits them by _row_blocks
@@ -365,9 +367,11 @@ def _bin_index(dist: np.ndarray) -> np.ndarray:
 
 
 def _weighted_max(dist: np.ndarray, vals: np.ndarray, s_fit: float, floor: float) -> float:
-    """max of <d>^s_fit max(|value|, floor): the C_fit of these entries."""
-    weighted_vals = dist ** s_fit
-    weighted_vals *= np.maximum(vals, floor)
+    """max of <d>^s_fit max(|value|, floor): the C_fit of these entries, inf
+    where a weighted value overflows."""
+    with np.errstate(over="ignore"):
+        weighted_vals = dist ** s_fit
+        weighted_vals *= np.maximum(vals, floor)
     return float(weighted_vals.max())
 
 
@@ -398,18 +402,20 @@ def _regression(env: np.ndarray, cnt: np.ndarray):
 
 def _blocked_fit(blocks, entries):
     """envelope_fit over entries handed out in pieces: entries(block) gives
-    the (distances, |values|) 1-d array pair of each block of the list
-    blocks, once for the bins and once for C_fit, on the block pool.  Bin
-    maxima, counts and the C_fit maximum do not depend on how the entries
-    are split, so every split and worker count gives the same result."""
+    the 1-d arrays (distances, |values|) of each block of the list blocks,
+    or (distances, maxima, counts) where each pair stands for `counts`
+    entries of that distance, once for the bins and once for C_fit, on the
+    block pool.  Bin maxima, counts and the C_fit maximum do not depend on
+    how the entries are split or grouped, so every split and worker count
+    gives the same result."""
 
     def bin_block(block):
-        dist, vals = entries(block)
+        dist, vals, *counts = entries(block)
         idx = _bin_index(dist)
         nb = int(idx.max()) + 1
         env = np.zeros(nb)
         np.maximum.at(env, idx, vals)
-        return env, np.bincount(idx, minlength=nb)
+        return env, np.bincount(idx, *counts, minlength=nb).astype(np.intp, copy=False)
 
     parts = map_blocks(bin_block, blocks)
     nb = max(env_b.size for env_b, _ in parts)
@@ -421,7 +427,7 @@ def _blocked_fit(blocks, entries):
         cnt[:n] += cnt_b
     floor, bins, s_fit, r2 = _regression(env, cnt)
     C_fit = 0.0
-    for c in map_blocks(lambda block: _weighted_max(*entries(block), s_fit, floor), blocks):
+    for c in map_blocks(lambda block: _weighted_max(*entries(block)[:2], s_fit, floor), blocks):
         C_fit = max(C_fit, c)
     return bins, s_fit, C_fit, r2
 
@@ -451,8 +457,7 @@ def _fit_rows(rows, lat, tables) -> DecayProfile:
         j, k = np.divmod(np.arange(mu.start, mu.stop), lat.n_freq)
         return _bracket(d1sq[j] + d2sq[k]).ravel(), rows(mu).ravel()
 
-    bins, s_fit, C_fit, r2 = _blocked_fit(_row_blocks(lat.size, lat.size), block_entries)
-    return DecayProfile(bins=bins, s_fit=s_fit, C_fit=C_fit, r2=r2)
+    return DecayProfile(*_blocked_fit(_row_blocks(lat.size, lat.size), block_entries))
 
 
 def _key_fit(T: OperatorMatrix, frame: GaborFrame, sq1: np.ndarray,
@@ -461,15 +466,16 @@ def _key_fit(T: OperatorMatrix, frame: GaborFrame, sq1: np.ndarray,
     (n_time, N) and sq2 (n_freq, N), folded over the keys x = d1^2 + d2^2.
 
     The key of K[j n_freq + k, lam] is sq1[j, lam] + sq2[k, lam], an integer
-    in [0, L^2 / 2], and its distance <d> = sqrt(x + 1.0) and bin are those
-    of every entry with that key.  Each column block of _magnitude_columns
-    folds its |K| into its worker's maximum and count of each key, so no
-    N x N array is formed.  The bins come from the keys that hold entries,
-    and C_fit is the max over them of <d>^s_fit max(key max, floor): a
-    positive weight times a correctly rounded product is monotone, so this
-    is the max over the entries bit for bit.  Maxima and integer counts do
-    not depend on the order of the fold, so the result is that of _fit_rows
-    for every W.
+    in [0, L^2 / 2], and every entry with that key has the distance <d> =
+    sqrt(x + 1.0).  Each column block of _magnitude_columns folds its |K|
+    into its worker's maximum and count of each key, so no N x N array is
+    formed.  _blocked_fit then reads each worker's occupied keys as (<d>,
+    key max, key count) triples and forms the bins, floor, regression and
+    C_fit as it does for rows.  Maxima and integer counts do not depend on
+    the order of the fold, and <d>^s_fit max(v, floor) is monotone in v (a
+    positive weight times a correctly rounded product), so the max over
+    each worker's keys is the max over the entries bit for bit: the result
+    is that of _fit_rows for every W.
     """
     n_keys = int(sq1.max()) + int(sq2.max()) + 1
     accs = {}                                  # thread -> (key maxima, key counts)
@@ -478,26 +484,19 @@ def _key_fit(T: OperatorMatrix, frame: GaborFrame, sq1: np.ndarray,
         acc = accs.get(threading.get_ident())
         if acc is None:
             acc = accs[threading.get_ident()] = (np.zeros(n_keys), np.zeros(n_keys, np.intp))
-        envx_w, cntx_w = acc
+        envx, cntx = acc
         key = (sq1[:, None, cols] + sq2[None, :, cols]).ravel()
-        np.maximum.at(envx_w, key, np.abs(out).ravel())
-        np.add.at(cntx_w, key, 1)
+        np.maximum.at(envx, key, np.abs(out).ravel())
+        np.add.at(cntx, key, 1)
 
     _magnitude_columns(T, frame, fold_block, FIT_BLOCK_ENTRIES // 4)
-    (envx, cntx), *rest = accs.values()
-    for envx_w, cntx_w in rest:
-        np.maximum(envx, envx_w, out=envx)
-        cntx += cntx_w
-    seen = np.flatnonzero(cntx)
-    dist = _bracket(seen)
-    key_bin = _bin_index(dist)
-    nb = int(key_bin.max()) + 1
-    env, cnt = np.zeros(nb), np.zeros(nb, dtype=np.intp)
-    np.maximum.at(env, key_bin, envx[seen])
-    np.add.at(cnt, key_bin, cntx[seen])
-    floor, bins, s_fit, r2 = _regression(env, cnt)
-    C_fit = _weighted_max(dist, envx[seen], s_fit, floor)
-    return DecayProfile(bins=bins, s_fit=s_fit, C_fit=C_fit, r2=r2)
+
+    def key_entries(acc):
+        envx, cntx = acc
+        seen = np.flatnonzero(cntx)
+        return _bracket(seen), envx[seen], cntx[seen]
+
+    return DecayProfile(*_blocked_fit(list(accs.values()), key_entries))
 
 
 def decay_profile(K: GaborMatrix, chi) -> DecayProfile:

@@ -255,6 +255,14 @@ def test_operator_grammar_errors(tmp_path):
         assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_whitespace_around_atoms_is_accepted():
+    cfg = gf.ModelConfig(L=16)
+    T, chi, atoms = cli.parse_operator(" chirp:1 * dft ", cfg)
+    T0, chi0, _ = cli.parse_operator("chirp:1*dft", cfg)
+    assert len(atoms) == 2 and chi.source == chi0.source
+    np.testing.assert_array_equal(T.entries, T0.entries)
+
+
 def test_failed_verification_is_exit_1(tmp_path):
     # dilate(3) at L=64 spreads the Gaussian across the torus: its decay fit
     # sits below the algebra threshold, a verification failure (not an error)
@@ -264,6 +272,19 @@ def test_failed_verification_is_exit_1(tmp_path):
     assert cli.main(["run", cfg, "--out", str(out)]) == 1
     rep = read_report(out)
     assert rep["pass"] is False and rep["error"] is None
+
+
+@pytest.mark.parametrize("operator", ["multiplier:1e308", "perturb-id:1e308"])
+def test_overflowing_c_fit_is_exit_1(tmp_path, capsys, operator):
+    # the fit holds, but <d>^s_fit |K| overflows: C_fit is inf, which fails
+    # the run as it fails the algebra reports, and no warning reaches stderr
+    cfg = write_config(tmp_path, model={"L": 16, "regime": "A"},
+                       operator=operator, pipeline="decay")
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    rep = read_report(out)
+    assert rep["C_fit"] == float("inf") and rep["pass"] is False and rep["error"] is None
+    assert capsys.readouterr().err == ""
 
 
 def test_threads_flag_smoke(tmp_path):

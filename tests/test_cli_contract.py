@@ -70,6 +70,9 @@ def run(tmp_path, capsys, *overrides, threads=None):
     ("model.regime=B", "model.T=[1]"),
     ("model.regime=B", "model.T=-1"),
     ("operator=",),                               # empty operator spec
+    ("operator=chirp:1*",),                       # an empty atom at the end
+    ("operator=chirp:1**dft",),                   # ... in the middle
+    ("operator=*dft",),                           # ... at the start
     ("pipeline=compose", "operator=chirp:1"),     # compose needs two atoms
     ("model.T=Infinity", "model.regime=B"),
     ("offgrid.s=Infinity",),

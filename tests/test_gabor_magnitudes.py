@@ -257,6 +257,38 @@ def test_key_fold_equals_the_row_fit_with_a_distance_of_zeros(monkeypatch, L, st
                     (want.bins, want.s_fit, want.C_fit, want.r2), f"{workers} {width}"
 
 
+def test_weighted_entries_fit_as_their_expanded_pairs():
+    # (distance, max, count) triples in five blocks, keys repeated across
+    # blocks as in the per-worker key accumulators, and some maxima at zero:
+    # the fit equals that of each pair repeated `count` times
+    rng = np.random.Generator(np.random.Philox(16))
+    keys = rng.integers(0, 2000, size=600)
+    dist = gm._bracket(keys)
+    vals = np.exp(-np.sqrt(keys) / 8) * rng.uniform(0.5, 1.0, size=keys.size)
+    vals[rng.integers(0, keys.size, size=40)] = 0.0
+    counts = rng.integers(1, 50, size=keys.size)
+    want = gf.envelope_fit(np.repeat(dist, counts), np.repeat(vals, counts))
+    blocks = np.array_split(np.arange(keys.size), 5)
+    for workers in (1, 2, 3):
+        with blockpool.worker_limit(workers):
+            got = gm._blocked_fit(blocks, lambda b: (dist[b], vals[b], counts[b]))
+        assert got == want, workers
+
+
+def test_operator_decay_profile_reaches_the_fit_core_once(monkeypatch):
+    calls, blocked_fit = [], gm._blocked_fit
+    monkeypatch.setattr(gm, "_blocked_fit",
+                        lambda *args: calls.append(1) or blocked_fit(*args))
+    for regime, spec, keyed in (("A", "dft", True),
+                                ("B", "fio1:phase=sine:0.2:8:8,symbol=ones", False)):
+        frame = frame_for(64, None, regime)
+        T, chi, _ = cli.parse_operator(spec, frame.config)
+        assert integral(tables_of(frame.lattice, 64, chi)) == keyed, spec
+        calls.clear()
+        gf.operator_decay_profile(T, frame, chi)
+        assert len(calls) == 1, spec
+
+
 # a map that sends lattice points off the integer grid: the row fit
 SHEAR = np.array([[1.0, 0.0], [0.1, 1.0]])
 
