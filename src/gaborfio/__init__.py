@@ -35,7 +35,7 @@ from .operators import (DiscretePhase, MetaplecticWord, OperatorMatrix,
 from .gabormatrix import (DecayProfile, GaborMatrix, OffgridReport,
                           RowPaddedMatrix, SparseGaborMatrix,
                           SymbolClassReport, decay_profile,
-                          envelope_fit, gabor_magnitudes, gabor_matrix,
+                          envelope_fit, gabor_matrix,
                           gabor_matrix_from_csv, gabor_matrix_to_csv,
                           offgraph_max, offgrid_decay_check,
                           operator_decay_profile, profile_to_csv,

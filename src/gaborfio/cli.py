@@ -389,8 +389,9 @@ class _Run(SimpleNamespace):
 def _gabor_matrix(run) -> dict:
     K = gm.gabor_matrix(run.T, run.frame)
     gm.gabor_matrix_to_csv(K, run.out / "matrix.csv")
-    return {"peak": float(np.abs(K.entries).max()), "schur_bound": gm.schur_bound(K),
-            "pass": True}
+    bound = gm.schur_bound(K)
+    return {"peak": float(np.abs(K.entries).max()), "schur_bound": bound,
+            "pass": bool(np.isfinite(bound))}
 
 
 def _decay(run) -> dict:
@@ -530,10 +531,12 @@ def sparsity_sweep(cfg, frame, T, rng, out: Path):
     rows, times = [], []
     for tau in cfg["sweep"]["tau_grid"]:
         Ks = gm.sparsify(K, tau)
-        rel_err = 0.0
-        for p in probes:
-            err = np.linalg.norm(dense @ p - Ks.matrix @ p) / np.linalg.norm(p)
-            rel_err = max(rel_err, float(err))
+        with np.errstate(over="ignore", invalid="ignore"):
+            errs = [np.linalg.norm(dense @ p - Ks.matrix @ p) / np.linalg.norm(p)
+                    for p in probes]
+        # an overflow leaves an error of inf or nan: np.max keeps either, and
+        # both fail the gate
+        rel_err = float(np.max([0.0] + errs))
         t_dense = _median_time(lambda: dense @ probes[0], repeats)
         t_sparse = _median_time(lambda: Ks.matrix @ probes[0], repeats)
         rows.append({"tau": tau, "kept_fraction": Ks.kept_fraction,

@@ -16,27 +16,35 @@ and that one N x L intermediate.
 
 The decay fit needs |K| only.  _magnitude_columns runs the second
 analysis by the same step gabor.fold_fft over blocks of lam columns, one
-scratch array per block.  gabor_magnitudes writes the magnitudes of each
-block straight into a real N x N array: half the bytes of K, bit for bit
-np.abs(K).  The decay of |K| is measured against a canonical transformation
-chi through the wrapped displacement d = mu - chi(lam), componentwise
-reduced to [-L/2, L/2) in grid-index units.  decay_profile fits a given K
-by rows.  operator_decay_profile gives the same profile without forming K:
-where chi sends the lattice to integer points (every regime-A map, the
-identity in regime B), every squared distance x = |d|^2 is an integer in
-[0, L^2 / 2], so the fit folds each column block into a maximum and a count
-per x and forms no N x N array at all; otherwise it fits gabor_magnitudes
-by rows.  Either way one core, _blocked_fit, forms the bins, the floor, the
-regression and C_fit: from (distance, |value|) pairs of row blocks, or from
-(distance, maximum, count) triples of the occupied keys.
+scratch array per block, and hands each block to a fold.  The decay of |K|
+is measured against a canonical transformation chi through the wrapped
+displacement d = mu - chi(lam), componentwise reduced to [-L/2, L/2) in
+grid-index units.  decay_profile fits a given K by rows (_fit_rows).
+operator_decay_profile gives the same profile without forming K or any
+other N x N array, by one of two folds over the column blocks:
 
-Every pass over rows (the mu of K or |K|, the atoms z of the off-grid
-check, the translates of the symbol-class sweep) splits them by _row_blocks
-into contiguous slices of about FIT_BLOCK_ENTRIES // W entries each.
+* where chi sends the lattice to integer points (every regime-A map, the
+  identity in regime B), every squared distance x = |d|^2 is an integer in
+  [0, L^2 / 2], and _key_fit folds each block into a maximum and a count
+  per x;
+* for every other chi (the sampled maps of the sine phases), _survivor_fit
+  splits each sqrt(2) bin into sub-bins by distance and keeps only the
+  entries whose |K| is above the largest sub-bin maximum farther out or
+  above the largest one nearer in, and each bin's maximum: about 1% of the
+  entries, which hold every bin's maximum and the C_fit maximum for every
+  exponent and floor.
 
-The N x N arrays (K, |K| and the (N, N, 2) displacement array) and the
-N x L first analysis are checked against the machine's physical memory
-before they are allocated: a larger one raises SizeError.
+One core, _blocked_fit, forms the bins, the floor, the regression and C_fit
+for every path: from (distance, |value|) pairs of row blocks, or from
+(distance, maximum, count) triples of the occupied keys or the survivors.
+
+Every pass over rows (the mu of K, the atoms z of the off-grid check, the
+translates of the symbol-class sweep) splits them by _row_blocks into
+contiguous slices of about FIT_BLOCK_ENTRIES // W entries each.
+
+The N x N arrays (K and the (N, N, 2) displacement array) and the N x L
+first analysis are checked against the machine's physical memory before
+they are allocated: a larger one raises SizeError.
 
 Decay fit convention
 --------------------
@@ -77,8 +85,8 @@ from .tfcore import stft_matrix, tf_shift_matrix, wrap_half
 
 __all__ = [
     "GaborMatrix", "DecayProfile", "RowPaddedMatrix", "SparseGaborMatrix",
-    "OffgridReport", "SymbolClassReport", "gabor_matrix", "gabor_magnitudes",
-    "decay_profile", "operator_decay_profile",
+    "OffgridReport", "SymbolClassReport", "gabor_matrix", "decay_profile",
+    "operator_decay_profile",
     "offgraph_max", "offgrid_decay_check", "sparsify",
     "schur_bound", "symbol_class_norm", "gabor_matrix_to_csv",
     "gabor_matrix_from_csv", "profile_to_csv",
@@ -91,8 +99,10 @@ FIT_MIN_COUNT = 3          # nor do bins with fewer entries
 # entries in flight in the blocked passes (1 MiB of float64): the row
 # blocks and the |K| column blocks share them out over the block pool's
 # workers, FIT_BLOCK_ENTRIES // W per block (a quarter of that in the key
-# fold, whose blocks hold 32 bytes per entry)
+# fold, whose blocks hold 32 bytes per entry, and half in the survivor fold,
+# whose blocks hold 24)
 FIT_BLOCK_ENTRIES = 1 << 17
+SUBBINS = 64               # sub-bins per sqrt(2) bin in the survivor fold
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
 
 
@@ -251,29 +261,12 @@ def gabor_matrix(T: OperatorMatrix, frame: GaborFrame,
     return GaborMatrix(K, frame)
 
 
-def gabor_magnitudes(T: OperatorMatrix, frame: GaborFrame) -> np.ndarray:
-    """|K| over the tight window as a real (N, N) array, without forming K.
-
-    Equal bit for bit to np.abs(gabor_matrix(T, frame).entries): the
-    magnitudes of each block of _magnitude_columns go straight into the
-    result.
-    """
-    N = frame.lattice.size
-    _require_memory(8 * N * N, "the Gabor-matrix magnitudes")
-    absK = np.empty((N, N))
-
-    def write_block(cols, out):
-        np.abs(out.reshape(N, -1), out=absK[:, cols])
-
-    _magnitude_columns(T, frame, write_block, FIT_BLOCK_ENTRIES)
-    return absK
-
-
 def _magnitude_columns(T: OperatorMatrix, frame: GaborFrame, column_fn,
                        entries: int) -> None:
     """The second analysis of K over the tight window, one block of lam
     columns at a time on the block pool: column_fn(cols, out) gets each
-    block's scratch array out[j, k, :] = K[j n_freq + k, cols].  The first
+    block's scratch array out[j, k, :] = K[j n_freq + k, cols], free to
+    overwrite.  The first
     analysis is that of gabor_matrix, and the blocks hold about
     entries // W entries each."""
     lat = frame.lattice
@@ -359,10 +352,17 @@ def _bracket(x: np.ndarray) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
+def _bin_coordinate(dist: np.ndarray, out=None) -> np.ndarray:
+    """log <d> / log sqrt 2 of bracketed distances, into out if given: the
+    sqrt(2) bin of <d> is its floor."""
+    idx = np.log(dist, out=out)
+    idx /= np.log(np.sqrt(2))
+    return idx
+
+
 def _bin_index(dist: np.ndarray) -> np.ndarray:
     """The sqrt(2) bin of each bracketed distance: floor(log <d> / log sqrt 2)."""
-    idx = np.log(dist)
-    idx /= np.log(np.sqrt(2))
+    idx = _bin_coordinate(dist)
     return np.floor(idx, out=idx).astype(np.intp)
 
 
@@ -499,6 +499,87 @@ def _key_fit(T: OperatorMatrix, frame: GaborFrame, sq1: np.ndarray,
     return DecayProfile(*_blocked_fit(list(accs.values()), key_entries))
 
 
+def _survivor_fit(T: OperatorMatrix, frame: GaborFrame, d1sq: np.ndarray,
+                  d2sq: np.ndarray) -> DecayProfile:
+    """The decay fit of T from the squared displacement tables d1sq (n_time,
+    N) and d2sq (n_freq, N) of _fit_rows, folded over the |K| column blocks
+    into the entries that can decide it.
+
+    A block's distances <d> = sqrt((d1sq + d2sq) + 1.0) and their sqrt(2)
+    bins are those of _fit_rows, bit for bit.  Each bin splits into SUBBINS
+    sub-bins by the key floor(SUBBINS log <d> / log sqrt 2), monotone in
+    <d>; SUBBINS is a power of two, so the product is exact and key //
+    SUBBINS is the bin.  An entry of a block survives if its |K| is
+
+    * above the largest sub-bin maximum farther out or above the largest
+      one nearer in (an empty side counts as -1), or
+    * its bin's maximum, in the first sub-bin of the bin that holds it.
+
+    An entry that does not survive thus has an entry at least as large
+    strictly farther out and one strictly nearer in.  <d>^s max(|K|, floor)
+    is monotone in |K|, and in <d> for a fixed s, so the farthest (s >= 0)
+    or nearest (s < 0) entry that attains the C_fit maximum survives for
+    every s and every floor, and so does a maximum of every bin.
+    _blocked_fit takes the survivors as (<d>, |K|, 0) triples and the count
+    of each occupied bin as one (<d> of a survivor of the bin, 0.0, count)
+    triple: the result is that of _fit_rows for every W and block size.
+    The survivors, each block's two frontiers at sub-bin resolution and its
+    bin maxima, are about 1% of the entries for the sine phases at L = 256,
+    and no N x N array is formed.
+    """
+    vbufs, parts = {}, {}         # thread -> |K| buffer, per-block triples
+
+    def fold_block(cols, out):
+        n, tid = out.size, threading.get_ident()
+        if tid not in vbufs or vbufs[tid].size < n:
+            vbufs[tid] = np.empty(n)
+        v = vbufs[tid][:n]
+        np.abs(out, out=v.reshape(out.shape))
+        # the scratch block is free now: its first n floats hold the
+        # distances, then the thresholds, and its second half the keys
+        dist = out.view(np.float64).reshape(-1)[:n]
+        key = out.view(np.intp).reshape(-1)[-n:]
+        np.add(d1sq[:, None, cols], d2sq[None, :, cols], out=dist.reshape(out.shape))
+        # the cast truncates, which is the floor of these non-negative keys
+        np.multiply(_bin_coordinate(_bracket(dist), out=dist), SUBBINS, out=key,
+                    casting="unsafe")
+        # the entries of each bin, up to the bin of the last key
+        per_key = np.bincount(key)
+        cnt = np.add.reduceat(per_key, np.arange(0, per_key.size, SUBBINS))
+        nb = cnt.size
+        sub = np.full(nb * SUBBINS, -1.0)      # |K| >= 0: -1 marks an empty sub-bin
+        np.maximum.at(sub, key, v)
+        # the largest sub-bin maximum farther out and nearer in, per sub-bin
+        far = np.full_like(sub, -1.0)
+        near = np.full_like(sub, -1.0)
+        far[:-1] = np.maximum.accumulate(sub[:0:-1])[::-1]
+        near[1:] = np.maximum.accumulate(sub[:-1])
+        thr = np.minimum(far, near)
+        # and each bin's maximum in the first of its sub-bins that holds it
+        top = np.arange(0, sub.size, SUBBINS) + sub.reshape(nb, SUBBINS).argmax(axis=1)
+        thr[top] = np.minimum(thr[top], np.nextafter(sub[top], -np.inf))
+        np.take(thr, key, out=dist, mode="clip")    # "raise" would buffer out
+        # not <= both, so that a NaN survives as the row fit would see it
+        kept = np.flatnonzero(~(v <= dist))
+        # the survivors' distances again, by the same sums
+        j, k, c = np.unravel_index(kept, out.shape)
+        c += cols.start
+        kept_d = _bracket(d1sq[j, c] + d2sq[k, c])
+        rep = np.empty(nb)
+        rep[key[kept] // SUBBINS] = kept_d      # every occupied bin has a survivor
+        occupied = np.flatnonzero(cnt)
+        parts.setdefault(tid, []).append(
+            (np.concatenate([kept_d, rep[occupied]]),
+             np.concatenate([v[kept], np.zeros(occupied.size)]),
+             np.concatenate([np.zeros(kept.size, np.intp), cnt[occupied]])))
+
+    # 1.5 MiB in flight: the analysis GEMMs and FFTs slow down on narrower
+    # blocks
+    _magnitude_columns(T, frame, fold_block, FIT_BLOCK_ENTRIES // 2)
+    blocks = [tuple(map(np.concatenate, zip(*triples))) for triples in parts.values()]
+    return DecayProfile(*_blocked_fit(blocks, lambda triple: triple))
+
+
 def decay_profile(K: GaborMatrix, chi) -> DecayProfile:
     """Fit |K[mu, lam]| <= C <mu - chi(lam)>^{-s} over the lattice, taking
     |K| of one block of rows at a time (no N x N |K| array is formed)."""
@@ -508,18 +589,18 @@ def decay_profile(K: GaborMatrix, chi) -> DecayProfile:
 
 
 def operator_decay_profile(T: OperatorMatrix, frame: GaborFrame, chi) -> DecayProfile:
-    """decay_profile(gabor_matrix(T, frame), chi), field for field, without
-    forming K.  Where chi sends the lattice to integer points (then every
-    displacement is an integer) the fit folds the |K| column blocks by
-    distance (_key_fit) and forms no N x N array; otherwise it fits from
-    gabor_magnitudes(T, frame) by rows, with the tables built after |K|."""
+    """decay_profile(gabor_matrix(T, frame), chi), field for field, from
+    folds of the |K| column blocks: by integer distance (_key_fit) where chi
+    sends the lattice to integer points (then every displacement is an
+    integer), and by per-bin survivors (_survivor_fit) otherwise.  No N x N
+    array is formed."""
     lat, L = frame.lattice, frame.config.L
     img = _lattice_images(lat, L, chi)
     if np.array_equal(img, np.round(img)):
         return _key_fit(T, frame, *((d ** 2).astype(np.intp)
                                     for d in _displacement_tables(lat, L, img)))
-    absK = gabor_magnitudes(T, frame)
-    return _fit_rows(lambda mu: absK[mu], lat, _displacement_tables(lat, L, img))
+    return _survivor_fit(T, frame, *(np.square(d, out=d)
+                                     for d in _displacement_tables(lat, L, img)))
 
 
 def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:
@@ -596,14 +677,16 @@ def offgrid_decay_check(T: OperatorMatrix, frame: GaborFrame, chi, s: float,
             images = (T.entries @ atoms[:, :, None])[:, :, 0]    # one gemv per atom
             if not np.isfinite(images).all():
                 raise ModelError("operator image has non-finite entries")
-            V = stft_matrix(images, w)                           # [z, k, m]
             maxima = []
-            for tw, fw in grids:
-                vals = np.abs(V[:, (tw % L)[:, None], fw % L])   # [z, w'-time, w'-freq]
-                d1sq = wrap_half(tw[None, :] - img[blk, 0][:, None], L) ** 2
-                d2sq = wrap_half(fw[None, :] - img[blk, 1][:, None], L) ** 2
-                weight = ((1.0 + d1sq)[:, :, None] + d2sq[:, None, :]) ** (s / 2)
-                maxima.append(float((vals * weight).max()))
+            # an overflow leaves a constant of inf or nan, which fails the ratio
+            with np.errstate(over="ignore", invalid="ignore"):
+                V = stft_matrix(images, w)                       # [z, k, m]
+                for tw, fw in grids:
+                    vals = np.abs(V[:, (tw % L)[:, None], fw % L])   # [z, w'-time, w'-freq]
+                    d1sq = wrap_half(tw[None, :] - img[blk, 0][:, None], L) ** 2
+                    d2sq = wrap_half(fw[None, :] - img[blk, 1][:, None], L) ** 2
+                    weight = ((1.0 + d1sq)[:, :, None] + d2sq[:, None, :]) ** (s / 2)
+                    maxima.append(float((vals * weight).max()))
             return maxima
 
         for maxima in map_blocks(block_maxima, _row_blocks(lat.size, L * L)):
@@ -629,9 +712,11 @@ def sparsify(K: GaborMatrix, tau: float) -> SparseGaborMatrix:
 
 def schur_bound(K) -> float:
     """max(max_mu sum_lam |K|, max_lam sum_mu |K|): an upper bound for the
-    l2 operator norm of the matrix (Schur's test)."""
-    A = np.abs(K.entries if isinstance(K, GaborMatrix) else np.asarray(K))
-    return float(max(A.sum(axis=1).max(), A.sum(axis=0).max()))
+    l2 operator norm of the matrix (Schur's test), inf where a sum
+    overflows."""
+    with np.errstate(over="ignore"):
+        A = np.abs(K.entries if isinstance(K, GaborMatrix) else np.asarray(K))
+        return float(max(A.sum(axis=1).max(), A.sum(axis=0).max()))
 
 
 def symbol_class_norm(sigma: SymbolGrid, s: float,
@@ -644,7 +729,8 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
     batched 2d FFT per block (an L^4 log L computation overall, run on the
     block pool over groups of rows z1), so L is capped at
     SYMBOL_CLASS_MAX_L.  Also fits the decay exponent of the envelope
-    sup_z |V_Psi sigma(z, .)| with the shared binning machinery.
+    sup_z |V_Psi sigma(z, .)| with the shared binning machinery.  An
+    envelope that overflows raises ModelError.
     """
     L = sigma.config.L
     if L > SYMBOL_CLASS_MAX_L:
@@ -671,22 +757,26 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
         env_r = np.zeros((L, L))
         stack = np.empty((cols[0].stop, L, L), dtype=complex)
         mag = np.empty((cols[0].stop, L, L))
-        for row in translates[r0:r0 + rows]:
-            for c in cols:
-                block = row[c]
-                out, m = stack[:len(block)], mag[:len(block)]
-                np.multiply(sigma.values, block, out=out)
-                np.fft.fft(out, axis=2, out=out)       # fft2 over (1, 2), in place
-                np.fft.fft(out, axis=1, out=out)
-                np.maximum(env_r, np.abs(out, out=m).max(axis=0), out=env_r)
+        with np.errstate(over="ignore", invalid="ignore"):     # env is checked below
+            for row in translates[r0:r0 + rows]:
+                for c in cols:
+                    block = row[c]
+                    out, m = stack[:len(block)], mag[:len(block)]
+                    np.multiply(sigma.values, block, out=out)
+                    np.fft.fft(out, axis=2, out=out)       # fft2 over (1, 2), in place
+                    np.fft.fft(out, axis=1, out=out)
+                    np.maximum(env_r, np.abs(out, out=m).max(axis=0), out=env_r)
         return env_r
 
     env = np.zeros((L, L))
     for env_r in map_blocks(rows_envelope, range(0, L, rows)):
         np.maximum(env, env_r, out=env)
+    if not np.isfinite(env).all():
+        raise ModelError("the short-time Fourier transform of the symbol overflows")
     zw = wrap_half(np.arange(L), L)
     dist = np.sqrt(1.0 + zw[:, None] ** 2 + zw[None, :] ** 2)
-    norm = float((env * dist ** s).max())
+    with np.errstate(over="ignore"):                # inf fails the pass flag
+        norm = float((env * dist ** s).max())
     bins, s_sym, _, _ = envelope_fit(dist, env)
     return SymbolClassReport(norm=norm, envelope=env, s_sym=s_sym, bins=bins)
 

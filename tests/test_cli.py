@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +289,30 @@ def test_overflowing_c_fit_is_exit_1(tmp_path, capsys, operator):
     rep = read_report(out)
     assert rep["C_fit"] == float("inf") and rep["pass"] is False and rep["error"] is None
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("pipeline,operator,regime", [
+    ("gabor-matrix", "multiplier:1e308", "A"),
+    ("offgrid", "multiplier:1e308", "A"),
+    ("sparsity-sweep", "multiplier:1e308", "A"),
+    ("symbol-class", "multiplier:1e308", "A"),
+    # a sampled map: the survivor fold of the decay fit
+    ("decay", "multiplier:1e308*fio1:phase=sine:0.2:4:4,symbol=ones", "B"),
+])
+def test_overflow_is_exit_1_with_warnings_as_errors(tmp_path, pipeline, operator, regime):
+    # an overflow inside a pipeline fails the run with a report; under
+    # `python -W error` a numpy warning would end it in a traceback instead
+    cfg = write_config(tmp_path, model={"L": 16, "regime": regime}, operator=operator,
+                       pipeline=pipeline)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gaborfio.cli", "run", cfg,
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert read_report(out)["pass"] is False
 
 
 def test_threads_flag_smoke(tmp_path):

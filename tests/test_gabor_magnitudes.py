@@ -1,7 +1,8 @@
-"""The column-blocked fold + FFT analysis and |K| built without K: the
-analyses, K and |K| equal a one-block reference bit for bit for every
-worker count and block width, the fit from |K| equals the fit from K field
-for field, and the size guard stops the N x N allocations the machine
+"""The column-blocked fold + FFT analysis and the decay folds over its |K|
+column blocks: the analyses, K and |K| equal a one-block reference bit for
+bit for every worker count and block width, both folds (by integer
+distance and into survivor sets) equal the row fit of K field for field and
+form no N x N array, and the size guard stops the allocations the machine
 cannot hold."""
 
 import json
@@ -40,6 +41,19 @@ def widths(N):
     return [None, (None, 40), (1, N - 1), (1, 3 if N % 3 == 1 else 5)]
 
 
+def magnitudes(T, frame):
+    """|K| written block by block from the column blocks of
+    _magnitude_columns into a real N x N array."""
+    N = frame.lattice.size
+    absK = np.empty((N, N))
+
+    def write_block(cols, out):
+        np.abs(out.reshape(N, -1), out=absK[:, cols])
+
+    gm._magnitude_columns(T, frame, write_block, gm.FIT_BLOCK_ENTRIES)
+    return absK
+
+
 def set_width(monkeypatch, setting, N, workers):
     """Blocks of about `width` columns; an align of None keeps COLUMN_ALIGN."""
     if setting is not None:
@@ -62,7 +76,7 @@ def test_magnitudes_equal_abs_of_the_gabor_matrix(monkeypatch, L, steps, regime)
             for setting in widths(N):
                 with monkeypatch.context() as m:
                     set_width(m, setting, N, workers)
-                    got = gf.gabor_magnitudes(T, frame)
+                    got = magnitudes(T, frame)
                 assert got.dtype == np.float64
                 np.testing.assert_array_equal(got, want, err_msg=f"{workers} {setting}")
 
@@ -119,7 +133,7 @@ def test_blocked_analyses_equal_the_one_block_reference(monkeypatch, L, steps, r
                         gf.gabor_matrix(T, frame, use_tight=use_tight).entries, K, err_msg=msg)
                     if use_tight:
                         np.testing.assert_array_equal(
-                            gf.gabor_magnitudes(T, frame), np.abs(K), err_msg=msg)
+                            magnitudes(T, frame), np.abs(K), err_msg=msg)
 
 
 @pytest.mark.parametrize("L", [64, 128])
@@ -140,7 +154,7 @@ def test_aligned_blocks_keep_the_bits_of_a_complex_window(monkeypatch, L):
                 with monkeypatch.context() as m:
                     force_width(m, setting)
                     np.testing.assert_array_equal(gf.gabor_matrix(T, frame).entries, K)
-                    np.testing.assert_array_equal(gf.gabor_magnitudes(T, frame), np.abs(K))
+                    np.testing.assert_array_equal(magnitudes(T, frame), np.abs(K))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 17, 33, 64, 289, 1024, 2048, 4097])
@@ -158,7 +172,7 @@ def test_column_blocks_cover_the_columns_and_none_is_one_wide(N, entries):
 # (L, regime, operator spec): regime A and B, exact and sampled phases, the
 # bisection fallback of sine:0.5 included.  The regime-A maps and the
 # identity of fio1:phase=kn send the lattice to integer points and take the
-# key fold; the sine phases keep the row fit of gabor_magnitudes
+# key fold; the sine phases take the survivor fold
 PROFILE_CASES = [
     (64, "A", "chirp:1"),
     (64, "A", "dft*chirp:2"),
@@ -187,8 +201,11 @@ def test_operator_decay_profile_equals_the_profile_of_K(monkeypatch, L, regime, 
     T, chi, _ = cli.parse_operator(spec, frame.config)
     want = gf.decay_profile(gf.gabor_matrix(T, frame), chi)
     keyed = integral(tables_of(frame.lattice, L, chi))
-    key_fits, key_fit = [], gm._key_fit
-    monkeypatch.setattr(gm, "_key_fit", lambda *args: key_fits.append(1) or key_fit(*args))
+    fits = []
+    for name in ("_key_fit", "_survivor_fit"):
+        fit = getattr(gm, name)
+        monkeypatch.setattr(gm, name, lambda *args, name=name, fit=fit:
+                            fits.append(name) or fit(*args))
     for workers in (1, 2, 3):
         with blockpool.worker_limit(workers):
             # the default blocks, then 16-column and one-row blocks
@@ -198,15 +215,15 @@ def test_operator_decay_profile_equals_the_profile_of_K(monkeypatch, L, regime, 
                     got = gf.operator_decay_profile(T, frame, chi)
                 assert (got.bins, got.s_fit, got.C_fit, got.r2) == \
                     (want.bins, want.s_fit, want.C_fit, want.r2), f"{workers} {entries}"
-    assert len(key_fits) == (6 if keyed else 0)
+    assert fits == 6 * ["_key_fit" if keyed else "_survivor_fit"]
 
 
-def test_key_fold_keeps_every_count_under_thread_switching(monkeypatch):
-    # more workers than CPUs, switching threads every microsecond, over
-    # 16-column blocks: a lost update of a worker's key counts or maxima
-    # would change the total count or the profile
-    frame = frame_for(64, None, "A")
-    T, chi, _ = cli.parse_operator("dft*chirp:2", frame.config)
+def check_under_thread_switching(monkeypatch, regime, spec):
+    """More workers than CPUs, switching threads every microsecond, over
+    16-column blocks: a lost update of a worker's accumulators, survivors or
+    blocks would change the total count or the profile."""
+    frame = frame_for(64, None, regime)
+    T, chi, _ = cli.parse_operator(spec, frame.config)
     want = gf.decay_profile(gf.gabor_matrix(T, frame), chi)
     monkeypatch.setattr(gm, "FIT_BLOCK_ENTRIES", 1)
     interval = sys.getswitchinterval()
@@ -220,6 +237,15 @@ def test_key_fold_keeps_every_count_under_thread_switching(monkeypatch):
                     (want.bins, want.s_fit, want.C_fit, want.r2)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_key_fold_keeps_every_count_under_thread_switching(monkeypatch):
+    check_under_thread_switching(monkeypatch, "A", "dft*chirp:2")
+
+
+def test_survivor_fold_keeps_every_count_under_thread_switching(monkeypatch):
+    check_under_thread_switching(monkeypatch, "B",
+                                 "fio1:phase=sine:0.5:8:8,symbol=random-smooth:3")
 
 
 def feed_columns(absK, width):
@@ -257,6 +283,40 @@ def test_key_fold_equals_the_row_fit_with_a_distance_of_zeros(monkeypatch, L, st
                     (want.bins, want.s_fit, want.C_fit, want.r2), f"{workers} {width}"
 
 
+# a map that sends lattice points off the integer grid: the survivor fold
+SHEAR = np.array([[1.0, 0.0], [0.1, 1.0]])
+
+
+@pytest.mark.parametrize("L,steps", [(16, (2, 2)), (64, None), (96, (6, 4))])
+@pytest.mark.parametrize("growing", [False, True], ids=["decaying", "growing"])
+def test_survivor_fold_equals_the_row_fit_with_ties_and_zeros(monkeypatch, L, steps,
+                                                              growing):
+    # |K| on 64 levels: equal values in many sub-bins of one bin, and exact
+    # zeros from the farthest bin on, which still counts and enters C_fit
+    # at the floor; a growing |K| fits a negative exponent
+    frame = frame_for(L, steps, "B")
+    lat, N = frame.lattice, frame.lattice.size
+    tables = tables_of(lat, L, SHEAR)
+    assert not integral(tables)
+    j, k = np.divmod(np.arange(N), lat.n_freq)
+    x = tables[0][j] ** 2 + tables[1][k] ** 2                  # (N, N)
+    profile = x / x.max() if growing else np.exp(-4 * x / L)
+    rng = np.random.Generator(np.random.Philox(L))
+    absK = np.floor(64 * profile * rng.uniform(0.5, 1.0, size=(N, N))) / 64
+    bins = gm._bin_index(np.sqrt(x + 1.0))
+    absK[bins == bins.max()] = 0.0
+    want = gm._fit_rows(lambda mu: absK[mu], lat, [d.copy() for d in tables])
+    assert want.bins[-1][1] == gm.FIT_FLOOR_RTOL * absK.max()
+    assert (want.s_fit < 0) == growing
+    for workers in (1, 2, 3):
+        with blockpool.worker_limit(workers):
+            for width in (16, 40, N):
+                monkeypatch.setattr(gm, "_magnitude_columns", feed_columns(absK, width))
+                got = gm._survivor_fit(None, frame, *(d ** 2 for d in tables))
+                assert (got.bins, got.s_fit, got.C_fit, got.r2) == \
+                    (want.bins, want.s_fit, want.C_fit, want.r2), f"{workers} {width}"
+
+
 def test_weighted_entries_fit_as_their_expanded_pairs():
     # (distance, max, count) triples in five blocks, keys repeated across
     # blocks as in the per-worker key accumulators, and some maxima at zero:
@@ -289,10 +349,6 @@ def test_operator_decay_profile_reaches_the_fit_core_once(monkeypatch):
         assert len(calls) == 1, spec
 
 
-# a map that sends lattice points off the integer grid: the row fit
-SHEAR = np.array([[1.0, 0.0], [0.1, 1.0]])
-
-
 @pytest.mark.parametrize("regime", "AB")
 def test_both_fit_paths_raise_the_same_fit_error(regime):
     # a zero operator has no envelope above the floor: no bin is eligible
@@ -300,27 +356,48 @@ def test_both_fit_paths_raise_the_same_fit_error(regime):
     T = gf.OperatorMatrix(np.zeros((64, 64), dtype=complex), frame.config)
     with pytest.raises(gf.FitError) as rows:
         gf.decay_profile(gf.gabor_matrix(T, frame), np.eye(2))
-    for chi in (np.eye(2), SHEAR):                         # key fold, row fit
+    for chi in (np.eye(2), SHEAR):                         # key fold, survivor fold
         with pytest.raises(gf.FitError) as got:
             gf.operator_decay_profile(T, frame, chi)
         assert str(got.value) == str(rows.value) == "only 0 eligible bins, need >= 4"
 
 
+def traced_peak(call):
+    """The peak of the memory traced while call() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# an N x N |K| alone is 8 N^2 bytes; both folds stay below it.  Every worker
+# holds its own block (and, in the key fold, maxima and counts of L^2 / 2
+# keys), so the worker counts are fixed
+
+
 def test_key_fold_forms_no_n_by_n_array():
-    # the row fit's |K| alone is 8 N^2 bytes; the key fold stays below it
     frame = frame_for(256, None, "A")
     N = frame.lattice.size
     T = gf.dft_operator(frame.config)
     chi = cli.parse_operator("dft", frame.config)[1]
-    peaks = []
-    for chi_ in (chi, SHEAR):                              # key fold, row fit
-        tracemalloc.start()
-        try:
-            gf.operator_decay_profile(T, frame, chi_)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] < 8 * N * N <= peaks[1]
+    for workers in (1, 2):
+        with blockpool.worker_limit(workers):
+            peaks = [traced_peak(lambda: gf.operator_decay_profile(T, frame, chi_))
+                     for chi_ in (chi, SHEAR)]     # key fold, survivor fold
+        assert max(peaks) < 8 * N * N, (workers, peaks)
+
+
+def test_survivor_fold_of_a_sampled_map_forms_no_n_by_n_array():
+    frame = frame_for(256, None, "B")
+    N = frame.lattice.size
+    T, chi, _ = cli.parse_operator("fio2:phase=sine:0.2:16:16,symbol=ones", frame.config)
+    assert not integral(tables_of(frame.lattice, 256, chi))
+    for workers in (1, 2):
+        with blockpool.worker_limit(workers):
+            peak = traced_peak(lambda: gf.operator_decay_profile(T, frame, chi))
+        assert peak < 8 * N * N, (workers, peak)
 
 
 def decay_a_specs(L):
@@ -339,7 +416,7 @@ def test_benchmark_decay_runs_take_the_key_fold():
     lat = gf.default_lattice(cfg)
     for spec in decay_a_specs(512):
         assert integral(tables_of(lat, 512, cli.parse_operator(spec, cfg)[1])), spec
-    # tame-b: the identity of fio1:phase=kn folds by keys, its sine phases do not
+    # tame-b: the identity of fio1:phase=kn folds by keys, its sine phases by survivors
     cfg = gf.ModelConfig(L=256, regime="B")
     lat = gf.default_lattice(cfg)
     for spec, keyed in (("fio1:phase=kn,symbol=ones", True),
@@ -354,7 +431,6 @@ def test_size_guard_raises_before_the_n_by_n_arrays(monkeypatch, frame16):
     N, L = frame16.lattice.size, frame16.config.L
     # each guard admits exactly its own array
     for budget, call in ((16 * N * N, lambda: gf.gabor_matrix(T, frame16)),
-                         (8 * N * N, lambda: gf.gabor_magnitudes(T, frame16)),
                          (16 * N * L, lambda: gm._atom_images(T, frame16, frame16.tight)),
                          (16 * N * N, lambda: gm.wrapped_displacements(K, np.eye(2)))):
         monkeypatch.setattr(gm, "_memory_budget", lambda: budget)

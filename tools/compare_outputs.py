@@ -70,6 +70,9 @@ def _configs() -> list[dict]:
                  "fio2:phase=sine:0.2:16:16,symbol=random-smooth:4",
                  "fio1:phase=kn,symbol=ones"):
         table.append(_cfg(256, "decay", spec, "B"))
+    # sampled maps over many column blocks of the survivor fold
+    table.append(_cfg(1024, "decay", "fio1:phase=sine:0.2:32:32,symbol=random-smooth:7", "B"))
+    table.append(_cfg(256, "decay", "fio2:phase=sine:0.5:8:8,symbol=ones"))
     # the catalog phases through fio1 and fio2
     for phase in ("kn", "chirp:2", "chirp:1.5", "chirp:-1", "chirp:0",
                   "metaplectic:1,0,1,1", "metaplectic:2,0,0,0.5", "perturbed:0.2",
