@@ -4,8 +4,8 @@ The Gabor-matrix analyses, both passes of the decay fit, the symbol-class
 sweep and the off-grid check split their work into blocks.  Each block
 either writes a disjoint slice of one output array, returns a partial
 result (bin maxima, integer counts, a maximum) that its caller folds in
-block order, or folds maxima and integer counts into an accumulator of the
-thread that runs it (exact, so the order does not matter).  Every block
+block order or appends to one list, or folds maxima and integer counts
+into one accumulator under a lock (exact, so the order does not matter).  Every block
 runs the same numpy calls on the same entries whichever thread runs it, so
 the results are bit-identical for every worker count.  The blocks spend
 their time in numpy loops, GEMMs and FFTs, which release the interpreter

@@ -26,13 +26,14 @@ other N x N array, by one of two folds over the column blocks:
 * where chi sends the lattice to integer points (every regime-A map, the
   identity in regime B), every squared distance x = |d|^2 is an integer in
   [0, L^2 / 2], and _key_fit folds each block into a maximum and a count
-  per x;
+  per x, one pair of arrays for all workers;
 * for every other chi (the sampled maps of the sine phases), _survivor_fit
   splits each sqrt(2) bin into sub-bins by distance and keeps only the
   entries whose |K| is above the largest sub-bin maximum farther out or
-  above the largest one nearer in, and each bin's maximum: about 1% of the
-  entries, which hold every bin's maximum and the C_fit maximum for every
-  exponent and floor.
+  above the largest one nearer in, and each bin's maximum (0.03-1.4% of the
+  entries for the sampled maps tried at L = 256, 7% where |K| falls almost
+  monotonically with distance), which hold every bin's maximum and the
+  C_fit maximum for every exponent and floor.
 
 One core, _blocked_fit, forms the bins, the floor, the regression and C_fit
 for every path: from (distance, |value|) pairs of row blocks, or from
@@ -468,35 +469,31 @@ def _key_fit(T: OperatorMatrix, frame: GaborFrame, sq1: np.ndarray,
     The key of K[j n_freq + k, lam] is sq1[j, lam] + sq2[k, lam], an integer
     in [0, L^2 / 2], and every entry with that key has the distance <d> =
     sqrt(x + 1.0).  Each column block of _magnitude_columns folds its |K|
-    into its worker's maximum and count of each key, so no N x N array is
-    formed.  _blocked_fit then reads each worker's occupied keys as (<d>,
-    key max, key count) triples and forms the bins, floor, regression and
-    C_fit as it does for rows.  Maxima and integer counts do not depend on
-    the order of the fold, and <d>^s_fit max(v, floor) is monotone in v (a
-    positive weight times a correctly rounded product), so the max over
-    each worker's keys is the max over the entries bit for bit: the result
-    is that of _fit_rows for every W.
+    into one maximum and one count per key, which the workers share under a
+    lock, so the memory of the fold does not grow with W and no N x N array
+    is formed.  _blocked_fit then reads the occupied keys as (<d>, key max,
+    key count) triples and forms the bins, floor, regression and C_fit as it
+    does for rows.  Maxima and integer counts do not depend on the order of
+    the fold, and <d>^s_fit max(v, floor) is monotone in v (a positive
+    weight times a correctly rounded product), so the max over the keys is
+    the max over the entries bit for bit: the result is that of _fit_rows
+    for every W.
     """
     n_keys = int(sq1.max()) + int(sq2.max()) + 1
-    accs = {}                                  # thread -> (key maxima, key counts)
+    envx, cntx = np.zeros(n_keys), np.zeros(n_keys, np.intp)
+    lock = threading.Lock()
 
     def fold_block(cols, out):
-        acc = accs.get(threading.get_ident())
-        if acc is None:
-            acc = accs[threading.get_ident()] = (np.zeros(n_keys), np.zeros(n_keys, np.intp))
-        envx, cntx = acc
         key = (sq1[:, None, cols] + sq2[None, :, cols]).ravel()
-        np.maximum.at(envx, key, np.abs(out).ravel())
-        np.add.at(cntx, key, 1)
+        v = np.abs(out).ravel()
+        with lock:
+            np.maximum.at(envx, key, v)
+            np.add.at(cntx, key, 1)
 
     _magnitude_columns(T, frame, fold_block, FIT_BLOCK_ENTRIES // 4)
-
-    def key_entries(acc):
-        envx, cntx = acc
-        seen = np.flatnonzero(cntx)
-        return _bracket(seen), envx[seen], cntx[seen]
-
-    return DecayProfile(*_blocked_fit(list(accs.values()), key_entries))
+    seen = np.flatnonzero(cntx)
+    keys = (_bracket(seen), envx[seen], cntx[seen])
+    return DecayProfile(*_blocked_fit([keys], lambda triple: triple))
 
 
 def _survivor_fit(T: OperatorMatrix, frame: GaborFrame, d1sq: np.ndarray,
@@ -524,10 +521,11 @@ def _survivor_fit(T: OperatorMatrix, frame: GaborFrame, d1sq: np.ndarray,
     of each occupied bin as one (<d> of a survivor of the bin, 0.0, count)
     triple: the result is that of _fit_rows for every W and block size.
     The survivors, each block's two frontiers at sub-bin resolution and its
-    bin maxima, are about 1% of the entries for the sine phases at L = 256,
-    and no N x N array is formed.
+    bin maxima, are 0.03-1.4% of the entries for the sampled maps tried at
+    L = 256 (7% for the near-radial sine:0.01), and no N x N array is
+    formed.
     """
-    vbufs, parts = {}, {}         # thread -> |K| buffer, per-block triples
+    vbufs, parts = {}, []         # thread -> |K| buffer; the blocks' triples
 
     def fold_block(cols, out):
         n, tid = out.size, threading.get_ident()
@@ -568,7 +566,7 @@ def _survivor_fit(T: OperatorMatrix, frame: GaborFrame, d1sq: np.ndarray,
         rep = np.empty(nb)
         rep[key[kept] // SUBBINS] = kept_d      # every occupied bin has a survivor
         occupied = np.flatnonzero(cnt)
-        parts.setdefault(tid, []).append(
+        parts.append(
             (np.concatenate([kept_d, rep[occupied]]),
              np.concatenate([v[kept], np.zeros(occupied.size)]),
              np.concatenate([np.zeros(kept.size, np.intp), cnt[occupied]])))
@@ -576,8 +574,7 @@ def _survivor_fit(T: OperatorMatrix, frame: GaborFrame, d1sq: np.ndarray,
     # 1.5 MiB in flight: the analysis GEMMs and FFTs slow down on narrower
     # blocks
     _magnitude_columns(T, frame, fold_block, FIT_BLOCK_ENTRIES // 2)
-    blocks = [tuple(map(np.concatenate, zip(*triples))) for triples in parts.values()]
-    return DecayProfile(*_blocked_fit(blocks, lambda triple: triple))
+    return DecayProfile(*_blocked_fit(parts, lambda triple: triple))
 
 
 def decay_profile(K: GaborMatrix, chi) -> DecayProfile:

@@ -1,9 +1,5 @@
 import csv
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,41 +274,31 @@ def test_failed_verification_is_exit_1(tmp_path):
     assert rep["pass"] is False and rep["error"] is None
 
 
-@pytest.mark.parametrize("operator", ["multiplier:1e308", "perturb-id:1e308"])
-def test_overflowing_c_fit_is_exit_1(tmp_path, capsys, operator):
-    # the fit holds, but <d>^s_fit |K| overflows: C_fit is inf, which fails
-    # the run as it fails the algebra reports, and no warning reaches stderr
-    cfg = write_config(tmp_path, model={"L": 16, "regime": "A"},
-                       operator=operator, pipeline="decay")
-    out = tmp_path / "out"
-    assert cli.main(["run", cfg, "--out", str(out)]) == 1
-    rep = read_report(out)
-    assert rep["C_fit"] == float("inf") and rep["pass"] is False and rep["error"] is None
-    assert capsys.readouterr().err == ""
-
-
 @pytest.mark.parametrize("pipeline,operator,regime", [
+    pytest.param("decay", "multiplier:1e308", "A", id="multiplier:1e308"),
+    pytest.param("decay", "perturb-id:1e308", "A", id="perturb-id:1e308"),
+    # a sampled map: the survivor fold of the decay fit
+    ("decay", "multiplier:1e308*fio1:phase=sine:0.2:4:4,symbol=ones", "B"),
     ("gabor-matrix", "multiplier:1e308", "A"),
     ("offgrid", "multiplier:1e308", "A"),
     ("sparsity-sweep", "multiplier:1e308", "A"),
     ("symbol-class", "multiplier:1e308", "A"),
-    # a sampled map: the survivor fold of the decay fit
-    ("decay", "multiplier:1e308*fio1:phase=sine:0.2:4:4,symbol=ones", "B"),
 ])
-def test_overflow_is_exit_1_with_warnings_as_errors(tmp_path, pipeline, operator, regime):
-    # an overflow inside a pipeline fails the run with a report; under
-    # `python -W error` a numpy warning would end it in a traceback instead
-    cfg = write_config(tmp_path, model={"L": 16, "regime": regime}, operator=operator,
-                       pipeline=pipeline)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+def test_overflowing_c_fit_is_exit_1(tmp_path, capsys, pipeline, operator, regime):
+    # an overflow inside a pipeline fails the run with a report, and no
+    # numpy warning is raised (the suite turns RuntimeWarnings into errors,
+    # which cli.main does not catch) or reaches stderr.  In the decay fit
+    # the fit holds, but <d>^s_fit |K| overflows: C_fit is inf, which fails
+    # the run as it fails the algebra reports
+    cfg = write_config(tmp_path, model={"L": 16, "regime": regime},
+                       operator=operator, pipeline=pipeline)
     out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gaborfio.cli", "run", cfg,
-                           "--out", str(out)], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert (proc.returncode, proc.stderr) == (1, "")
-    assert read_report(out)["pass"] is False
+    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    rep = read_report(out)
+    assert rep["pass"] is False
+    if pipeline == "decay":
+        assert rep["C_fit"] == float("inf") and rep["error"] is None
+    assert capsys.readouterr().err == ""
 
 
 def test_threads_flag_smoke(tmp_path):

@@ -220,8 +220,8 @@ def test_operator_decay_profile_equals_the_profile_of_K(monkeypatch, L, regime, 
 
 def check_under_thread_switching(monkeypatch, regime, spec):
     """More workers than CPUs, switching threads every microsecond, over
-    16-column blocks: a lost update of a worker's accumulators, survivors or
-    blocks would change the total count or the profile."""
+    16-column blocks: a lost update of the key accumulators, the survivors
+    or the blocks would change the total count or the profile."""
     frame = frame_for(64, None, regime)
     T, chi, _ = cli.parse_operator(spec, frame.config)
     want = gf.decay_profile(gf.gabor_matrix(T, frame), chi)
@@ -319,7 +319,7 @@ def test_survivor_fold_equals_the_row_fit_with_ties_and_zeros(monkeypatch, L, st
 
 def test_weighted_entries_fit_as_their_expanded_pairs():
     # (distance, max, count) triples in five blocks, keys repeated across
-    # blocks as in the per-worker key accumulators, and some maxima at zero:
+    # blocks as bins are in the survivor fold's blocks, and some maxima at zero:
     # the fit equals that of each pair repeated `count` times
     rng = np.random.Generator(np.random.Philox(16))
     keys = rng.integers(0, 2000, size=600)
@@ -372,9 +372,10 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-# an N x N |K| alone is 8 N^2 bytes; both folds stay below it.  Every worker
-# holds its own block (and, in the key fold, maxima and counts of L^2 / 2
-# keys), so the worker counts are fixed
+# an N x N |K| alone is 8 N^2 bytes; both folds stay below it at the
+# default worker count too.  Every worker holds its own column block, at
+# least gabor.COLUMN_ALIGN columns wide; the key fold's maxima and counts of the
+# L^2 / 2 keys are one pair for all workers
 
 
 def test_key_fold_forms_no_n_by_n_array():
@@ -382,7 +383,7 @@ def test_key_fold_forms_no_n_by_n_array():
     N = frame.lattice.size
     T = gf.dft_operator(frame.config)
     chi = cli.parse_operator("dft", frame.config)[1]
-    for workers in (1, 2):
+    for workers in (1, 2, blockpool.workers()):
         with blockpool.worker_limit(workers):
             peaks = [traced_peak(lambda: gf.operator_decay_profile(T, frame, chi_))
                      for chi_ in (chi, SHEAR)]     # key fold, survivor fold
@@ -394,7 +395,7 @@ def test_survivor_fold_of_a_sampled_map_forms_no_n_by_n_array():
     N = frame.lattice.size
     T, chi, _ = cli.parse_operator("fio2:phase=sine:0.2:16:16,symbol=ones", frame.config)
     assert not integral(tables_of(frame.lattice, 256, chi))
-    for workers in (1, 2):
+    for workers in (1, 2, blockpool.workers()):
         with blockpool.worker_limit(workers):
             peak = traced_peak(lambda: gf.operator_decay_profile(T, frame, chi))
         assert peak < 8 * N * N, (workers, peak)
