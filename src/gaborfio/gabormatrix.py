@@ -69,7 +69,6 @@ with rounding noise.
 from __future__ import annotations
 
 import csv
-import itertools
 import os
 import threading
 import warnings
@@ -782,23 +781,47 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
 # serialization
 # ---------------------------------------------------------------------------
 
+def _distinct_texts(values: np.ndarray, end: str) -> tuple:
+    """(texts, at): repr(v) + end once for each distinct float v of values,
+    and the index into texts of each entry, in the shape of values.
+
+    The floats are told apart by their bits, so 0.0 and -0.0 keep their own
+    texts, where float equality would merge them.
+    """
+    bits, at = np.unique(values.view(np.int64), return_inverse=True)
+    floats = bits.view(np.float64).tolist()
+    del bits
+    texts = np.fromiter((repr(v) + end for v in floats), dtype=object, count=len(floats))
+    return texts, at.reshape(values.shape)
+
+
 def gabor_matrix_to_csv(K: GaborMatrix, path) -> None:
     """Write rows (mu_k, mu_m, lam_k, lam_m, re, im) in lattice order.
 
     The bytes are those of csv.writer (\r\n line ends) with the floats
-    written as repr; the rows go out in the blocks of whole mu rows of
-    _row_blocks.
+    written as repr.  The rows go out in the blocks of whole mu rows of
+    _row_blocks, and repr runs once per distinct float of a block and part
+    (real or imaginary): the Gabor matrix of a metaplectic word repeats its
+    floats bit for bit, about 8 times over for a chirp at L = 64.  Each
+    file row is one join of its four fields; a block's texts are released
+    before the next block's are formed.
     """
     pts = [f"{k},{m}," for k, m in K.lattice.points().tolist()]
     N = len(pts)
+    line = [""] * (4 * N)           # mu, lam, re and im of each entry of a row
+    line[1::4] = pts
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         for rows in _row_blocks(N, N):
             block = K.entries[rows]
-            mu = itertools.chain.from_iterable(itertools.repeat(p, N) for p in pts[rows])
-            lam = itertools.chain.from_iterable(itertools.repeat(pts, block.shape[0]))
-            fh.write("".join(map("{}{}{!r},{!r}\r\n".format, mu, lam,
-                                 block.real.ravel().tolist(), block.imag.ravel().tolist())))
+            re, re_at = _distinct_texts(block.real, ",")
+            im, im_at = _distinct_texts(block.imag, "\r\n")
+            for mu, r, i in zip(pts[rows], re_at, im_at):
+                line[0::4] = [mu] * N
+                line[2::4] = re[r]
+                line[3::4] = im[i]
+                fh.write("".join(line))
+            del re, re_at, im, im_at
 
 
 def gabor_matrix_from_csv(path, frame: GaborFrame) -> GaborMatrix:

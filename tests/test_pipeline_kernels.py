@@ -9,6 +9,7 @@ import pytest
 
 import gaborfio as gf
 from gaborfio import blockpool
+from test_gabor_magnitudes import traced_peak
 
 SHEAR = np.array([[1.0, 0.0], [1.0, 1.0]])
 
@@ -116,6 +117,43 @@ def test_csv_bytes_and_readback_match_loops(tmp_path, monkeypatch, L, regime):
             m.setattr(gf.gabormatrix, "FIT_BLOCK_ENTRIES", rows * N * workers)
             gf.gabor_matrix_to_csv(K, tmp_path / "new.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_texts_are_keyed_on_bits(tmp_path, monkeypatch, frame16):
+    # few values, so every row block is full of ties; 0.0 and -0.0 are equal
+    # floats of different text, the two NaNs different bits of one text
+    values = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, 1.0, -0.25])
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64)
+    values = np.concatenate([values, nans.view(np.float64)])
+    rng = np.random.Generator(np.random.Philox(5))
+    N = frame16.lattice.size
+    K = gf.GaborMatrix(values[rng.integers(len(values), size=(N, N, 2))].view(complex)[..., 0],
+                       frame16)
+    assert np.isin(bits(values), bits(K.entries[:1].view(np.float64))).all()
+    loop_to_csv(K, tmp_path / "ref.csv")
+    for workers in (1, 2, 3):
+        for rows in (1, 3, N):
+            with monkeypatch.context() as m, blockpool.worker_limit(workers):
+                m.setattr(gf.gabormatrix, "FIT_BLOCK_ENTRIES", rows * N * workers)
+                gf.gabor_matrix_to_csv(K, tmp_path / "new.csv")
+            assert ((tmp_path / "new.csv").read_bytes()
+                    == (tmp_path / "ref.csv").read_bytes()), (workers, rows)
+
+
+def test_csv_writer_memory(tmp_path):
+    """repr runs once per distinct float of a row block, and the texts of one
+    block are released before the next block's are formed."""
+    chirp = gf.gabor_matrix(gf.chirp_operator(gf.ModelConfig(L=64), 1), frame_for(64))
+    frame = frame_for(128)
+    N = frame.lattice.size
+    rng = np.random.Generator(np.random.Philox(128))
+    dense = gf.GaborMatrix(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), frame)
+    with blockpool.worker_limit(2):
+        assert len(gf.gabormatrix._row_blocks(N, N)) == 4
+        # about 16,000 distinct floats of 131,072 in one block
+        assert traced_peak(lambda: gf.gabor_matrix_to_csv(chirp, tmp_path / "m.csv")) < 6 << 20
+        # no repeats; two blocks' texts at once would trace about 19 MiB
+        assert traced_peak(lambda: gf.gabor_matrix_to_csv(dense, tmp_path / "m.csv")) < 15 << 20
 
 
 def test_csv_reader_accepts_any_row_order(tmp_path, frame16):

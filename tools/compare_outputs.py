@@ -65,6 +65,9 @@ def _configs() -> list[dict]:
             ("offgrid", "chirp:-2", {}),
             ("gabor-matrix", "chirp:-2", {})):
         table.append(_cfg(64, pipeline, spec, **extra))
+    # matrix.csv over several row blocks, of few and of many repeated floats
+    for spec in ("chirp:1*perturb-id:0.1:5", "dft*chirp:2"):
+        table.append(_cfg(128, "gabor-matrix", spec))
     table.append(_cfg(512, "decay", "fio1:phase=chirp:-3,symbol=random-smooth:123"))
     for spec in ("fio1:phase=sine:0.2:16:16,symbol=random-smooth:3",
                  "fio2:phase=sine:0.2:16:16,symbol=random-smooth:4",
