@@ -13,7 +13,8 @@ lock, so the workers run in parallel.
 
 There are workers() workers, the calling thread and its helper threads:
 as many as the CPUs this process may run on, unless a caller sets the
-count with worker_limit (the CLI's --threads does).  Work of one block,
+count with worker_limit (the CLI's --threads does, and the fused Gabor
+analyses lower it on small lattices).  Work of one block,
 or a count of one, runs on the calling thread and starts no thread.
 """
 

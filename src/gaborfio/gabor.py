@@ -24,10 +24,10 @@ through q, which gives two exact factorizations (indices mod L):
 
       <f, pi(j a, k b) w> = FFT_q( sum_r conj(w[q + r n_freq - j a]) f[q + r n_freq] )[k],
 
-  one batched (n_freq, n_time, b) @ (n_freq, b, M) product for M signals.
-  It runs over blocks of the M columns (column_blocks), each by the one
-  step fold_fft, so every array of Gabor coefficients the library forms
-  comes from the same calls, whatever the block widths.
+  one batched (n_freq, n_time, b) @ (n_freq, b, M) product for M signals,
+  the one step fold_fft.  Every array of Gabor coefficients the library
+  forms comes from it, over blocks of columns (column_blocks) where a
+  caller splits them; the bits do not depend on the split.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockpool import map_blocks, workers
 from .errors import FrameDeficient, ModelError, WindowError
 from .tfcore import ModelConfig, Signal, tf_shift_matrix, wrap_half
 
@@ -47,9 +46,6 @@ __all__ = [
     "atom_matrix", "analysis_matrix", "default_lattice",
 ]
 
-# least outputs per block of analysis_matrix on the block pool; the blocks
-# write into the result, so this sets the work per block, not memory
-ANALYSIS_BLOCK_ENTRIES = 1 << 17
 # column blocks of the analysis are a multiple of this wide, so that the
 # GEMM of a block runs each column through the kernel the full-width GEMM
 # runs it through
@@ -221,14 +217,23 @@ def build_frame(g: Signal, lat: Lattice) -> GaborFrame:
                       bounds=(A_frame, B_frame))
 
 
+def window_fold(window: Signal, lat: Lattice) -> np.ndarray:
+    """w[q + r n_freq - j a] as an (n_freq, n_time, b) view, indexed [q, j, r]."""
+    return _rolled(window.values, lat).reshape(lat.n_time, lat.b, lat.n_freq).transpose(2, 0, 1)
+
+
+def column_fold(lat: Lattice, X: np.ndarray) -> np.ndarray:
+    """X[q + r n_freq] of the L x M array X as an (n_freq, b, M) view,
+    indexed [q, r, m]."""
+    return X.reshape(lat.b, lat.n_freq, X.shape[1]).transpose(1, 0, 2)
+
+
 def fold(window: Signal, lat: Lattice, X: np.ndarray):
     """The factors of the fold + FFT analysis of the columns of the L x M
     array X (module docstring): W[q] = conj(w[q + r n_freq - j a]) as an
     (n_freq, n_time, b) array and the views Xq[q] = X[q + r n_freq] as an
     (n_freq, b, M) array."""
-    nf = lat.n_freq
-    W = np.conj(_rolled(window.values, lat)).reshape(lat.n_time, lat.b, nf).transpose(2, 0, 1)
-    return W, X.reshape(lat.b, nf, X.shape[1]).transpose(1, 0, 2)
+    return np.conj(window_fold(window, lat)), column_fold(lat, X)
 
 
 def fold_fft(W: np.ndarray, Xq: np.ndarray, out: np.ndarray) -> None:
@@ -240,36 +245,30 @@ def fold_fft(W: np.ndarray, Xq: np.ndarray, out: np.ndarray) -> None:
     np.fft.fft(out, axis=1, out=out)
 
 
-def column_blocks(n_cols: int, width: int) -> list:
-    """Slices of n_cols columns, width rounded down to a multiple of
-    COLUMN_ALIGN (one at least) wide, the last one up to n_cols.  A last
-    block of one column joins the one before it: numpy runs a one-column
-    product as a matrix-vector product, whose sums are not rounded as the
-    GEMM's."""
-    width = max(1, width // COLUMN_ALIGN) * COLUMN_ALIGN
-    starts = list(range(0, n_cols, width))
-    if len(starts) > 1 and n_cols - starts[-1] == 1:
+def spans(n: int, width: int) -> list:
+    """Slices of n rows or columns, width (one at least) wide, the last one
+    up to n.  A last slice of one joins the one before it: numpy runs a
+    one-row or one-column product as a matrix-vector product, whose sums are
+    not rounded as the GEMM's."""
+    starts = list(range(0, n, max(1, width)))
+    if len(starts) > 1 and n - starts[-1] == 1:
         del starts[-1]
-    return [slice(c0, c1) for c0, c1 in zip(starts, starts[1:] + [n_cols])]
+    return [slice(c0, c1) for c0, c1 in zip(starts, starts[1:] + [n])]
+
+
+def column_blocks(n_cols: int, width: int) -> list:
+    """The spans of n_cols columns, width rounded down to a multiple of
+    COLUMN_ALIGN (one at least) wide."""
+    return spans(n_cols, max(1, width // COLUMN_ALIGN) * COLUMN_ALIGN)
 
 
 def analysis_matrix(window: Signal, lat: Lattice, X: np.ndarray) -> np.ndarray:
     """Analysis of every column of the L x M array X: the (size, M) array of
-    <X[:, m], pi(lambda) w>, rows in lattice order (fold + FFT, module
+    <X[:, m], pi(lambda) w>, rows in lattice order, by one fold_fft (module
     docstring)."""
-    nf, nt = lat.n_freq, lat.n_time
-    M = X.shape[1]
-    W, Xq = fold(window, lat, X)
-    out = np.empty((nt, nf, M), dtype=complex)
-    # each block of columns lands in its slice of out, transposed to
-    # out[j, q, cols]: the FFT over q then runs in place and leaves the rows
-    # in lattice order without a copy.  One block per worker, but at least
-    # ANALYSIS_BLOCK_ENTRIES outputs wide, so smaller analyses run inline
-    per_worker = -(-M // (workers() * COLUMN_ALIGN)) * COLUMN_ALIGN
-    width = max(ANALYSIS_BLOCK_ENTRIES // lat.size, per_worker)
-    map_blocks(lambda cols: fold_fft(W, Xq[:, :, cols], out[:, :, cols]),
-               column_blocks(M, width))
-    return out.reshape(nt * nf, M)
+    out = np.empty((lat.n_time, lat.n_freq, X.shape[1]), dtype=complex)
+    fold_fft(*fold(window, lat, X), out)
+    return out.reshape(lat.size, -1)
 
 
 def analysis(frame: GaborFrame, f: Signal, use_tight: bool = True) -> CoefficientArray:

@@ -8,18 +8,22 @@ that is K = A T A^H with A the analysis operator of the frame (rows
 pi(mu) w^H).  A is a fold followed by length-n_freq FFTs (gabor module
 docstring), so K is assembled as two analyses and no L x L x N product:
 
-    X = T A^H = (A T^H)^H,        K = A X,
+    X = T A^H,        K = A X.
 
-each gabor.analysis_matrix over blocks of columns.  X is read as the
-transposed view of A T^H, conjugated in place, so the work arrays are K
-and that one N x L intermediate.
+The lattice is time-major, so the columns lam = j n_freq + k of whole time
+indices j are a slice of K, and _gabor_columns fuses the two analyses per
+block of time indices: the block's atom images X[:, lam] = T pi(lam) w come
+from one batched GEMM against T' (T with its columns regrouped by residue
+mod n_freq) and an inverse FFT (_block_images), and the second analysis
+runs the step gabor.fold_fft over column sub-blocks of the block.  The
+images are dropped after the block, so no N x L first analysis is formed;
+gabor_matrix writes each sub-block into its slice of K.
 
-The decay fit needs |K| only.  _magnitude_columns runs the second
-analysis by the same step gabor.fold_fft over blocks of lam columns, one
-scratch array per block, and hands each block to a fold.  The decay of |K|
-is measured against a canonical transformation chi through the wrapped
-displacement d = mu - chi(lam), componentwise reduced to [-L/2, L/2) in
-grid-index units.  decay_profile fits a given K by rows (_fit_rows).
+The decay fit needs |K| only.  _magnitude_columns hands each sub-block, a
+scratch array, to a fold.  The decay of |K| is measured against a
+canonical transformation chi through the wrapped displacement
+d = mu - chi(lam), componentwise reduced to [-L/2, L/2) in grid-index
+units.  decay_profile fits a given K by rows (_fit_rows).
 operator_decay_profile gives the same profile without forming K or any
 other N x N array, by one of two folds over the column blocks:
 
@@ -43,9 +47,9 @@ Every pass over rows (the mu of K, the atoms z of the off-grid check, the
 translates of the symbol-class sweep) splits them by _row_blocks into
 contiguous slices of about FIT_BLOCK_ENTRIES // W entries each.
 
-The N x N arrays (K and the (N, N, 2) displacement array) and the N x L
-first analysis are checked against the machine's physical memory before
-they are allocated: a larger one raises SizeError.
+The N x N arrays (K and the (N, N, 2) displacement array), and T' with
+the image blocks in flight as one sum, are checked against the machine's
+physical memory before they are allocated: a larger one raises SizeError.
 
 Decay fit convention
 --------------------
@@ -76,9 +80,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockpool import block_share, map_blocks
+from .blockpool import block_share, map_blocks, worker_limit, workers
 from .errors import FitError, ModelError, SizeError
-from .gabor import GaborFrame, analysis_matrix, column_blocks, fold, fold_fft
+from .gabor import (GaborFrame, column_blocks, column_fold, fold_fft, spans,
+                    window_fold)
 from .operators import OperatorMatrix, SymbolGrid
 from .phasegeom import CanonicalMap, linear_map
 from .tfcore import stft_matrix, tf_shift_matrix, wrap_half
@@ -103,6 +108,14 @@ FIT_MIN_COUNT = 3          # nor do bins with fewer entries
 # whose blocks hold 24)
 FIT_BLOCK_ENTRIES = 1 << 17
 SUBBINS = 64               # sub-bins per sqrt(2) bin in the survivor fold
+# the fused analyses run on two workers, or one per this many columns of K
+# where that is more: each worker holds the images of two time indices at
+# least and a column sub-block at least gabor.COLUMN_ALIGN wide, so more
+# workers on a small lattice would hold more than the N x N |K| that the
+# decay folds replace
+FUSED_COLUMNS_PER_WORKER = 512
+# least entries of K per block of time indices in the fused analyses
+TIME_BLOCK_ENTRIES = 1 << 16
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
 
 
@@ -236,48 +249,109 @@ def _require_memory(n_bytes: int, what: str) -> None:
                         f"{budget / 2 ** 20:.0f} MiB of physical memory")
 
 
-def _atom_images(T: OperatorMatrix, frame: GaborFrame, w) -> np.ndarray:
-    """T A^H, the L x N array of columns T pi(lam) w: the transposed view of
-    the first analysis A T^H, conjugated in place."""
-    if T.config.L != frame.config.L:
+def _time_blocks(n_time: int, n_freq: int) -> list:
+    """The spans of the n_time time indices of lam for the fused analyses on
+    W workers: n_time // (16 W) indices each, so that the blocks in flight
+    hold about a sixteenth of the N x L first analysis, but two at least (a
+    one-index block would run its first product as a matrix-vector product;
+    gabor.spans merges a last one into the block before it), and at least
+    TIME_BLOCK_ENTRIES entries of K, so that a small Gabor matrix runs as
+    one block on the calling thread."""
+    per_index = n_freq * n_time * n_freq             # entries of K per time index
+    return spans(n_time, max(2, n_time // (16 * workers()), TIME_BLOCK_ENTRIES // per_index))
+
+
+def _block_images(Tq: np.ndarray, wT: np.ndarray, js: slice) -> np.ndarray:
+    """The atom images T pi(lam) w of the lam = j n_freq + k of the time
+    indices j of js, as the columns of an (L, M) array in lattice order: the
+    first analysis of the block, from T' and the window fold wT of
+    _gabor_columns.  P[q, j, n] = sum_r w[q + r n_freq - j a] T[n, q + r
+    n_freq] is one batched GEMM, and the inverse FFT over q without its
+    1 / n_freq gives the images: the modulation of pi(lam) depends on a
+    time index only through its residue q.  The FFT writes them transposed,
+    so that the columns of one time index are contiguous."""
+    P = np.matmul(wT[:, js], Tq)                     # [q, j, n]
+    nf, nj, L = P.shape
+    X = np.empty((L, nj, nf), dtype=complex)
+    np.fft.ifft(P, axis=0, norm="forward", out=X.transpose(2, 1, 0))
+    return X.reshape(L, nj * nf)
+
+
+def _gabor_columns(T: OperatorMatrix, frame: GaborFrame, w, column_fn,
+                   entries: int | None, K: np.ndarray | None = None) -> None:
+    """The two analyses of K = A T A^H over the window w, fused per block of
+    whole time indices of lam on the block pool.
+
+    The columns lam of a block of time indices (_time_blocks) are a slice
+    of K, and their atom images T pi(lam) w come from _block_images, so no
+    N x L first analysis is formed.  The second analysis (gabor.fold_fft)
+    runs over column sub-blocks of the block (gabor.column_blocks) of about
+    entries // W entries each, or over the whole block where entries is
+    None.  Each sub-block's analysis out[j, k, :] = K[j n_freq + k, cols]
+    goes into K[:, :, cols] of the (n_time, n_freq, N) array K when K is
+    given, else into a scratch array free to overwrite, and then to
+    column_fn(cols, out), cols the slice of global columns.  The block's
+    images are dropped after its last sub-block.
+
+    The pass runs on at most two workers, or one per
+    FUSED_COLUMNS_PER_WORKER columns of K where that is more.  T'
+    (T[n, q + r n_freq] as a contiguous (n_freq, b, L) array, 16 L^2 bytes)
+    and the blocks in flight, each the GEMM product and the images of its
+    time indices, are checked against the machine's memory as one sum
+    before T' is formed.
+    """
+    lat, L = frame.lattice, frame.config.L
+    if T.config.L != L:
         raise ModelError("operator/frame size mismatch")
-    _require_memory(16 * frame.lattice.size * frame.config.L, "the N x L first analysis")
-    Y = analysis_matrix(w, frame.lattice, T.entries.conj().T)     # A T^H
-    return np.conjugate(Y, out=Y).T
+    nt, nf, N = lat.n_time, lat.n_freq, lat.size
+    with worker_limit(min(workers(), max(2, N // FUSED_COLUMNS_PER_WORKER))):
+        times = _time_blocks(nt, nf)
+        span = max(js.stop - js.start for js in times)
+        _require_memory(16 * L * L + min(workers(), len(times)) * 32 * span * nf * L,
+                        "T' and the atom-image blocks in flight")
+        width = None if entries is None else block_share(entries) // N
+        Tq = np.ascontiguousarray(column_fold(lat, T.entries.T))
+        wT = window_fold(w, lat)
+        W = np.conj(wT)
+
+        def time_block(js):
+            X = _block_images(Tq, wT, js)
+            c0, M = js.start * nf, X.shape[1]
+            Xq = column_fold(lat, X)
+            for cols in column_blocks(M, M if width is None else width):
+                lam = slice(c0 + cols.start, c0 + cols.stop)
+                out = (np.empty((nt, nf, cols.stop - cols.start), dtype=complex)
+                       if K is None else K[:, :, lam])
+                fold_fft(W, Xq[:, :, cols], out)
+                column_fn(lam, out)
+
+        map_blocks(time_block, times)
 
 
 def gabor_matrix(T: OperatorMatrix, frame: GaborFrame,
                  use_tight: bool = True) -> GaborMatrix:
-    """Assemble K = A T A^H over the frame lattice by two folded-FFT analyses.
+    """Assemble K = A T A^H over the frame lattice by the fused folded-FFT
+    analyses of _gabor_columns, each block written into its slice of K.
 
     The default window is the canonical tight window; use_tight=False scans
     against the frame's generating window instead (the decay class does not
     depend on the window, only the constants do).
     """
-    N = frame.lattice.size
+    lat = frame.lattice
+    N = lat.size
     _require_memory(16 * N * N, "the Gabor matrix")
-    w = frame.window(use_tight)
-    K = analysis_matrix(w, frame.lattice, _atom_images(T, frame, w))  # A (T A^H)
-    return GaborMatrix(K, frame)
+    K = np.empty((lat.n_time, lat.n_freq, N), dtype=complex)
+    _gabor_columns(T, frame, frame.window(use_tight), lambda cols, out: None, None, K)
+    return GaborMatrix(K.reshape(N, N), frame)
 
 
 def _magnitude_columns(T: OperatorMatrix, frame: GaborFrame, column_fn,
                        entries: int) -> None:
-    """The second analysis of K over the tight window, one block of lam
-    columns at a time on the block pool: column_fn(cols, out) gets each
-    block's scratch array out[j, k, :] = K[j n_freq + k, cols], free to
-    overwrite.  The first
-    analysis is that of gabor_matrix, and the blocks hold about
-    entries // W entries each."""
-    lat = frame.lattice
-    W, Xq = fold(frame.tight, lat, _atom_images(T, frame, frame.tight))
-
-    def column_block(cols):
-        out = np.empty((lat.n_time, lat.n_freq, cols.stop - cols.start), dtype=complex)
-        fold_fft(W, Xq[:, :, cols], out)
-        column_fn(cols, out)
-
-    map_blocks(column_block, column_blocks(lat.size, block_share(entries) // lat.size))
+    """K over the tight window in scratch column blocks of about
+    entries // W entries each, handed to column_fn(cols, out) with
+    out[j, k, :] = K[j n_freq + k, cols] (_gabor_columns): the column pass
+    of both decay folds."""
+    _gabor_columns(T, frame, frame.tight, column_fn, entries)
 
 
 def _chi_points(chi, points: np.ndarray) -> np.ndarray:

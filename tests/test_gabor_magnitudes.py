@@ -1,9 +1,9 @@
-"""The column-blocked fold + FFT analysis and the decay folds over its |K|
-column blocks: the analyses, K and |K| equal a one-block reference bit for
-bit for every worker count and block width, both folds (by integer
-distance and into survivor sets) equal the row fit of K field for field and
-form no N x N array, and the size guard stops the allocations the machine
-cannot hold."""
+"""The fused fold + FFT analyses and the decay folds over their |K|
+column blocks: the atom images, K and |K| equal a one-block reference bit
+for bit for every worker count, block of time indices and column width,
+both folds (by integer distance and into survivor sets) equal the row fit
+of K field for field and form no N x N or N x L array, and the size guard
+stops the allocations the machine cannot hold."""
 
 import json
 import sys
@@ -141,6 +141,7 @@ def test_aligned_blocks_keep_the_bits_of_a_complex_window(monkeypatch, L):
     # with a complex window the GEMM kernels of a column tail round
     # differently from the main kernel; blocks of COLUMN_ALIGN multiples
     # run every column through the kernel the full-width product uses
+    monkeypatch.setattr(gm, "FUSED_COLUMNS_PER_WORKER", 1)     # all three workers run
     cfg = gf.ModelConfig(L=L)
     chirped = gf.periodized_gaussian(cfg).values * np.exp(0.37j * np.pi * np.arange(L) ** 2 / L)
     frame = gf.build_frame(gf.Signal(chirped, cfg), gf.default_lattice(cfg))
@@ -155,6 +156,62 @@ def test_aligned_blocks_keep_the_bits_of_a_complex_window(monkeypatch, L):
                     force_width(m, setting)
                     np.testing.assert_array_equal(gf.gabor_matrix(T, frame).entries, K)
                     np.testing.assert_array_equal(magnitudes(T, frame), np.abs(K))
+
+
+def windows_of(L, steps):
+    """(name, frame, use_tight) of the three windows the analyses take: the
+    tight and raw windows of the periodized Gaussian's frame, and the tight
+    window of a chirped (complex) Gaussian's frame over the same lattice."""
+    frame = frame_for(L, steps, "A")
+    cfg, lat = frame.config, frame.lattice
+    chirped = gf.periodized_gaussian(cfg).values * np.exp(0.37j * np.pi * np.arange(L) ** 2 / L)
+    complex_frame = gf.build_frame(gf.Signal(chirped, cfg), lat)
+    return [("tight", frame, True), ("raw", frame, False), ("chirped", complex_frame, True)]
+
+
+# (L, steps): odd n_time = 5 at L = 80 (frame bounds 0.041 and 3.16) and
+# n_time = 9 at L = 144 (0.347 and 2.83), so that a last index joins the
+# block before it; at L = 144 a block of that one index alone (a
+# matrix-vector product) would be off in the last bits.  Two even ones
+TIME_CASES = [(80, (16, 4)), (144, (16, 6)), (64, None), (96, (6, 4))]
+
+
+@pytest.mark.parametrize("L,steps", TIME_CASES,
+                         ids=[f"L{L}-{s or 'default'}" for L, s in TIME_CASES])
+def test_time_index_blocks_equal_the_one_block_reference(monkeypatch, L, steps):
+    # every worker count runs its own workers (no cap by lattice size), over
+    # blocks of 2, 3, n_time - 1 and n_time time indices
+    monkeypatch.setattr(gm, "FUSED_COLUMNS_PER_WORKER", 1)
+    for name, frame, use_tight in windows_of(L, steps):
+        lat, cfg, N = frame.lattice, frame.config, frame.lattice.size
+        w = frame.window(use_tight)
+        rng = np.random.Generator(np.random.Philox(5 * L + N))
+        T = gf.OperatorMatrix(rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)), cfg)
+        first = reference_analysis(w, lat, T.entries.conj().T)               # A T^H
+        images = np.conj(first).T                                            # T A^H
+        K = reference_analysis(w, lat, images)                               # A T A^H
+        for workers in (1, 2, 3):
+            with blockpool.worker_limit(workers):
+                for step in sorted({2, 3, lat.n_time - 1, lat.n_time}):
+                    msg = f"{name} {workers} {step}"
+                    got, block_images = {}, gm._block_images
+
+                    def record(Tq, wT, js):
+                        got[js.start] = X = block_images(Tq, wT, js)
+                        return X
+
+                    with monkeypatch.context() as m:
+                        m.setattr(gm, "_time_blocks", lambda nt, nf: gabor.spans(nt, step))
+                        m.setattr(gm, "_block_images", record)
+                        np.testing.assert_array_equal(
+                            gf.gabor_matrix(T, frame, use_tight=use_tight).entries, K,
+                            err_msg=msg)
+                        if use_tight:
+                            np.testing.assert_array_equal(
+                                magnitudes(T, frame), np.abs(K), err_msg=msg)
+                    assert min(X.shape[1] for X in got.values()) >= 2 * lat.n_freq
+                    np.testing.assert_array_equal(
+                        np.hstack([got[j0] for j0 in sorted(got)]), images, err_msg=msg)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 17, 33, 64, 289, 1024, 2048, 4097])
@@ -226,6 +283,7 @@ def check_under_thread_switching(monkeypatch, regime, spec):
     T, chi, _ = cli.parse_operator(spec, frame.config)
     want = gf.decay_profile(gf.gabor_matrix(T, frame), chi)
     monkeypatch.setattr(gm, "FIT_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(gm, "FUSED_COLUMNS_PER_WORKER", 1)     # all six workers run
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -372,10 +430,25 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-# an N x N |K| alone is 8 N^2 bytes; both folds stay below it at the
-# default worker count too.  Every worker holds its own column block, at
-# least gabor.COLUMN_ALIGN columns wide; the key fold's maxima and counts of the
-# L^2 / 2 keys are one pair for all workers
+def fused_bytes(frame):
+    """T' and the blocks in flight of the fused analyses at the current
+    worker count, as their guard counts them: 16 L^2 bytes, and each block
+    the GEMM product and images of its time indices, 32 bytes an entry."""
+    lat, L = frame.lattice, frame.config.L
+    cap = max(2, lat.size // gm.FUSED_COLUMNS_PER_WORKER)
+    with blockpool.worker_limit(min(blockpool.workers(), cap)):
+        times = gm._time_blocks(lat.n_time, lat.n_freq)
+        flight = min(blockpool.workers(), len(times))
+    span = max(js.stop - js.start for js in times)
+    return 16 * L * L + flight * 32 * span * lat.n_freq * L
+
+
+# an N x N |K| alone is 8 N^2 bytes; both folds stay below it at every
+# worker count.  Beyond T' and the image blocks in flight, the folds hold
+# their column sub-blocks (FIT_BLOCK_ENTRIES // 4 or // 2 entries in flight,
+# at least gabor.COLUMN_ALIGN columns each), the displacement tables and
+# the key fold's maxima and counts, under 4 MiB together at L = 256
+FOLD_BYTES = 4 << 20
 
 
 def test_key_fold_forms_no_n_by_n_array():
@@ -383,11 +456,13 @@ def test_key_fold_forms_no_n_by_n_array():
     N = frame.lattice.size
     T = gf.dft_operator(frame.config)
     chi = cli.parse_operator("dft", frame.config)[1]
-    for workers in (1, 2, blockpool.workers()):
+    for workers in (1, 2, 4, 8):
         with blockpool.worker_limit(workers):
             peaks = [traced_peak(lambda: gf.operator_decay_profile(T, frame, chi_))
                      for chi_ in (chi, SHEAR)]     # key fold, survivor fold
+            bound = fused_bytes(frame) + FOLD_BYTES
         assert max(peaks) < 8 * N * N, (workers, peaks)
+        assert max(peaks) < bound, (workers, peaks, bound)
 
 
 def test_survivor_fold_of_a_sampled_map_forms_no_n_by_n_array():
@@ -395,10 +470,24 @@ def test_survivor_fold_of_a_sampled_map_forms_no_n_by_n_array():
     N = frame.lattice.size
     T, chi, _ = cli.parse_operator("fio2:phase=sine:0.2:16:16,symbol=ones", frame.config)
     assert not integral(tables_of(frame.lattice, 256, chi))
-    for workers in (1, 2, blockpool.workers()):
+    for workers in (1, 2, 4, 8):
         with blockpool.worker_limit(workers):
             peak = traced_peak(lambda: gf.operator_decay_profile(T, frame, chi))
+            bound = fused_bytes(frame) + FOLD_BYTES
         assert peak < 8 * N * N, (workers, peak)
+        assert peak < bound, (workers, peak, bound)
+
+
+def test_decay_fit_forms_no_n_by_l_array():
+    # decay-a's size: the first analysis of every lam at once would be
+    # 16 N L bytes (16 MiB) by itself
+    frame = frame_for(512, None, "A")
+    N, L = frame.lattice.size, frame.config.L
+    T, chi, _ = cli.parse_operator("dft", frame.config)
+    for workers in (1, 2):
+        with blockpool.worker_limit(workers):
+            peak = traced_peak(lambda: gf.operator_decay_profile(T, frame, chi))
+        assert peak < 16 * N * L, (workers, peak)
 
 
 def decay_a_specs(L):
@@ -429,10 +518,14 @@ def test_benchmark_decay_runs_take_the_key_fold():
 def test_size_guard_raises_before_the_n_by_n_arrays(monkeypatch, frame16):
     T = gf.dft_operator(frame16.config)
     K = gf.gabor_matrix(T, frame16)
-    N, L = frame16.lattice.size, frame16.config.L
-    # each guard admits exactly its own array
+    N = frame16.lattice.size
+
+    def fold():
+        gm._magnitude_columns(T, frame16, lambda cols, out: None, gm.FIT_BLOCK_ENTRIES)
+
+    # each guard admits exactly its own arrays
     for budget, call in ((16 * N * N, lambda: gf.gabor_matrix(T, frame16)),
-                         (16 * N * L, lambda: gm._atom_images(T, frame16, frame16.tight)),
+                         (fused_bytes(frame16), fold),
                          (16 * N * N, lambda: gm.wrapped_displacements(K, np.eye(2)))):
         monkeypatch.setattr(gm, "_memory_budget", lambda: budget)
         call()
@@ -480,7 +573,7 @@ def test_operator_over_budget_exits_1_before_the_frame_is_built(monkeypatch, tmp
 
 def test_operator_guard_admits_exactly_one_operator(monkeypatch, tmp_path):
     # at 16 L^2 bytes the run gets past the guard to the frame, and then
-    # stops at the guard of the N x L first analysis of the key fold
+    # stops at the guard of T' and the image blocks of the key fold
     L = 64
     calls, build_frame = [], cli.gabor.build_frame
     monkeypatch.setattr(cli.gabor, "build_frame",
@@ -492,5 +585,5 @@ def test_operator_guard_admits_exactly_one_operator(monkeypatch, tmp_path):
     assert cli.main(["run", str(path), "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert report["error"]["type"] == "SizeError"
-    assert "N x L first analysis" in report["error"]["message"]
+    assert "T' and the atom-image blocks in flight" in report["error"]["message"]
     assert len(calls) == 1

@@ -73,6 +73,15 @@ def _configs() -> list[dict]:
                  "fio2:phase=sine:0.2:16:16,symbol=random-smooth:4",
                  "fio1:phase=kn,symbol=ones"):
         table.append(_cfg(256, "decay", spec, "B"))
+    # an odd n_time = 9: the last time index joins the block before it (one
+    # index alone would round differently at this size); the key fold, the
+    # survivor fold and matrix.csv
+    odd = {"frame": {"a": 16, "b": 6}}
+    table += [_cfg(144, "decay", "dft*chirp:2", **odd),
+              _cfg(144, "decay", "fio2:phase=sine:0.2:8:8,symbol=random-smooth:3", "B", **odd),
+              _cfg(144, "gabor-matrix", "chirp:1*perturb-id:0.1:5", **odd)]
+    # decay-a's size: many blocks of time indices on each worker
+    table.append(_cfg(512, "decay", "dft"))
     # sampled maps over many column blocks of the survivor fold
     table.append(_cfg(1024, "decay", "fio1:phase=sine:0.2:32:32,symbol=random-smooth:7", "B"))
     table.append(_cfg(256, "decay", "fio2:phase=sine:0.5:8:8,symbol=ones"))
