@@ -48,8 +48,9 @@ translates of the symbol-class sweep) splits them by _row_blocks into
 contiguous slices of about FIT_BLOCK_ENTRIES // W entries each.
 
 The N x N arrays (K and the (N, N, 2) displacement array), and T' with
-the image blocks in flight as one sum, are checked against the machine's
-physical memory before they are allocated: a larger one raises SizeError.
+the blocks in flight of the fused analyses as one sum, are checked against
+the machine's physical memory before they are allocated: a larger one
+raises SizeError.
 
 Decay fit convention
 --------------------
@@ -108,14 +109,6 @@ FIT_MIN_COUNT = 3          # nor do bins with fewer entries
 # whose blocks hold 24)
 FIT_BLOCK_ENTRIES = 1 << 17
 SUBBINS = 64               # sub-bins per sqrt(2) bin in the survivor fold
-# the fused analyses run on two workers, or one per this many columns of K
-# where that is more: each worker holds the images of two time indices at
-# least and a column sub-block at least gabor.COLUMN_ALIGN wide, so more
-# workers on a small lattice would hold more than the N x N |K| that the
-# decay folds replace
-FUSED_COLUMNS_PER_WORKER = 512
-# least entries of K per block of time indices in the fused analyses
-TIME_BLOCK_ENTRIES = 1 << 16
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
 
 
@@ -249,16 +242,39 @@ def _require_memory(n_bytes: int, what: str) -> None:
                         f"{budget / 2 ** 20:.0f} MiB of physical memory")
 
 
-def _time_blocks(n_time: int, n_freq: int) -> list:
+def _time_blocks(n_time: int, W: int) -> list:
     """The spans of the n_time time indices of lam for the fused analyses on
     W workers: n_time // (16 W) indices each, so that the blocks in flight
     hold about a sixteenth of the N x L first analysis, but two at least (a
     one-index block would run its first product as a matrix-vector product;
-    gabor.spans merges a last one into the block before it), and at least
-    TIME_BLOCK_ENTRIES entries of K, so that a small Gabor matrix runs as
-    one block on the calling thread."""
-    per_index = n_freq * n_time * n_freq             # entries of K per time index
-    return spans(n_time, max(2, n_time // (16 * workers()), TIME_BLOCK_ENTRIES // per_index))
+    gabor.spans merges a last one into the block before it)."""
+    return spans(n_time, max(2, n_time // (16 * W)))
+
+
+def _fused_plan(lat, L: int, W: int, entries: int | None) -> tuple:
+    """(time blocks, column sub-block width, bytes) of the fused analyses
+    on W workers.  The width is None where entries is None (whole blocks).
+    The bytes are those of T' (16 L^2) and of the blocks in flight: each
+    holds the GEMM product and the images of its time indices, 32 bytes an
+    entry, and, where entries is given, a scratch column sub-block of K,
+    16 bytes an entry."""
+    times = _time_blocks(lat.n_time, W)
+    M = lat.n_freq * max(js.stop - js.start for js in times)    # widest block
+    width = None if entries is None else max(1, entries // W) // lat.size
+    sub = 0 if width is None else max(c.stop - c.start for c in column_blocks(M, width))
+    return times, width, 16 * L * L + min(W, len(times)) * (32 * M * L + 16 * lat.size * sub)
+
+
+def _fused_workers(lat, L: int, entries: int | None) -> int:
+    """The workers of the fused analyses: the most of workers() whose T'
+    and blocks in flight (_fused_plan) fit in the 16 L^2 + 16 N L bytes of
+    the two arrays they replace, the conjugate copy of T and the N x L
+    first analysis; one at least.  The column sub-blocks are at least
+    gabor.COLUMN_ALIGN wide, so past some W the blocks in flight grow with
+    W."""
+    budget = 16 * L * L + 16 * lat.size * L
+    return max([1] + [W for W in range(2, workers() + 1)
+                      if _fused_plan(lat, L, W, entries)[2] <= budget])
 
 
 def _block_images(Tq: np.ndarray, wT: np.ndarray, js: slice) -> np.ndarray:
@@ -293,23 +309,19 @@ def _gabor_columns(T: OperatorMatrix, frame: GaborFrame, w, column_fn,
     column_fn(cols, out), cols the slice of global columns.  The block's
     images are dropped after its last sub-block.
 
-    The pass runs on at most two workers, or one per
-    FUSED_COLUMNS_PER_WORKER columns of K where that is more.  T'
-    (T[n, q + r n_freq] as a contiguous (n_freq, b, L) array, 16 L^2 bytes)
-    and the blocks in flight, each the GEMM product and the images of its
-    time indices, are checked against the machine's memory as one sum
-    before T' is formed.
+    The pass runs on _fused_workers workers.  T' (T[n, q + r n_freq] as a
+    contiguous (n_freq, b, L) array) and the blocks in flight are checked
+    against the machine's memory as one sum (_fused_plan) before T' is
+    formed.
     """
     lat, L = frame.lattice, frame.config.L
     if T.config.L != L:
         raise ModelError("operator/frame size mismatch")
-    nt, nf, N = lat.n_time, lat.n_freq, lat.size
-    with worker_limit(min(workers(), max(2, N // FUSED_COLUMNS_PER_WORKER))):
-        times = _time_blocks(nt, nf)
-        span = max(js.stop - js.start for js in times)
-        _require_memory(16 * L * L + min(workers(), len(times)) * 32 * span * nf * L,
-                        "T' and the atom-image blocks in flight")
-        width = None if entries is None else block_share(entries) // N
+    nt, nf = lat.n_time, lat.n_freq
+    n_workers = _fused_workers(lat, L, entries)
+    times, width, held = _fused_plan(lat, L, n_workers, entries)
+    _require_memory(held, "T' and the atom-image blocks in flight")
+    with worker_limit(n_workers):
         Tq = np.ascontiguousarray(column_fold(lat, T.entries.T))
         wT = window_fold(w, lat)
         W = np.conj(wT)

@@ -63,6 +63,12 @@ def set_width(monkeypatch, setting, N, workers):
         monkeypatch.setattr(gm, "FIT_BLOCK_ENTRIES", width * N * workers)
 
 
+def every_worker(monkeypatch):
+    """Run the fused analyses on every worker of the block pool, whatever
+    the size of the lattice."""
+    monkeypatch.setattr(gm, "_fused_workers", lambda lat, L, entries: blockpool.workers())
+
+
 @pytest.mark.parametrize("L,steps", CASES, ids=[f"L{L}-{s or 'default'}" for L, s in CASES])
 @pytest.mark.parametrize("regime", "AB")
 def test_magnitudes_equal_abs_of_the_gabor_matrix(monkeypatch, L, steps, regime):
@@ -121,6 +127,7 @@ def test_blocked_analyses_equal_the_one_block_reference(monkeypatch, L, steps, r
     T = gf.OperatorMatrix(rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)), cfg)
     first = reference_analysis(w, lat, T.entries.conj().T)               # A T^H
     K = reference_analysis(w, lat, np.conj(first).T)                     # A T A^H
+    every_worker(monkeypatch)
     for workers in (1, 2, 3):
         with blockpool.worker_limit(workers):
             for setting in (None, (None, 40), (1, 7), (1, N - 1)):
@@ -141,7 +148,7 @@ def test_aligned_blocks_keep_the_bits_of_a_complex_window(monkeypatch, L):
     # with a complex window the GEMM kernels of a column tail round
     # differently from the main kernel; blocks of COLUMN_ALIGN multiples
     # run every column through the kernel the full-width product uses
-    monkeypatch.setattr(gm, "FUSED_COLUMNS_PER_WORKER", 1)     # all three workers run
+    every_worker(monkeypatch)
     cfg = gf.ModelConfig(L=L)
     chirped = gf.periodized_gaussian(cfg).values * np.exp(0.37j * np.pi * np.arange(L) ** 2 / L)
     frame = gf.build_frame(gf.Signal(chirped, cfg), gf.default_lattice(cfg))
@@ -179,9 +186,9 @@ TIME_CASES = [(80, (16, 4)), (144, (16, 6)), (64, None), (96, (6, 4))]
 @pytest.mark.parametrize("L,steps", TIME_CASES,
                          ids=[f"L{L}-{s or 'default'}" for L, s in TIME_CASES])
 def test_time_index_blocks_equal_the_one_block_reference(monkeypatch, L, steps):
-    # every worker count runs its own workers (no cap by lattice size), over
-    # blocks of 2, 3, n_time - 1 and n_time time indices
-    monkeypatch.setattr(gm, "FUSED_COLUMNS_PER_WORKER", 1)
+    # every worker count runs its own workers, over blocks of 2, 3,
+    # n_time - 1 and n_time time indices
+    every_worker(monkeypatch)
     for name, frame, use_tight in windows_of(L, steps):
         lat, cfg, N = frame.lattice, frame.config, frame.lattice.size
         w = frame.window(use_tight)
@@ -201,7 +208,7 @@ def test_time_index_blocks_equal_the_one_block_reference(monkeypatch, L, steps):
                         return X
 
                     with monkeypatch.context() as m:
-                        m.setattr(gm, "_time_blocks", lambda nt, nf: gabor.spans(nt, step))
+                        m.setattr(gm, "_time_blocks", lambda nt, W: gabor.spans(nt, step))
                         m.setattr(gm, "_block_images", record)
                         np.testing.assert_array_equal(
                             gf.gabor_matrix(T, frame, use_tight=use_tight).entries, K,
@@ -283,7 +290,7 @@ def check_under_thread_switching(monkeypatch, regime, spec):
     T, chi, _ = cli.parse_operator(spec, frame.config)
     want = gf.decay_profile(gf.gabor_matrix(T, frame), chi)
     monkeypatch.setattr(gm, "FIT_BLOCK_ENTRIES", 1)
-    monkeypatch.setattr(gm, "FUSED_COLUMNS_PER_WORKER", 1)     # all six workers run
+    every_worker(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -430,24 +437,28 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def fused_bytes(frame):
-    """T' and the blocks in flight of the fused analyses at the current
-    worker count, as their guard counts them: 16 L^2 bytes, and each block
-    the GEMM product and images of its time indices, 32 bytes an entry."""
-    lat, L = frame.lattice, frame.config.L
-    cap = max(2, lat.size // gm.FUSED_COLUMNS_PER_WORKER)
-    with blockpool.worker_limit(min(blockpool.workers(), cap)):
-        times = gm._time_blocks(lat.n_time, lat.n_freq)
-        flight = min(blockpool.workers(), len(times))
-    span = max(js.stop - js.start for js in times)
-    return 16 * L * L + flight * 32 * span * lat.n_freq * L
+def fused_bytes(frame, entries):
+    """T' and the blocks in flight of the fused analyses on the workers
+    they run on, as their guard counts them: 16 L^2 bytes, and each block
+    the GEMM product and images of its time indices, 32 bytes an entry, and
+    a scratch column sub-block of K, 16 bytes an entry."""
+    lat, L, N = frame.lattice, frame.config.L, frame.lattice.size
+    workers = gm._fused_workers(lat, L, entries)
+    with blockpool.worker_limit(workers):
+        width = blockpool.block_share(entries) // N
+    times = gm._time_blocks(lat.n_time, workers)
+    M = max(js.stop - js.start for js in times) * lat.n_freq
+    sub = max(c.stop - c.start for c in gabor.column_blocks(M, width))
+    return 16 * L * L + min(workers, len(times)) * (32 * M * L + 16 * N * sub)
 
+
+KEY_ENTRIES, SURVIVOR_ENTRIES = gm.FIT_BLOCK_ENTRIES // 4, gm.FIT_BLOCK_ENTRIES // 2
 
 # an N x N |K| alone is 8 N^2 bytes; both folds stay below it at every
-# worker count.  Beyond T' and the image blocks in flight, the folds hold
-# their column sub-blocks (FIT_BLOCK_ENTRIES // 4 or // 2 entries in flight,
-# at least gabor.COLUMN_ALIGN columns each), the displacement tables and
-# the key fold's maxima and counts, under 4 MiB together at L = 256
+# worker count.  Beyond T' and the blocks in flight, the folds hold the
+# FFT's copy of a sub-block, their own arrays per entry, the displacement
+# tables and the key fold's maxima and counts, under 4 MiB together at
+# L = 256
 FOLD_BYTES = 4 << 20
 
 
@@ -460,9 +471,9 @@ def test_key_fold_forms_no_n_by_n_array():
         with blockpool.worker_limit(workers):
             peaks = [traced_peak(lambda: gf.operator_decay_profile(T, frame, chi_))
                      for chi_ in (chi, SHEAR)]     # key fold, survivor fold
-            bound = fused_bytes(frame) + FOLD_BYTES
+            bounds = [fused_bytes(frame, e) + FOLD_BYTES for e in (KEY_ENTRIES, SURVIVOR_ENTRIES)]
         assert max(peaks) < 8 * N * N, (workers, peaks)
-        assert max(peaks) < bound, (workers, peaks, bound)
+        assert all(p < b for p, b in zip(peaks, bounds)), (workers, peaks, bounds)
 
 
 def test_survivor_fold_of_a_sampled_map_forms_no_n_by_n_array():
@@ -473,7 +484,7 @@ def test_survivor_fold_of_a_sampled_map_forms_no_n_by_n_array():
     for workers in (1, 2, 4, 8):
         with blockpool.worker_limit(workers):
             peak = traced_peak(lambda: gf.operator_decay_profile(T, frame, chi))
-            bound = fused_bytes(frame) + FOLD_BYTES
+            bound = fused_bytes(frame, SURVIVOR_ENTRIES) + FOLD_BYTES
         assert peak < 8 * N * N, (workers, peak)
         assert peak < bound, (workers, peak, bound)
 
@@ -525,7 +536,7 @@ def test_size_guard_raises_before_the_n_by_n_arrays(monkeypatch, frame16):
 
     # each guard admits exactly its own arrays
     for budget, call in ((16 * N * N, lambda: gf.gabor_matrix(T, frame16)),
-                         (fused_bytes(frame16), fold),
+                         (fused_bytes(frame16, gm.FIT_BLOCK_ENTRIES), fold),
                          (16 * N * N, lambda: gm.wrapped_displacements(K, np.eye(2)))):
         monkeypatch.setattr(gm, "_memory_budget", lambda: budget)
         call()
