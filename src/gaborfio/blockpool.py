@@ -1,21 +1,22 @@
 """A deterministic thread pool for the library's blocked passes.
 
-The Gabor-matrix analyses, both passes of the decay fit, the symbol-class
-sweep and the off-grid check split their work into blocks.  Each block
-either writes a disjoint slice of one output array, returns a partial
-result (bin maxima, integer counts, a maximum) that its caller folds in
-block order or appends to one list, or folds maxima and integer counts
-into one accumulator under a lock (exact, so the order does not matter).  Every block
-runs the same numpy calls on the same entries whichever thread runs it, so
-the results are bit-identical for every worker count.  The blocks spend
-their time in numpy loops, GEMMs and FFTs, which release the interpreter
-lock, so the workers run in parallel.
+The Gabor-matrix analyses, the column pass of the decay fit, the row
+passes over a Gabor matrix, the symbol-class sweep and the off-grid check
+split their work into blocks.  Each block either writes a disjoint slice of
+one output array, returns or appends a partial result (a maximum, an
+envelope, its survivors) that its caller folds, or folds maxima and integer
+counts into one accumulator under a lock; every fold is exact, so the
+order does not matter.  Every block runs the same numpy calls on the same
+entries whichever thread runs it, so the results are bit-identical for
+every worker count.  The blocks spend their time in numpy loops, GEMMs and
+FFTs, which release the interpreter lock, so the workers run in parallel.
 
 There are workers() workers, the calling thread and its helper threads:
 as many as the CPUs this process may run on, unless a caller sets the
 count with worker_limit (the CLI's --threads does, and the fused Gabor
-analyses lower it on small lattices).  Work of one block,
-or a count of one, runs on the calling thread and starts no thread.
+analyses lower it on small lattices); the helper threads see the
+caller's count.  Work of one block, or a count of one, runs on the calling
+thread and starts no thread.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 
 __all__ = ["workers", "worker_limit", "block_share", "map_blocks"]
 
@@ -98,7 +99,9 @@ def map_blocks(fn, blocks) -> list:
                 with lock:
                     errors[i] = exc
 
-    helpers = [threading.Thread(target=work, args=(k,), name=f"gaborfio-block-{k}")
+    # each helper runs in a copy of the caller's context: it sees worker_limit
+    helpers = [threading.Thread(target=copy_context().run, args=(work, k),
+                                name=f"gaborfio-block-{k}")
                for k in range(1, n)]
     for helper in helpers:
         helper.start()

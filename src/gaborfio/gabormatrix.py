@@ -19,13 +19,15 @@ runs the step gabor.fold_fft over column sub-blocks of the block.  The
 images are dropped after the block, so no N x L first analysis is formed;
 gabor_matrix writes each sub-block into its slice of K.
 
-The decay fit needs |K| only.  _magnitude_columns hands each sub-block, a
-scratch array, to a fold.  The decay of |K| is measured against a
-canonical transformation chi through the wrapped displacement
-d = mu - chi(lam), componentwise reduced to [-L/2, L/2) in grid-index
-units.  decay_profile fits a given K by rows (_fit_rows).
-operator_decay_profile gives the same profile without forming K or any
-other N x N array, by one of two folds over the column blocks:
+The decay of |K| is measured against a canonical transformation chi
+through the wrapped displacement d = mu - chi(lam), componentwise reduced
+to [-L/2, L/2) in grid-index units.  The fit reads K from a column source,
+a callable columns(column_fn, entries) that hands column_fn(cols, out)
+scratch blocks of about entries // W entries with out[j, k, :] =
+K[j n_freq + k, cols]: _matrix_columns copies them out of a given K
+(decay_profile), and _gabor_columns computes them from T without forming
+K or any other N x N array (operator_decay_profile).  _decay_fit runs one
+of two folds over the source:
 
 * where chi sends the lattice to integer points (every regime-A map, the
   identity in regime B), every squared distance x = |d|^2 is an integer in
@@ -39,18 +41,19 @@ other N x N array, by one of two folds over the column blocks:
   monotonically with distance), which hold every bin's maximum and the
   C_fit maximum for every exponent and floor.
 
-One core, _blocked_fit, forms the bins, the floor, the regression and C_fit
-for every path: from (distance, |value|) pairs of row blocks, or from
+One core, _fit, forms the bins, the floor, the regression and C_fit for
+both folds and for envelope_fit: from (distance, |value|) pairs, or from
 (distance, maximum, count) triples of the occupied keys or the survivors.
 
-Every pass over rows (the mu of K, the atoms z of the off-grid check, the
-translates of the symbol-class sweep) splits them by _row_blocks into
-contiguous slices of about FIT_BLOCK_ENTRIES // W entries each.
+Every pass over rows (the mu of K in offgraph_max and the CSV writer, the
+atoms z of the off-grid check, the translates of the symbol-class sweep)
+splits them by _row_blocks into contiguous slices of about
+FIT_BLOCK_ENTRIES // W entries each.
 
-The N x N arrays (K and the (N, N, 2) displacement array), and T' with
-the blocks in flight of the fused analyses as one sum, are checked against
-the machine's physical memory before they are allocated: a larger one
-raises SizeError.
+The N x N arrays (K and the (N, N, 2) displacement array), T' with the
+blocks in flight of the fused analyses as one sum, and the key fold's
+per-key arrays are checked against the machine's physical memory before
+they are allocated: a larger one raises SizeError.
 
 Decay fit convention
 --------------------
@@ -78,6 +81,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -103,10 +107,10 @@ FIT_FLOOR_RTOL = 1e-13     # envelope floor relative to the peak (rounding)
 FIT_MIN_DIST = 2.0         # bins nearer the graph do not enter the fit
 FIT_MIN_COUNT = 3          # nor do bins with fewer entries
 # entries in flight in the blocked passes (1 MiB of float64): the row
-# blocks and the |K| column blocks share them out over the block pool's
-# workers, FIT_BLOCK_ENTRIES // W per block (a quarter of that in the key
-# fold, whose blocks hold 32 bytes per entry, and half in the survivor fold,
-# whose blocks hold 24)
+# blocks and the column blocks of the decay folds share them out over the
+# block pool's workers, FIT_BLOCK_ENTRIES // W per block (a quarter of that
+# in the key fold, whose blocks hold 32 bytes per entry, and half in the
+# survivor fold, whose blocks hold 24)
 FIT_BLOCK_ENTRIES = 1 << 17
 SUBBINS = 64               # sub-bins per sqrt(2) bin in the survivor fold
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
@@ -357,13 +361,18 @@ def gabor_matrix(T: OperatorMatrix, frame: GaborFrame,
     return GaborMatrix(K.reshape(N, N), frame)
 
 
-def _magnitude_columns(T: OperatorMatrix, frame: GaborFrame, column_fn,
-                       entries: int) -> None:
-    """K over the tight window in scratch column blocks of about
-    entries // W entries each, handed to column_fn(cols, out) with
-    out[j, k, :] = K[j n_freq + k, cols] (_gabor_columns): the column pass
-    of both decay folds."""
-    _gabor_columns(T, frame, frame.tight, column_fn, entries)
+def _matrix_columns(K: GaborMatrix):
+    """The column source of a given K (module docstring): copies of its
+    column blocks, which a fold may overwrite, on the block pool."""
+    lat = K.lattice
+    K3 = K.entries.reshape(lat.n_time, lat.n_freq, lat.size)
+
+    def columns(column_fn, entries: int) -> None:
+        width = block_share(entries) // lat.size
+        map_blocks(lambda cols: column_fn(cols, K3[:, :, cols].copy()),
+                   column_blocks(lat.size, width))
+
+    return columns
 
 
 def _chi_points(chi, points: np.ndarray) -> np.ndarray:
@@ -425,9 +434,7 @@ def envelope_fit(dists: np.ndarray, values: np.ndarray):
     Returns (bins, s_fit, C_fit, r2) and raises FitError with fewer than
     four eligible bins.
     """
-    dist = np.asarray(dists, dtype=float).ravel()
-    vals = np.abs(np.asarray(values)).ravel()
-    return _blocked_fit([None], lambda _: (dist, vals))
+    return _fit(np.asarray(dists, dtype=float).ravel(), np.abs(np.asarray(values)).ravel())
 
 
 def _bracket(x: np.ndarray) -> np.ndarray:
@@ -486,36 +493,20 @@ def _regression(env: np.ndarray, cnt: np.ndarray):
     return floor, bins, -slope, r2
 
 
-def _blocked_fit(blocks, entries):
-    """envelope_fit over entries handed out in pieces: entries(block) gives
-    the 1-d arrays (distances, |values|) of each block of the list blocks,
-    or (distances, maxima, counts) where each pair stands for `counts`
-    entries of that distance, once for the bins and once for C_fit, on the
-    block pool.  Bin maxima, counts and the C_fit maximum do not depend on
-    how the entries are split or grouped, so every split and worker count
-    gives the same result."""
-
-    def bin_block(block):
-        dist, vals, *counts = entries(block)
-        idx = _bin_index(dist)
-        nb = int(idx.max()) + 1
-        env = np.zeros(nb)
-        np.maximum.at(env, idx, vals)
-        return env, np.bincount(idx, *counts, minlength=nb).astype(np.intp, copy=False)
-
-    parts = map_blocks(bin_block, blocks)
-    nb = max(env_b.size for env_b, _ in parts)
+def _fit(dist: np.ndarray, vals: np.ndarray, *counts):
+    """The fit core, (bins, s_fit, C_fit, r2), over 1-d arrays of distances
+    <d> and |values|, or of distances, maxima and counts where each pair
+    stands for `counts` entries.  Bin maxima, integer counts and the C_fit
+    maximum do not depend on how the entries are grouped."""
+    idx = _bin_index(dist)
+    nb = int(idx.max()) + 1
     env = np.zeros(nb)
-    cnt = np.zeros(nb, dtype=np.intp)
-    for env_b, cnt_b in parts:
-        n = env_b.size
-        np.maximum(env[:n], env_b, out=env[:n])
-        cnt[:n] += cnt_b
+    np.maximum.at(env, idx, vals)
+    cnt = np.bincount(idx, *counts, minlength=nb).astype(np.intp, copy=False)
+    del idx                       # before _weighted_max allocates as much
     floor, bins, s_fit, r2 = _regression(env, cnt)
-    C_fit = 0.0
-    for c in map_blocks(lambda block: _weighted_max(*entries(block)[:2], s_fit, floor), blocks):
-        C_fit = max(C_fit, c)
-    return bins, s_fit, C_fit, r2
+    # C_fit reads 0.0 where the maximum is NaN (an inf entry makes s_fit NaN)
+    return bins, s_fit, max(0.0, _weighted_max(dist, vals, s_fit, floor)), r2
 
 
 def _row_blocks(n_rows: int, row_entries: int) -> list:
@@ -526,45 +517,23 @@ def _row_blocks(n_rows: int, row_entries: int) -> list:
     return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
-def _fit_rows(rows, lat, tables) -> DecayProfile:
-    """The decay fit over the lattice lat, |K| read by rows(mu): the (rows,
-    N) array of |K[mu, lam]| over the lattice rows mu of a slice, with the
-    displacement tables of _displacement_tables (squared in place).
-
-    The fit runs on the block pool over the slices of _row_blocks.  A block's
-    distances come from the rows j, k of the displacement tables of its mu =
-    j n_freq + k, with the arithmetic of the full displacement array, so no
-    N x N distance array is formed; the result depends neither on the block
-    size nor on W.
-    """
-    d1sq, d2sq = (np.square(d, out=d) for d in tables)
-
-    def block_entries(mu):
-        j, k = np.divmod(np.arange(mu.start, mu.stop), lat.n_freq)
-        return _bracket(d1sq[j] + d2sq[k]).ravel(), rows(mu).ravel()
-
-    return DecayProfile(*_blocked_fit(_row_blocks(lat.size, lat.size), block_entries))
-
-
-def _key_fit(T: OperatorMatrix, frame: GaborFrame, sq1: np.ndarray,
-             sq2: np.ndarray) -> DecayProfile:
-    """The decay fit of T from integer squared displacement tables sq1
-    (n_time, N) and sq2 (n_freq, N), folded over the keys x = d1^2 + d2^2.
+def _key_fit(columns, sq1: np.ndarray, sq2: np.ndarray) -> DecayProfile:
+    """The decay fit of the K of the column source columns from integer
+    squared displacement tables sq1 (n_time, N) and sq2 (n_freq, N), folded
+    over the keys x = d1^2 + d2^2.
 
     The key of K[j n_freq + k, lam] is sq1[j, lam] + sq2[k, lam], an integer
     in [0, L^2 / 2], and every entry with that key has the distance <d> =
-    sqrt(x + 1.0).  Each column block of _magnitude_columns folds its |K|
-    into one maximum and one count per key, which the workers share under a
-    lock, so the memory of the fold does not grow with W and no N x N array
-    is formed.  _blocked_fit then reads the occupied keys as (<d>, key max,
-    key count) triples and forms the bins, floor, regression and C_fit as it
-    does for rows.  Maxima and integer counts do not depend on the order of
-    the fold, and <d>^s_fit max(v, floor) is monotone in v (a positive
-    weight times a correctly rounded product), so the max over the keys is
-    the max over the entries bit for bit: the result is that of _fit_rows
-    for every W.
+    sqrt(x + 1.0).  Each column block folds its |K| into one maximum and one
+    count per key, two arrays (checked against the machine's memory) that
+    the workers share under a lock.  _fit reads the occupied keys as (<d>,
+    key max, key count) triples.  <d>^s_fit max(v, floor) is monotone in v
+    (a positive weight times a correctly rounded product), so the max over
+    the keys is the max over the entries bit for bit: the result is
+    envelope_fit of all entries for every W and block size.
     """
     n_keys = int(sq1.max()) + int(sq2.max()) + 1
+    _require_memory(16 * n_keys, "the per-key maxima and counts")
     envx, cntx = np.zeros(n_keys), np.zeros(n_keys, np.intp)
     lock = threading.Lock()
 
@@ -575,23 +544,22 @@ def _key_fit(T: OperatorMatrix, frame: GaborFrame, sq1: np.ndarray,
             np.maximum.at(envx, key, v)
             np.add.at(cntx, key, 1)
 
-    _magnitude_columns(T, frame, fold_block, FIT_BLOCK_ENTRIES // 4)
+    columns(fold_block, FIT_BLOCK_ENTRIES // 4)
     seen = np.flatnonzero(cntx)
-    keys = (_bracket(seen), envx[seen], cntx[seen])
-    return DecayProfile(*_blocked_fit([keys], lambda triple: triple))
+    return DecayProfile(*_fit(_bracket(seen), envx[seen], cntx[seen]))
 
 
-def _survivor_fit(T: OperatorMatrix, frame: GaborFrame, d1sq: np.ndarray,
-                  d2sq: np.ndarray) -> DecayProfile:
-    """The decay fit of T from the squared displacement tables d1sq (n_time,
-    N) and d2sq (n_freq, N) of _fit_rows, folded over the |K| column blocks
-    into the entries that can decide it.
+def _survivor_fit(columns, d1sq: np.ndarray, d2sq: np.ndarray) -> DecayProfile:
+    """The decay fit of the K of the column source columns from the squared
+    displacement tables d1sq (n_time, N) and d2sq (n_freq, N), folded over
+    the |K| column blocks into the entries that can decide it.
 
     A block's distances <d> = sqrt((d1sq + d2sq) + 1.0) and their sqrt(2)
-    bins are those of _fit_rows, bit for bit.  Each bin splits into SUBBINS
-    sub-bins by the key floor(SUBBINS log <d> / log sqrt 2), monotone in
-    <d>; SUBBINS is a power of two, so the product is exact and key //
-    SUBBINS is the bin.  An entry of a block survives if its |K| is
+    bins are those of the whole (N, N) distance array, bit for bit.  Each
+    bin splits into SUBBINS sub-bins by the key floor(SUBBINS log <d> / log
+    sqrt 2), monotone in <d>; SUBBINS is a power of two, so the product is
+    exact and key // SUBBINS is the bin.  An entry of a block survives if
+    its |K| is
 
     * above the largest sub-bin maximum farther out or above the largest
       one nearer in (an empty side counts as -1), or
@@ -601,14 +569,12 @@ def _survivor_fit(T: OperatorMatrix, frame: GaborFrame, d1sq: np.ndarray,
     strictly farther out and one strictly nearer in.  <d>^s max(|K|, floor)
     is monotone in |K|, and in <d> for a fixed s, so the farthest (s >= 0)
     or nearest (s < 0) entry that attains the C_fit maximum survives for
-    every s and every floor, and so does a maximum of every bin.
-    _blocked_fit takes the survivors as (<d>, |K|, 0) triples and the count
-    of each occupied bin as one (<d> of a survivor of the bin, 0.0, count)
-    triple: the result is that of _fit_rows for every W and block size.
-    The survivors, each block's two frontiers at sub-bin resolution and its
-    bin maxima, are 0.03-1.4% of the entries for the sampled maps tried at
-    L = 256 (7% for the near-radial sine:0.01), and no N x N array is
-    formed.
+    every s and every floor, and so does a maximum of every bin.  _fit
+    takes the survivors of all blocks as (<d>, |K|, 0) triples and the count
+    of each occupied bin of a block as one (<d> of a survivor of the bin,
+    0.0, count) triple: the result is envelope_fit of all entries for every
+    W and block size, and no N x N array is formed (the survivors' share:
+    module docstring).
     """
     vbufs, parts = {}, []         # thread -> |K| buffer; the blocks' triples
 
@@ -642,7 +608,7 @@ def _survivor_fit(T: OperatorMatrix, frame: GaborFrame, d1sq: np.ndarray,
         top = np.arange(0, sub.size, SUBBINS) + sub.reshape(nb, SUBBINS).argmax(axis=1)
         thr[top] = np.minimum(thr[top], np.nextafter(sub[top], -np.inf))
         np.take(thr, key, out=dist, mode="clip")    # "raise" would buffer out
-        # not <= both, so that a NaN survives as the row fit would see it
+        # not <= both, so that a NaN survives as envelope_fit would see it
         kept = np.flatnonzero(~(v <= dist))
         # the survivors' distances again, by the same sums
         j, k, c = np.unravel_index(kept, out.shape)
@@ -658,31 +624,36 @@ def _survivor_fit(T: OperatorMatrix, frame: GaborFrame, d1sq: np.ndarray,
 
     # 1.5 MiB in flight: the analysis GEMMs and FFTs slow down on narrower
     # blocks
-    _magnitude_columns(T, frame, fold_block, FIT_BLOCK_ENTRIES // 2)
-    return DecayProfile(*_blocked_fit(parts, lambda triple: triple))
+    columns(fold_block, FIT_BLOCK_ENTRIES // 2)
+    triples = [np.concatenate(f) for f in zip(*parts)]
+    parts.clear()                 # drop the blocks' triples once concatenated
+    return DecayProfile(*_fit(*triples))
+
+
+def _decay_fit(columns, lat, L: int, chi) -> DecayProfile:
+    """The decay fit of the K of the column source columns along chi: by
+    integer distance (_key_fit) where chi sends the lattice lat of Z_L to
+    integer points, and by per-bin survivors (_survivor_fit) otherwise."""
+    img = _lattice_images(lat, L, chi)
+    # the fold holds only the squared tables, not the float ones as well
+    if np.array_equal(img, np.round(img)):
+        return _key_fit(columns, *((d ** 2).astype(np.intp)
+                                   for d in _displacement_tables(lat, L, img)))
+    return _survivor_fit(columns, *(np.square(d, out=d)
+                                    for d in _displacement_tables(lat, L, img)))
 
 
 def decay_profile(K: GaborMatrix, chi) -> DecayProfile:
-    """Fit |K[mu, lam]| <= C <mu - chi(lam)>^{-s} over the lattice, taking
-    |K| of one block of rows at a time (no N x N |K| array is formed)."""
-    lat, L = K.lattice, K.frame.config.L
-    tables = _displacement_tables(lat, L, _lattice_images(lat, L, chi))
-    return _fit_rows(lambda mu: np.abs(K.entries[mu]), lat, tables)
+    """Fit |K[mu, lam]| <= C <mu - chi(lam)>^{-s} over the lattice by the
+    folds of _decay_fit over copies of K's column blocks."""
+    return _decay_fit(_matrix_columns(K), K.lattice, K.frame.config.L, chi)
 
 
 def operator_decay_profile(T: OperatorMatrix, frame: GaborFrame, chi) -> DecayProfile:
-    """decay_profile(gabor_matrix(T, frame), chi), field for field, from
-    folds of the |K| column blocks: by integer distance (_key_fit) where chi
-    sends the lattice to integer points (then every displacement is an
-    integer), and by per-bin survivors (_survivor_fit) otherwise.  No N x N
-    array is formed."""
-    lat, L = frame.lattice, frame.config.L
-    img = _lattice_images(lat, L, chi)
-    if np.array_equal(img, np.round(img)):
-        return _key_fit(T, frame, *((d ** 2).astype(np.intp)
-                                    for d in _displacement_tables(lat, L, img)))
-    return _survivor_fit(T, frame, *(np.square(d, out=d)
-                                     for d in _displacement_tables(lat, L, img)))
+    """decay_profile(gabor_matrix(T, frame), chi), field for field, from the
+    fused analyses of T over the tight window: no N x N array is formed."""
+    return _decay_fit(partial(_gabor_columns, T, frame, frame.tight), frame.lattice,
+                      frame.config.L, chi)
 
 
 def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:

@@ -16,11 +16,13 @@ from gaborfio import blockpool
 
 SHEAR = np.array([[1.0, 0.0], [1.0, 1.0]])       # chi of chirp:1
 
-# (name, overrides): each run below splits its work into several blocks
+# (name, overrides): each run below splits its work into several blocks; the
+# survivor fold of decay-B splits its column pass from L = 256 on (below it
+# the fused analyses run on one worker)
 DETERMINISM_CASES = [
     ("decay-A", ["model.L=128", "operator=dft*chirp:2"]),
-    ("decay-B", ["model.L=128", "model.regime=B",
-                 "operator=fio1:phase=sine:0.2:11.3137:11.3137,symbol=random-smooth:3"]),
+    ("decay-B", ["model.L=256", "model.regime=B",
+                 "operator=fio1:phase=sine:0.2:16:16,symbol=random-smooth:3"]),
     ("symbol-class", ["model.L=32", "pipeline=symbol-class",
                       "operator=kn:symbol=random-smooth:9"]),
     ("offgrid", ["model.L=32", "pipeline=offgrid", "operator=chirp:2"]),
@@ -167,6 +169,11 @@ def test_map_blocks_binds_workers_and_restores_the_caller():
     cpus = sorted(before)
     if len(cpus) >= 2:
         assert {frozenset(s) for s in seen} <= {frozenset({cpus[0]}), frozenset({cpus[1]})}
+
+
+def test_helper_threads_see_the_callers_worker_limit():
+    with blockpool.worker_limit(3):
+        assert blockpool.map_blocks(lambda _: blockpool.workers(), range(6)) == [3] * 6
 
 
 def test_map_blocks_raises_the_first_failing_block():

@@ -1,9 +1,11 @@
-"""The fused fold + FFT analyses and the decay folds over their |K|
-column blocks: the atom images, K and |K| equal a one-block reference bit
-for bit for every worker count, block of time indices and column width,
-both folds (by integer distance and into survivor sets) equal the row fit
-of K field for field and form no N x N or N x L array, and the size guard
-stops the allocations the machine cannot hold."""
+"""The fused fold + FFT analyses and the decay folds over column blocks:
+the atom images, K and |K| equal a one-block reference bit for bit for
+every worker count, block of time indices and column width; both folds (by
+integer distance and into survivor sets), over the columns of a given K
+(decay_profile) and over the fused analyses of T (operator_decay_profile),
+equal envelope_fit of the whole (N, N) distance and |K| arrays field for
+field, and the latter forms no N x N or N x L array; and the size guards
+stop the allocations the machine cannot hold."""
 
 import json
 import sys
@@ -42,25 +44,27 @@ def widths(N):
 
 
 def magnitudes(T, frame):
-    """|K| written block by block from the column blocks of
-    _magnitude_columns into a real N x N array."""
+    """|K| written block by block from the scratch column blocks of the
+    fused analyses over the tight window into a real N x N array."""
     N = frame.lattice.size
     absK = np.empty((N, N))
 
     def write_block(cols, out):
         np.abs(out.reshape(N, -1), out=absK[:, cols])
 
-    gm._magnitude_columns(T, frame, write_block, gm.FIT_BLOCK_ENTRIES)
+    gm._gabor_columns(T, frame, frame.tight, write_block, gm.FIT_BLOCK_ENTRIES)
     return absK
 
 
-def set_width(monkeypatch, setting, N, workers):
-    """Blocks of about `width` columns; an align of None keeps COLUMN_ALIGN."""
+def set_width(monkeypatch, setting, N, workers, share=1):
+    """Blocks of about `width` columns in a pass that takes
+    FIT_BLOCK_ENTRIES // share entries; an align of None keeps
+    COLUMN_ALIGN."""
     if setting is not None:
         align, width = setting
         if align is not None:
             monkeypatch.setattr(gabor, "COLUMN_ALIGN", align)
-        monkeypatch.setattr(gm, "FIT_BLOCK_ENTRIES", width * N * workers)
+        monkeypatch.setattr(gm, "FIT_BLOCK_ENTRIES", share * width * N * workers)
 
 
 def every_worker(monkeypatch):
@@ -259,11 +263,25 @@ def integral(tables):
     return all(np.array_equal(d, np.round(d)) for d in tables)
 
 
+def whole_fit(lat, L, chi, absK):
+    """envelope_fit of the whole (N, N) distance and |K| arrays: the
+    reference of every decay fit."""
+    d1, d2 = tables_of(lat, L, chi)
+    j, k = np.divmod(np.arange(lat.size), lat.n_freq)
+    return gf.envelope_fit(np.sqrt((d1[j] ** 2 + d2[k] ** 2) + 1.0), absK)
+
+
+def fields(profile):
+    return profile.bins, profile.s_fit, profile.C_fit, profile.r2
+
+
 @pytest.mark.parametrize("L,regime,spec", PROFILE_CASES)
 def test_operator_decay_profile_equals_the_profile_of_K(monkeypatch, L, regime, spec):
+    # both decay profiles, of T and of its K, equal the whole-array fit
     frame = frame_for(L, None, regime)
     T, chi, _ = cli.parse_operator(spec, frame.config)
-    want = gf.decay_profile(gf.gabor_matrix(T, frame), chi)
+    K = gf.gabor_matrix(T, frame)
+    want = whole_fit(frame.lattice, L, chi, np.abs(K.entries))
     keyed = integral(tables_of(frame.lattice, L, chi))
     fits = []
     for name in ("_key_fit", "_survivor_fit"):
@@ -272,14 +290,13 @@ def test_operator_decay_profile_equals_the_profile_of_K(monkeypatch, L, regime, 
                             fits.append(name) or fit(*args))
     for workers in (1, 2, 3):
         with blockpool.worker_limit(workers):
-            # the default blocks, then 16-column and one-row blocks
+            # the default blocks, then 16-column blocks
             for entries in (gm.FIT_BLOCK_ENTRIES, 1):
                 with monkeypatch.context() as m:
                     m.setattr(gm, "FIT_BLOCK_ENTRIES", entries)
-                    got = gf.operator_decay_profile(T, frame, chi)
-                assert (got.bins, got.s_fit, got.C_fit, got.r2) == \
-                    (want.bins, want.s_fit, want.C_fit, want.r2), f"{workers} {entries}"
-    assert fits == 6 * ["_key_fit" if keyed else "_survivor_fit"]
+                    got = [gf.decay_profile(K, chi), gf.operator_decay_profile(T, frame, chi)]
+                assert [fields(p) for p in got] == [want, want], f"{workers} {entries}"
+    assert fits == 12 * ["_key_fit" if keyed else "_survivor_fit"]
 
 
 def check_under_thread_switching(monkeypatch, regime, spec):
@@ -288,7 +305,7 @@ def check_under_thread_switching(monkeypatch, regime, spec):
     or the blocks would change the total count or the profile."""
     frame = frame_for(64, None, regime)
     T, chi, _ = cli.parse_operator(spec, frame.config)
-    want = gf.decay_profile(gf.gabor_matrix(T, frame), chi)
+    want = whole_fit(frame.lattice, 64, chi, np.abs(gf.gabor_matrix(T, frame).entries))
     monkeypatch.setattr(gm, "FIT_BLOCK_ENTRIES", 1)
     every_worker(monkeypatch)
     interval = sys.getswitchinterval()
@@ -298,8 +315,7 @@ def check_under_thread_switching(monkeypatch, regime, spec):
             for _ in range(20):
                 got = gf.operator_decay_profile(T, frame, chi)
                 assert sum(count for _, _, count in got.bins) == frame.lattice.size ** 2
-                assert (got.bins, got.s_fit, got.C_fit, got.r2) == \
-                    (want.bins, want.s_fit, want.C_fit, want.r2)
+                assert fields(got) == want
     finally:
         sys.setswitchinterval(interval)
 
@@ -313,21 +329,13 @@ def test_survivor_fold_keeps_every_count_under_thread_switching(monkeypatch):
                                  "fio1:phase=sine:0.5:8:8,symbol=random-smooth:3")
 
 
-def feed_columns(absK, width):
-    """A stand-in for _magnitude_columns that hands out the columns of the
-    given |K| in blocks of `width`, shaped as the analysis blocks."""
-    def magnitude_columns(T, frame, column_fn, entries):
-        lat = frame.lattice
-        for cols in gabor.column_blocks(lat.size, width):
-            column_fn(cols, absK[:, cols].reshape(lat.n_time, lat.n_freq, -1).astype(complex))
-    return magnitude_columns
-
-
 @pytest.mark.parametrize("L,steps", [(16, (2, 2)), (64, None), (96, (6, 4))])
 def test_key_fold_equals_the_row_fit_with_a_distance_of_zeros(monkeypatch, L, steps):
-    # a Gaussian-decaying |K| with the farthest occupied distance set to
-    # exact zeros: that key still counts in its bin and enters C_fit at the
-    # floor, where it is the largest weighted value
+    # the reference "row fit" is envelope_fit of the whole (N, N) arrays
+    # (whole_fit), here and in the survivor-fold test below.  A
+    # Gaussian-decaying |K| with the farthest occupied distance set to exact
+    # zeros: that key still counts in its bin and enters C_fit at the floor,
+    # where it is the largest weighted value
     frame = frame_for(L, steps, "A")
     lat, N = frame.lattice, frame.lattice.size
     tables = tables_of(lat, L, np.eye(2))
@@ -337,15 +345,16 @@ def test_key_fold_equals_the_row_fit_with_a_distance_of_zeros(monkeypatch, L, st
     rng = np.random.Generator(np.random.Philox(L))
     absK = np.exp(-key / L) * rng.uniform(0.5, 1.0, size=(N, N))
     absK[key == key.max()] = 0.0
-    want = gm._fit_rows(lambda mu: absK[mu], lat, tables)
-    assert want.bins[-1][2] > 0
+    want = whole_fit(lat, L, np.eye(2), absK)
+    assert want[0][-1][2] > 0
+    columns = gm._matrix_columns(gf.GaborMatrix(absK, frame))
     for workers in (1, 2, 3):
         with blockpool.worker_limit(workers):
             for width in (16, 40, N):
-                monkeypatch.setattr(gm, "_magnitude_columns", feed_columns(absK, width))
-                got = gm._key_fit(None, frame, sq1, sq2)
-                assert (got.bins, got.s_fit, got.C_fit, got.r2) == \
-                    (want.bins, want.s_fit, want.C_fit, want.r2), f"{workers} {width}"
+                with monkeypatch.context() as m:
+                    set_width(m, (None, width), N, workers, share=4)
+                    got = gm._key_fit(columns, sq1, sq2)
+                assert fields(got) == want, f"{workers} {width}"
 
 
 # a map that sends lattice points off the integer grid: the survivor fold
@@ -370,22 +379,23 @@ def test_survivor_fold_equals_the_row_fit_with_ties_and_zeros(monkeypatch, L, st
     absK = np.floor(64 * profile * rng.uniform(0.5, 1.0, size=(N, N))) / 64
     bins = gm._bin_index(np.sqrt(x + 1.0))
     absK[bins == bins.max()] = 0.0
-    want = gm._fit_rows(lambda mu: absK[mu], lat, [d.copy() for d in tables])
-    assert want.bins[-1][1] == gm.FIT_FLOOR_RTOL * absK.max()
-    assert (want.s_fit < 0) == growing
+    want = whole_fit(lat, L, SHEAR, absK)
+    assert want[0][-1][1] == gm.FIT_FLOOR_RTOL * absK.max()
+    assert (want[1] < 0) == growing
+    columns = gm._matrix_columns(gf.GaborMatrix(absK, frame))
     for workers in (1, 2, 3):
         with blockpool.worker_limit(workers):
             for width in (16, 40, N):
-                monkeypatch.setattr(gm, "_magnitude_columns", feed_columns(absK, width))
-                got = gm._survivor_fit(None, frame, *(d ** 2 for d in tables))
-                assert (got.bins, got.s_fit, got.C_fit, got.r2) == \
-                    (want.bins, want.s_fit, want.C_fit, want.r2), f"{workers} {width}"
+                with monkeypatch.context() as m:
+                    set_width(m, (None, width), N, workers, share=2)
+                    got = gm._survivor_fit(columns, *(d ** 2 for d in tables))
+                assert fields(got) == want, f"{workers} {width}"
 
 
 def test_weighted_entries_fit_as_their_expanded_pairs():
-    # (distance, max, count) triples in five blocks, keys repeated across
-    # blocks as bins are in the survivor fold's blocks, and some maxima at zero:
-    # the fit equals that of each pair repeated `count` times
+    # (distance, max, count) triples with keys repeated, as bins are across
+    # the survivor fold's blocks, and some maxima at zero: the fit equals
+    # that of each pair repeated `count` times
     rng = np.random.Generator(np.random.Philox(16))
     keys = rng.integers(0, 2000, size=600)
     dist = gm._bracket(keys)
@@ -393,25 +403,28 @@ def test_weighted_entries_fit_as_their_expanded_pairs():
     vals[rng.integers(0, keys.size, size=40)] = 0.0
     counts = rng.integers(1, 50, size=keys.size)
     want = gf.envelope_fit(np.repeat(dist, counts), np.repeat(vals, counts))
-    blocks = np.array_split(np.arange(keys.size), 5)
-    for workers in (1, 2, 3):
-        with blockpool.worker_limit(workers):
-            got = gm._blocked_fit(blocks, lambda b: (dist[b], vals[b], counts[b]))
-        assert got == want, workers
+    assert gm._fit(dist, vals, counts) == want
 
 
 def test_operator_decay_profile_reaches_the_fit_core_once(monkeypatch):
-    calls, blocked_fit = [], gm._blocked_fit
-    monkeypatch.setattr(gm, "_blocked_fit",
-                        lambda *args: calls.append(1) or blocked_fit(*args))
+    # both entry points run one fold and one fit core call
+    calls = []
+    for name in ("_key_fit", "_survivor_fit", "_fit"):
+        fn = getattr(gm, name)
+        monkeypatch.setattr(gm, name, lambda *args, name=name, fn=fn:
+                            calls.append(name) or fn(*args))
     for regime, spec, keyed in (("A", "dft", True),
                                 ("B", "fio1:phase=sine:0.2:8:8,symbol=ones", False)):
         frame = frame_for(64, None, regime)
         T, chi, _ = cli.parse_operator(spec, frame.config)
         assert integral(tables_of(frame.lattice, 64, chi)) == keyed, spec
-        calls.clear()
-        gf.operator_decay_profile(T, frame, chi)
-        assert len(calls) == 1, spec
+        K = gf.gabor_matrix(T, frame)
+        fold = "_key_fit" if keyed else "_survivor_fit"
+        for profile in (lambda: gf.operator_decay_profile(T, frame, chi),
+                        lambda: gf.decay_profile(K, chi)):
+            calls.clear()
+            profile()
+            assert calls == [fold, "_fit"], spec
 
 
 @pytest.mark.parametrize("regime", "AB")
@@ -532,7 +545,8 @@ def test_size_guard_raises_before_the_n_by_n_arrays(monkeypatch, frame16):
     N = frame16.lattice.size
 
     def fold():
-        gm._magnitude_columns(T, frame16, lambda cols, out: None, gm.FIT_BLOCK_ENTRIES)
+        gm._gabor_columns(T, frame16, frame16.tight, lambda cols, out: None,
+                          gm.FIT_BLOCK_ENTRIES)
 
     # each guard admits exactly its own arrays
     for budget, call in ((16 * N * N, lambda: gf.gabor_matrix(T, frame16)),
@@ -543,6 +557,22 @@ def test_size_guard_raises_before_the_n_by_n_arrays(monkeypatch, frame16):
         monkeypatch.setattr(gm, "_memory_budget", lambda: budget - 1)
         with pytest.raises(gf.SizeError):
             call()
+
+
+@pytest.mark.parametrize("regime,spec", [("A", "dft"), ("B", "fio1:phase=kn,symbol=ones")])
+def test_size_guard_raises_before_the_per_key_arrays(monkeypatch, regime, spec):
+    # the key fold's maxima and counts take 16 bytes a key; a budget one
+    # byte short stops both decay profiles before they are allocated
+    frame = frame_for(64, None, regime)
+    T, chi, _ = cli.parse_operator(spec, frame.config)
+    K = gf.gabor_matrix(T, frame)
+    sq1, sq2 = ((d ** 2).astype(np.intp) for d in tables_of(frame.lattice, 64, chi))
+    n_keys = int(sq1.max()) + int(sq2.max()) + 1
+    monkeypatch.setattr(gm, "_memory_budget", lambda: 16 * n_keys - 1)
+    for profile in (lambda: gf.decay_profile(K, chi),
+                    lambda: gf.operator_decay_profile(T, frame, chi)):
+        with pytest.raises(gf.SizeError, match="the per-key maxima and counts"):
+            profile()
 
 
 def test_memory_budget_is_the_physical_memory():
