@@ -15,7 +15,7 @@ from .errors import (ConfigError, FitError, FrameDeficient, GaborFIOError,
                      WindowError)
 from .tfcore import (ModelConfig, Signal, TFGrid, delta, dft_matrix,
                      dft_unitary, periodized_gaussian, random_signal, stft,
-                     stft_matrix, tf_shift, tf_shift_matrix, wrap_half)
+                     tf_shift, tf_shift_matrix, wrap_half)
 from .gabor import (CoefficientArray, GaborFrame, Lattice, WeightSpec,
                     analysis, atom_matrix, build_frame, default_lattice,
                     modulation_norm, synthesis)

@@ -1,8 +1,8 @@
 """A deterministic thread pool for the library's blocked passes.
 
-The Gabor-matrix analyses, the column pass of the decay fit, the row
-passes over a Gabor matrix, the symbol-class sweep and the off-grid check
-split their work into blocks.  Each block either writes a disjoint slice of
+The Gabor-matrix analyses (which the decay fit and the off-grid check
+read), the row passes over a Gabor matrix and the symbol-class sweep split
+their work into blocks.  Each block either writes a disjoint slice of
 one output array, returns or appends a partial result (a maximum, an
 envelope, its survivors) that its caller folds, or folds maxima and integer
 counts into one accumulator under a lock; every fold is exact, so the

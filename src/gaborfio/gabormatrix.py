@@ -45,10 +45,10 @@ One core, _fit, forms the bins, the floor, the regression and C_fit for
 both folds and for envelope_fit: from (distance, |value|) pairs, or from
 (distance, maximum, count) triples of the occupied keys or the survivors.
 
-Every pass over rows (the mu of K in offgraph_max and the CSV writer, the
-atoms z of the off-grid check, the translates of the symbol-class sweep)
-splits them by _row_blocks into contiguous slices of about
-FIT_BLOCK_ENTRIES // W entries each.
+The off-grid check folds _weighted_sup over _gabor_columns of T conjugated
+by its offsets.  Every pass over rows (the mu of K in offgraph_max and the
+CSV writer, the translates of the symbol-class sweep) splits them by
+_row_blocks into contiguous slices of about FIT_BLOCK_ENTRIES // W entries.
 
 The N x N arrays (K and the (N, N, 2) displacement array), T' with the
 blocks in flight of the fused analyses as one sum, and the key fold's
@@ -91,7 +91,7 @@ from .gabor import (GaborFrame, column_blocks, column_fold, fold_fft, spans,
                     window_fold)
 from .operators import OperatorMatrix, SymbolGrid
 from .phasegeom import CanonicalMap, linear_map
-from .tfcore import stft_matrix, tf_shift_matrix, wrap_half
+from .tfcore import wrap_half
 
 __all__ = [
     "GaborMatrix", "DecayProfile", "RowPaddedMatrix", "SparseGaborMatrix",
@@ -107,10 +107,10 @@ FIT_FLOOR_RTOL = 1e-13     # envelope floor relative to the peak (rounding)
 FIT_MIN_DIST = 2.0         # bins nearer the graph do not enter the fit
 FIT_MIN_COUNT = 3          # nor do bins with fewer entries
 # entries in flight in the blocked passes (1 MiB of float64): the row
-# blocks and the column blocks of the decay folds share them out over the
-# block pool's workers, FIT_BLOCK_ENTRIES // W per block (a quarter of that
-# in the key fold, whose blocks hold 32 bytes per entry, and half in the
-# survivor fold, whose blocks hold 24)
+# blocks and the column blocks of the folds share them out over the block
+# pool's workers, FIT_BLOCK_ENTRIES // W per block (a quarter of that in the
+# key fold and the weighted sup, whose blocks hold 32 bytes per entry, and
+# half in the survivor fold, whose blocks hold 24)
 FIT_BLOCK_ENTRIES = 1 << 17
 SUBBINS = 64               # sub-bins per sqrt(2) bin in the survivor fold
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
@@ -470,10 +470,12 @@ def _weighted_max(dist: np.ndarray, vals: np.ndarray, s_fit: float, floor: float
 
 def _regression(env: np.ndarray, cnt: np.ndarray):
     """The fit from the bin maxima env (clamped to the floor in place) and
-    the bin counts cnt: (floor, bins, s_fit, r2).  Raises FitError with
-    fewer than four eligible bins."""
+    the bin counts cnt: (floor, bins, s_fit, r2).  Raises FitError where a
+    |value| is inf or nan, or with fewer than four eligible bins."""
     nb = env.size
     floor = FIT_FLOOR_RTOL * float(env.max())      # env.max() is max|values|
+    if not np.isfinite(floor):                     # an inf or nan |value|
+        raise FitError("non-finite |K| among the entries to fit")
     np.maximum(env, floor, out=env)
     dr = np.sqrt(2.0) ** (np.arange(nb) + 0.5)
     sel = (cnt >= FIT_MIN_COUNT) & (dr >= FIT_MIN_DIST) & (env > 0)
@@ -501,12 +503,12 @@ def _fit(dist: np.ndarray, vals: np.ndarray, *counts):
     idx = _bin_index(dist)
     nb = int(idx.max()) + 1
     env = np.zeros(nb)
-    np.maximum.at(env, idx, vals)
+    with np.errstate(invalid="ignore"):       # a nan |value| raises in _regression
+        np.maximum.at(env, idx, vals)
     cnt = np.bincount(idx, *counts, minlength=nb).astype(np.intp, copy=False)
     del idx                       # before _weighted_max allocates as much
     floor, bins, s_fit, r2 = _regression(env, cnt)
-    # C_fit reads 0.0 where the maximum is NaN (an inf entry makes s_fit NaN)
-    return bins, s_fit, max(0.0, _weighted_max(dist, vals, s_fit, floor)), r2
+    return bins, s_fit, _weighted_max(dist, vals, s_fit, floor), r2
 
 
 def _row_blocks(n_rows: int, row_entries: int) -> list:
@@ -540,7 +542,7 @@ def _key_fit(columns, sq1: np.ndarray, sq2: np.ndarray) -> DecayProfile:
     def fold_block(cols, out):
         key = (sq1[:, None, cols] + sq2[None, :, cols]).ravel()
         v = np.abs(out).ravel()
-        with lock:
+        with lock, np.errstate(invalid="ignore"):     # nan raises in _regression
             np.maximum.at(envx, key, v)
             np.add.at(cntx, key, 1)
 
@@ -597,7 +599,8 @@ def _survivor_fit(columns, d1sq: np.ndarray, d2sq: np.ndarray) -> DecayProfile:
         cnt = np.add.reduceat(per_key, np.arange(0, per_key.size, SUBBINS))
         nb = cnt.size
         sub = np.full(nb * SUBBINS, -1.0)      # |K| >= 0: -1 marks an empty sub-bin
-        np.maximum.at(sub, key, v)
+        with np.errstate(invalid="ignore"):    # a nan |K| survives (below)
+            np.maximum.at(sub, key, v)
         # the largest sub-bin maximum farther out and nearer in, per sub-bin
         far = np.full_like(sub, -1.0)
         near = np.full_like(sub, -1.0)
@@ -693,6 +696,34 @@ def _offsets_for(lat, n_offsets: int) -> list:
     return (diag + [c for c in axis if c not in diag])[:n_offsets]
 
 
+def _shifted(T: OperatorMatrix, u, v) -> OperatorMatrix:
+    """pi(v)^* T pi(u) for integer offsets u, v: the columns of T modulated
+    by u[1] and rolled by -u[0], the rows by -v[1] and -v[0]; O(L^2)."""
+    L = T.config.L
+    n = np.arange(L)
+    e = T.entries * np.exp(2j * np.pi * (u[1] * n % L) / L)
+    e *= np.exp(-2j * np.pi * (v[1] * n % L) / L)[:, None]
+    return OperatorMatrix(np.roll(e, (-v[0], -u[0]), axis=(0, 1)), T.config)
+
+
+def _weighted_sup(columns, d1sq: np.ndarray, d2sq: np.ndarray, s: float) -> float:
+    """max |K| ((1 + d1^2) + d2^2)^(s/2) over the K of the column source
+    columns, from squared displacement tables as in _survivor_fit: inf where
+    a product overflows, nan where |K| is, and the same bits for every W and
+    block size (the products are elementwise, the maximum exact)."""
+    maxima = []
+
+    def fold_block(cols, out):
+        weight = np.add(1.0 + d1sq[:, None, cols], d2sq[None, :, cols])
+        with np.errstate(over="ignore", invalid="ignore"):
+            weight **= s / 2
+            weight *= np.abs(out)
+        maxima.append(weight.max())
+
+    columns(fold_block, FIT_BLOCK_ENTRIES // 4)
+    return float(np.max(maxima))
+
+
 def offgrid_decay_check(T: OperatorMatrix, frame: GaborFrame, chi, s: float,
                         n_offsets: int = 3) -> OffgridReport:
     """Compare the decay constant over the lattice with shifted copies (regime A).
@@ -701,52 +732,29 @@ def offgrid_decay_check(T: OperatorMatrix, frame: GaborFrame, chi, s: float,
     where the X's run over the lattice and over lattice copies shifted by
     off-grid offsets u on the unit lattice.  The continuous/discrete
     equivalence predicts a bounded ratio.
+
+    pi(lam + u) = c pi(lam) pi(u) with |c| = 1, so for the offsets u_i of z
+    and u_j of w' the values are |K_ij[mu, lam]|, K_ij the Gabor matrix of
+    _shifted(T, u_i, u_j), weighted by <mu - (chi(wrap(lam + u_i)) - u_j)>^s:
+    C[i, j] is _weighted_sup over its fused analyses, with no N x N array.
+    A non-finite T or a zero C_lattice raises ModelError.
     """
     if frame.config.regime != "A":
         raise ModelError("off-grid check is a regime-A (exact torus) operation")
-    lat = frame.lattice
-    L = frame.config.L
-    pts = lat.points().astype(float)
-    w = frame.tight.values
+    if not np.isfinite(T.entries).all():
+        raise ModelError("operator has non-finite entries")
+    lat, L = frame.lattice, frame.config.L
     offsets = [(0, 0)] + _offsets_for(lat, n_offsets)
-    # the points w' of offset u form the time-major grid (t + u[0]) x (f + u[1])
-    t = lat.a * np.arange(lat.n_time)
-    f = lat.b * np.arange(lat.n_freq)
-    grids = [(t + u[0], f + u[1]) for u in offsets]
-
-    # C[i, j] is the constant for z-offset i and w'-offset j.  The STFT of
-    # T pi(z) w gives <T pi(z) w, pi(w') w> for every w' at once; it is formed
-    # for a block of z at a time on the block pool, and each block's maxima
-    # for every w'-offset fold into C in block order.  The squared wrapped
-    # displacements come from (z, w'-time) and (z, w'-freq) tables.
     C = np.zeros((len(offsets), len(offsets)))
     for i, u in enumerate(offsets):
-        z = pts + np.array(u, dtype=float)
-        img = _chi_points(chi, wrap_half(z, L))
-        zi = z.astype(int)
-
-        def block_maxima(blk):
-            atoms = tf_shift_matrix(w, zi[blk, 0], zi[blk, 1])
-            images = (T.entries @ atoms[:, :, None])[:, :, 0]    # one gemv per atom
-            if not np.isfinite(images).all():
-                raise ModelError("operator image has non-finite entries")
-            maxima = []
-            # an overflow leaves a constant of inf or nan, which fails the ratio
-            with np.errstate(over="ignore", invalid="ignore"):
-                V = stft_matrix(images, w)                       # [z, k, m]
-                for tw, fw in grids:
-                    vals = np.abs(V[:, (tw % L)[:, None], fw % L])   # [z, w'-time, w'-freq]
-                    d1sq = wrap_half(tw[None, :] - img[blk, 0][:, None], L) ** 2
-                    d2sq = wrap_half(fw[None, :] - img[blk, 1][:, None], L) ** 2
-                    weight = ((1.0 + d1sq)[:, :, None] + d2sq[:, None, :]) ** (s / 2)
-                    maxima.append(float((vals * weight).max()))
-            return maxima
-
-        for maxima in map_blocks(block_maxima, _row_blocks(lat.size, L * L)):
-            for j, m in enumerate(maxima):
-                C[i, j] = max(C[i, j], m)
-    C_lattice = float(C[0, 0])
-    C_offgrid = float(C.max())
+        img = _chi_points(chi, wrap_half((lat.points() + u).astype(float), L))
+        for j, v in enumerate(offsets):
+            d1sq, d2sq = (np.square(d, out=d) for d in _displacement_tables(lat, L, img - v))
+            columns = partial(_gabor_columns, _shifted(T, u, v), frame, frame.tight)
+            C[i, j] = _weighted_sup(columns, d1sq, d2sq, s)
+    C_lattice, C_offgrid = float(C[0, 0]), float(C.max())
+    if C_lattice == 0:
+        raise ModelError("the Gabor matrix of the operator is zero on the lattice")
     return OffgridReport(C_lattice=C_lattice, C_offgrid=C_offgrid,
                          ratio=C_offgrid / C_lattice, offsets=offsets[1:])
 

@@ -36,7 +36,7 @@ from .errors import ModelError, WindowError
 
 __all__ = [
     "ModelConfig", "Signal", "TFGrid",
-    "tf_shift", "tf_shift_matrix", "stft", "stft_matrix", "dft_unitary", "dft_matrix",
+    "tf_shift", "tf_shift_matrix", "stft", "dft_unitary", "dft_matrix",
     "periodized_gaussian", "delta", "random_signal", "wrap_half",
 ]
 
@@ -171,18 +171,9 @@ def stft(f: Signal, g: Signal) -> TFGrid:
         raise ModelError("signal/window length mismatch")
     if g.norm == 0.0:
         raise WindowError("zero window")
-    return TFGrid(stft_matrix(f.values[None, :], g.values)[0], f.config)
-
-
-def stft_matrix(F: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The (B, L, L) array of V_g F[i] for the rows of the (B, L) array F,
-    each equal to stft of that row bit for bit (length-L FFTs of the rows
-    n -> F[i, n] * conj(g[(n-k) mod L]))."""
-    L = g.shape[0]
-    n = np.arange(L)
-    # G[k, n] = conj(g[(n - k) mod L])
-    G = np.conj(g[(n[None, :] - n[:, None]) % L])
-    return np.fft.fft(F[:, None, :] * G, axis=2)
+    n = np.arange(f.config.L)
+    G = np.conj(g.values[(n[None, :] - n[:, None]) % n.size])   # conj(g[(n - k) mod L])
+    return TFGrid(np.fft.fft(f.values * G, axis=1), f.config)
 
 
 def dft_unitary(f: Signal) -> Signal:

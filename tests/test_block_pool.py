@@ -25,7 +25,7 @@ DETERMINISM_CASES = [
                  "operator=fio1:phase=sine:0.2:16:16,symbol=random-smooth:3"]),
     ("symbol-class", ["model.L=32", "pipeline=symbol-class",
                       "operator=kn:symbol=random-smooth:9"]),
-    ("offgrid", ["model.L=32", "pipeline=offgrid", "operator=chirp:2"]),
+    ("offgrid", ["model.L=128", "pipeline=offgrid", "operator=chirp:2"]),
     ("gabor-matrix", ["model.L=96", "pipeline=gabor-matrix", "operator=chirp:-3"]),
 ]
 

@@ -440,6 +440,31 @@ def test_both_fit_paths_raise_the_same_fit_error(regime):
         assert str(got.value) == str(rows.value) == "only 0 eligible bins, need >= 4"
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_a_non_finite_entry_raises_the_same_fit_error_in_every_fold(bad):
+    # an inf or nan |K| leaves no fit: the key fold, the survivor fold and
+    # envelope_fit raise one FitError for it on every worker count
+    frame = frame_for(64, None, "A")
+    lat = frame.lattice
+    E = gf.gabor_matrix(gf.chirp_operator(frame.config, 1), frame).entries
+    E[3, 5] = bad
+    K = gf.GaborMatrix(E, frame)
+    chirp_map = np.array([[1.0, 0.0], [1.0, 1.0]])
+    assert integral(tables_of(lat, 64, chirp_map))
+    assert not integral(tables_of(lat, 64, SHEAR))
+    d1, d2 = tables_of(lat, 64, chirp_map)
+    j, k = np.divmod(np.arange(lat.size), lat.n_freq)
+    dist = np.sqrt((d1[j] ** 2 + d2[k] ** 2) + 1.0)
+    for workers in (1, 2, 3):
+        with blockpool.worker_limit(workers):
+            for fit in (lambda: gf.decay_profile(K, chirp_map),     # key fold
+                        lambda: gf.decay_profile(K, SHEAR),         # survivor fold
+                        lambda: gf.envelope_fit(dist, E)):
+                with pytest.raises(gf.FitError) as got:
+                    fit()
+                assert str(got.value) == "non-finite |K| among the entries to fit"
+
+
 def traced_peak(call):
     """The peak of the memory traced while call() runs, in bytes."""
     tracemalloc.start()

@@ -162,6 +162,24 @@ def test_offgrid_lattice_only_ratio_is_one():
     assert rep.ratio == pytest.approx(1.0)
 
 
+def test_offgrid_of_a_zero_operator_raises_model_error():
+    cfg = gf.ModelConfig(L=16)
+    fr = gf.build_frame(gf.periodized_gaussian(cfg), gf.default_lattice(cfg))
+    T = gf.OperatorMatrix(np.zeros((16, 16)), cfg)
+    with pytest.raises(gf.ModelError, match="zero on the lattice"):
+        gf.offgrid_decay_check(T, fr, np.eye(2), s=4.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_offgrid_of_a_non_finite_operator_raises_model_error(bad):
+    cfg = gf.ModelConfig(L=16)
+    fr = gf.build_frame(gf.periodized_gaussian(cfg), gf.default_lattice(cfg))
+    e = np.eye(16, dtype=complex)
+    e[2, 7] = bad
+    with pytest.raises(gf.ModelError, match="non-finite"):
+        gf.offgrid_decay_check(gf.OperatorMatrix(e, cfg), fr, np.eye(2), s=4.0)
+
+
 def test_offgrid_requires_regime_a():
     cfg = gf.ModelConfig(L=16, regime="B")
     fr = gf.build_frame(gf.periodized_gaussian(cfg), gf.Lattice(2, 2, cfg))

@@ -1,8 +1,10 @@
-"""The array forms of the matrix.csv writer and reader, the symbol-class
-sweep and the off-grid check against the per-element loops they replaced,
-kept here as references; the reader's input contract."""
+"""The array forms of the matrix.csv writer and reader and the symbol-class
+sweep against the per-element loops they replaced, kept here as references;
+the off-grid check against dense Gabor matrices of the conjugated operators
+and, to rounding, against its per-atom loop; the reader's input contract."""
 
 import csv
+import sys
 
 import numpy as np
 import pytest
@@ -80,6 +82,26 @@ def loop_offgrid(T, frame, chi, s, n_offsets):
 
     return (constant((0, 0), (0, 0)),
             max(constant(uz, uw) for uz in offsets for uw in offsets))
+
+
+def dense_offgrid(T, frame, chi, s, n_offsets):
+    """(C_lattice, C_offgrid) from the whole (N, N) arrays: the max over the
+    offset pairs (u, v) of |gabor_matrix(_shifted(T, u, v))| times the
+    weights <mu - (chi(wrap(lam + u)) - v)>^s."""
+    lat = frame.lattice
+    L = frame.config.L
+    pts = lat.points()
+    offsets = [(0, 0)] + gf.gabormatrix._offsets_for(lat, n_offsets)
+
+    def constant(u, v):
+        img = gf.gabormatrix._chi_points(chi, gf.wrap_half((pts + u).astype(float), L)) - v
+        d1 = gf.wrap_half(pts[:, 0][:, None] - img[:, 0][None, :], L)
+        d2 = gf.wrap_half(pts[:, 1][:, None] - img[:, 1][None, :], L)
+        absK = np.abs(gf.gabor_matrix(gf.gabormatrix._shifted(T, u, v), frame).entries)
+        return float((((1.0 + d1 ** 2) + d2 ** 2) ** (s / 2) * absK).max())
+
+    return (constant((0, 0), (0, 0)),
+            max(constant(u, v) for u in offsets for v in offsets))
 
 
 def bits(a):
@@ -246,13 +268,16 @@ def test_offgrid_matches_loop(n_offsets, L, steps):
     cfg = frame.config
     rng = np.random.Generator(np.random.Philox(0))
     T = gf.OperatorMatrix(rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)), cfg)
-    # with s = 0 the constants are max |<T pi(z) w, pi(w') w>|, which moves with
-    # any change in the rounding of T pi(z) w (a GEMM in place of the per-atom
-    # gemv does)
+    # every map is an integer map, so the dense weights are exact; the
+    # per-atom loop forms T pi(z) w and its STFT in another order, so it
+    # agrees to rounding only (with s = 0 the constants are max |K|)
     for op, chi, s in ((gf.chirp_operator(cfg, 1), SHEAR, 4.0), (T, np.eye(2), 0.0),
                        (T, SHEAR, 4.0)):
         rep = gf.offgrid_decay_check(op, frame, chi, s=s, n_offsets=n_offsets)
-        assert (rep.C_lattice, rep.C_offgrid) == loop_offgrid(op, frame, chi, s, n_offsets)
+        got = (rep.C_lattice, rep.C_offgrid)
+        assert got == dense_offgrid(op, frame, chi, s, n_offsets)
+        np.testing.assert_allclose(got, loop_offgrid(op, frame, chi, s, n_offsets),
+                                   rtol=1e-12, atol=0)
 
 
 def test_offgrid_block_size_does_not_change_result(monkeypatch):
@@ -261,7 +286,7 @@ def test_offgrid_block_size_does_not_change_result(monkeypatch):
     rng = np.random.Generator(np.random.Philox(6))
     T = gf.OperatorMatrix(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)), cfg)
     chi = SHEAR @ np.array([[0.0, 1.0], [-1.0, 0.0]])
-    want = loop_offgrid(T, frame, chi, 3.0, 3)
+    want = dense_offgrid(T, frame, chi, 3.0, 3)
     N, L = frame.lattice.size, cfg.L
     for atoms in (1, 7, N, N + 3):
         monkeypatch.setattr(gf.gabormatrix, "FIT_BLOCK_ENTRIES", atoms * L * L)
@@ -279,9 +304,53 @@ def test_batched_shift_and_stft_match_per_row(frame64):
         ref = np.exp(2j * np.pi * (int(m[i]) % L) * np.arange(L) / L) \
             * np.roll(w.values, int(k[i]) % L)
         np.testing.assert_array_equal(bits(rows[i].view(float)), bits(ref.view(float)))
-    V = gf.stft_matrix(rows, w.values)
     n = np.arange(L)
     G = np.conj(w.values[(n[None, :] - n[:, None]) % L])
     for i in range(len(k)):
+        V = gf.stft(gf.Signal(rows[i], frame64.config), w).values
         ref = np.fft.fft(rows[i][None, :] * G, axis=1)
-        np.testing.assert_array_equal(bits(V[i].view(float)), bits(ref.view(float)))
+        np.testing.assert_array_equal(bits(V.view(float)), bits(ref.view(float)))
+
+
+@pytest.mark.parametrize("L,spread", [(64, True), (128, False)])
+def test_offgrid_is_the_same_for_every_worker_count(monkeypatch, L, spread):
+    # threads switch every microsecond.  At L = 128 the fused passes split
+    # over two workers of their own accord; at L = 64 they are spread over
+    # every worker of the pool, up to more workers than CPUs, over
+    # 16-column blocks, where a lost block maximum would change C
+    frame = frame_for(L)
+    T = gf.dft_operator(frame.config)
+    chi = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    want = dense_offgrid(T, frame, chi, 2.5, 3)
+    counts = (1, 2, 3)
+    if spread:
+        monkeypatch.setattr(gf.gabormatrix, "_fused_workers",
+                            lambda lat, L, entries: blockpool.workers())
+        monkeypatch.setattr(gf.gabormatrix, "FIT_BLOCK_ENTRIES", 1)
+        counts += (6,)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in counts:
+            with blockpool.worker_limit(workers):
+                rep = gf.offgrid_decay_check(T, frame, chi, s=2.5, n_offsets=3)
+            assert (rep.C_lattice, rep.C_offgrid) == want, workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_shifted_is_the_operator_conjugated_by_the_offsets():
+    # T_uv = P_v^H T P_u, the columns of P_u the pi(u) of the unit impulses
+    cfg = gf.ModelConfig(L=16)
+    rng = np.random.Generator(np.random.Philox(4))
+    T = gf.OperatorMatrix(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)), cfg)
+
+    def P(u):
+        return np.stack([gf.tf_shift(gf.delta(cfg, n), *u).values for n in range(16)],
+                        axis=1)
+
+    for u, v in (((0, 0), (0, 0)), ((1, 0), (0, 3)), ((2, 1), (3, 2)), ((-1, 5), (7, -2))):
+        want = P(v).conj().T @ T.entries @ P(u)
+        # tf_shift's phases reduce m mod L, not m n: they agree to rounding
+        np.testing.assert_allclose(gf.gabormatrix._shifted(T, u, v).entries, want,
+                                   rtol=1e-13, atol=0)

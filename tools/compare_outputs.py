@@ -51,6 +51,11 @@ def _configs() -> list[dict]:
             _cfg(32, "sparsity-sweep", "chirp:1", regime),
         ]
     table.append(_cfg(32, "offgrid", "chirp:1"))
+    # offgrid whose fused passes split over two workers, and on a non-square
+    # lattice with more offsets and a fractional weight exponent
+    table += [_cfg(128, "offgrid", "chirp:1"),
+              _cfg(32, "offgrid", "dft*chirp:2", frame={"a": 4, "b": 2},
+                   offgrid={"s": 2.5, "n_offsets": 5})]
     # the operator forms of the perfbench workloads (regime A mostly at smaller L)
     for spec in ("dft", "chirp:-3", "dilate:-1", "dilate:63", "dft*chirp:2",
                  "fio1:phase=chirp:3,symbol=random-smooth:17",
