@@ -98,7 +98,7 @@ def verify_inverse(T: OperatorMatrix, chi: CanonicalMap, frame: GaborFrame,
     cond = np.linalg.cond(T.entries)
     if not np.isfinite(cond) or cond > COND_MAX:
         raise SingularOperator(f"condition number {cond:.3e} exceeds {COND_MAX:.1e}")
-    Tinv = OperatorMatrix(_refined_inverse(T.entries), T.config, tag="inverse")
+    Tinv = OperatorMatrix(_refined_inverse(T.entries), T.config)
     s_fwd = operator_decay_profile(T, frame, chi).s_fit
     rep = _report("invert", frame, Tinv, chi.inverse(), s_threshold,
                   extra={"condition_number": float(cond), "s_fit_forward": s_fwd})

@@ -298,7 +298,7 @@ def modulation_norm(frame: GaborFrame, f: Signal, p: float, q: float,
     outer q-norm over the frequencies; p or q may be inf.  With p = q = 2,
     zero weight and the tight window this is exactly the l2 norm of f.
     """
-    if p < 1 or q < 1:
+    if not (p >= 1 and q >= 1):
         raise ModelError("p, q must be >= 1")
     weight = weight or WeightSpec()
     c = analysis(frame, f, use_tight=use_tight)

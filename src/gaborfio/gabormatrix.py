@@ -205,7 +205,6 @@ class SparseGaborMatrix:
     """Thresholded Gabor matrix in row-padded form with its discarded Schur mass."""
 
     matrix: RowPaddedMatrix
-    threshold: float
     kept_fraction: float
     dropped_schur_mass: float
 
@@ -431,10 +430,13 @@ def envelope_fit(dists: np.ndarray, values: np.ndarray):
     the values entering C_fit are clamped to the rounding floor
     FIT_FLOOR_RTOL * max|values|.
 
-    Returns (bins, s_fit, C_fit, r2) and raises FitError with fewer than
-    four eligible bins.
+    Returns (bins, s_fit, C_fit, r2). Raises ModelError when dists and
+    values differ in size and FitError with fewer than four eligible bins.
     """
-    return _fit(np.asarray(dists, dtype=float).ravel(), np.abs(np.asarray(values)).ravel())
+    dists, values = np.asarray(dists, dtype=float).ravel(), np.abs(np.asarray(values)).ravel()
+    if dists.size != values.size:
+        raise ModelError(f"{dists.size} distances for {values.size} values")
+    return _fit(dists, values)
 
 
 def _bracket(x: np.ndarray) -> np.ndarray:
@@ -766,8 +768,7 @@ def sparsify(K: GaborMatrix, tau: float) -> SparseGaborMatrix:
     absK = np.abs(K.entries)
     keep = absK >= tau
     mat = RowPaddedMatrix.from_dense(np.where(keep, K.entries, 0.0))
-    return SparseGaborMatrix(matrix=mat, threshold=float(tau),
-                             kept_fraction=float(keep.mean()),
+    return SparseGaborMatrix(matrix=mat, kept_fraction=float(keep.mean()),
                              dropped_schur_mass=schur_bound(np.where(keep, 0.0, absK)))
 
 

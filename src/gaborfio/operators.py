@@ -60,11 +60,10 @@ class SymbolGrid:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A dense operator kernel acting on signals, with a provenance tag."""
+    """A dense operator kernel acting on signals."""
 
     entries: np.ndarray
     config: ModelConfig
-    tag: str = "explicit"
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -209,7 +208,7 @@ def kn_quantize(sigma: SymbolGrid) -> OperatorMatrix:
     B = np.fft.ifft(sigma.values, axis=1)          # B[n, u] = L^-1 sum_m sigma e^{2 pi i m u/L}
     n = np.arange(L)
     T = B[n[:, None], (n[:, None] - n[None, :]) % L]
-    return OperatorMatrix(T, sigma.config, tag="kn")
+    return OperatorMatrix(T, sigma.config)
 
 
 def kn_symbol_of(T: OperatorMatrix) -> SymbolGrid:
@@ -225,7 +224,7 @@ def fio_type1(phi: DiscretePhase, sigma: SymbolGrid) -> OperatorMatrix:
     if phi.config.L != sigma.config.L:
         raise ModelError("phase/symbol size mismatch")
     A = np.exp(2j * np.pi * phi.values) * sigma.values
-    return OperatorMatrix(np.fft.fft(A, axis=1) / phi.config.L, phi.config, tag="fio1")
+    return OperatorMatrix(np.fft.fft(A, axis=1) / phi.config.L, phi.config)
 
 
 def fio_type2(phi: DiscretePhase, tau: SymbolGrid) -> OperatorMatrix:
@@ -237,7 +236,7 @@ def fio_type2(phi: DiscretePhase, tau: SymbolGrid) -> OperatorMatrix:
     if phi.config.L != tau.config.L:
         raise ModelError("phase/symbol size mismatch")
     B = np.exp(-2j * np.pi * phi.values.T) * tau.values
-    return OperatorMatrix(np.fft.ifft(B, axis=0), phi.config, tag="fio2")
+    return OperatorMatrix(np.fft.ifft(B, axis=0), phi.config)
 
 
 def type1_symbol_of(T: OperatorMatrix, phi: DiscretePhase) -> SymbolGrid:
@@ -254,13 +253,13 @@ def type1_symbol_of(T: OperatorMatrix, phi: DiscretePhase) -> SymbolGrid:
 
 
 def adjoint(T: OperatorMatrix) -> OperatorMatrix:
-    return OperatorMatrix(T.entries.conj().T, T.config, tag="adjoint")
+    return OperatorMatrix(T.entries.conj().T, T.config)
 
 
 def compose(T1: OperatorMatrix, T2: OperatorMatrix) -> OperatorMatrix:
     if T1.config.L != T2.config.L:
         raise ModelError("operator size mismatch")
-    return OperatorMatrix(T1.entries @ T2.entries, T1.config, tag="product")
+    return OperatorMatrix(T1.entries @ T2.entries, T1.config)
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +302,18 @@ def random_smooth_symbol(config: ModelConfig, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def identity_operator(config: ModelConfig) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(config.L), config, tag="identity")
+    return OperatorMatrix(np.eye(config.L), config)
 
 
 def chirp_operator(config: ModelConfig, c: int = 1) -> OperatorMatrix:
     """diag(exp(pi i c n^2 / L)), the unitary of GENERATORS["chirp"]."""
     n = np.arange(config.L)
-    return OperatorMatrix(np.diag(np.exp(1j * np.pi * c * n ** 2 / config.L)),
-                          config, tag="metaplectic")
+    return OperatorMatrix(np.diag(np.exp(1j * np.pi * c * n ** 2 / config.L)), config)
 
 
 def dft_operator(config: ModelConfig) -> OperatorMatrix:
     """Unitary DFT, the unitary of GENERATORS["dft"]."""
-    return OperatorMatrix(dft_matrix(config.L), config, tag="metaplectic")
+    return OperatorMatrix(dft_matrix(config.L), config)
 
 
 def dilation_operator(config: ModelConfig, u: int) -> OperatorMatrix:
@@ -325,7 +323,7 @@ def dilation_operator(config: ModelConfig, u: int) -> OperatorMatrix:
     P = np.zeros((L, L))
     n = np.arange(L)
     P[n, (uinv * n) % L] = 1.0
-    return OperatorMatrix(P, config, tag="metaplectic")
+    return OperatorMatrix(P, config)
 
 
 def _int64(c: int, L: int) -> int:
@@ -345,8 +343,7 @@ def _unit_mod(u: int, L: int) -> int:
 def multiplier_operator(config: ModelConfig, amp: float = 0.1) -> OperatorMatrix:
     """diag(1 + amp cos(2 pi n / L)), a smooth multiplication operator."""
     n = np.arange(config.L)
-    return OperatorMatrix(np.diag(1 + amp * np.cos(2 * np.pi * n / config.L)),
-                          config, tag="kn")
+    return OperatorMatrix(np.diag(1 + amp * np.cos(2 * np.pi * n / config.L)), config)
 
 
 @dataclass(frozen=True)
@@ -411,4 +408,4 @@ def metaplectic(word: MetaplecticWord) -> tuple[OperatorMatrix, CanonicalMap]:
         U = U @ GENERATORS[name].build(config, *arg).entries
     chi = linear_map(word.matrix_modL().astype(float), source="metaplectic-word",
                      mod_L=config.L)
-    return OperatorMatrix(U, config, tag="metaplectic"), chi
+    return OperatorMatrix(U, config), chi

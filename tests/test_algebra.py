@@ -12,7 +12,7 @@ SHEAR1 = np.array([[1.0, 0.0], [1.0, 1.0]])
 def smoothing64(cfg64):
     rng = np.random.Generator(np.random.Philox(42))
     S = gf.kn_quantize(gf.random_smooth_symbol(cfg64, rng))
-    return gf.OperatorMatrix(S.entries / S.norm2(), cfg64, tag="kn")
+    return gf.OperatorMatrix(S.entries / S.norm2(), cfg64)
 
 
 def chirp_map(cfg, c):
@@ -87,7 +87,7 @@ def test_inverse_neumann_family(frame64, cfg64, smoothing64):
     C = gf.chirp_operator(cfg64, 1)
     for eps in (0.05, 0.1, 0.2):
         T = gf.OperatorMatrix(C.entries @ (np.eye(64) + eps * smoothing64.entries),
-                              cfg64, tag="product")
+                              cfg64)
         rep = gf.verify_inverse(T, chirp_map(cfg64, 1), frame64)
         assert rep.passed
         assert rep.s_fit >= 0.8 * rep.diagnostics["s_fit_forward"]

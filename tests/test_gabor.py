@@ -200,6 +200,13 @@ def test_modulation_norm_mixed_orders(frame16, rng):
     assert gf.modulation_norm(frame16, f, 3, 2) == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("p, q", [(np.nan, 2.0), (2.0, np.nan), (0.5, 2.0)])
+def test_modulation_norm_rejects_an_order_below_one_or_nan(frame16, rng, p, q):
+    f = gf.random_signal(frame16.config, rng)
+    with pytest.raises(gf.ModelError, match=">= 1"):
+        gf.modulation_norm(frame16, f, p, q)
+
+
 def test_weight_peetre(rng):
     # Peetre's inequality v_s(z + u) <= 2^(s/2) v_s(z) v_s(u), sampled over
     # 200 pairs in [-10, 10]^2 (L = 64 leaves these points unwrapped)

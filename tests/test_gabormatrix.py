@@ -127,6 +127,11 @@ def test_decay_profile_bins_sorted_and_fit_error(K_id64, monkeypatch):
         gf.decay_profile(K_id64, np.eye(2))
 
 
+def test_envelope_fit_rejects_distances_and_values_of_different_sizes():
+    with pytest.raises(gf.ModelError, match="5 distances for 4 values"):
+        gf.envelope_fit(np.arange(1.0, 6.0), np.ones(4))
+
+
 def test_decay_profile_accepts_canonical_map(K_chirp64):
     prof_mat = gf.decay_profile(K_chirp64, SHEAR)
     prof_map = gf.decay_profile(K_chirp64, gf.linear_map(SHEAR))
@@ -281,7 +286,7 @@ def test_schur_bound_of_row_padded_reads_columns():
     # column sums dominate: 3 in column 0, 1 in every row
     A = np.zeros((3, 3), dtype=complex)
     A[:, 0] = [1.0, 1j, -1.0]
-    S = gf.SparseGaborMatrix(gf.RowPaddedMatrix.from_dense(A), threshold=0.0,
+    S = gf.SparseGaborMatrix(gf.RowPaddedMatrix.from_dense(A),
                              kept_fraction=1 / 3, dropped_schur_mass=0.0)
     assert S.nnz == 3 and S.matrix.cols.shape == (1, 3)
     assert row_padded_schur(S.matrix) == gf.schur_bound(A) == 3.0

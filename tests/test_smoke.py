@@ -41,7 +41,8 @@ def test_six_demos_present():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_0(demo):
-    proc = run_python([str(demo)], timeout=120)
+    # -W error: a numpy warning in a demo fails it
+    proc = run_python(["-W", "error", str(demo)], timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
