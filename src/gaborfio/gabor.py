@@ -48,8 +48,10 @@ __all__ = [
 
 # column blocks of the analysis are a multiple of this wide, so that the
 # GEMM of a block runs each column through the kernel the full-width GEMM
-# runs it through
-COLUMN_ALIGN = 16
+# runs it through (a multiple of 16 does); 32 rather than 16, because
+# fold_fft of L = 512 shapes on one thread took 12.0-12.8 ns an entry on
+# 16-column blocks and 9.0-9.9 ns on 32 to 128 columns
+COLUMN_ALIGN = 32
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,10 @@ of two folds over the source:
 
 * where chi sends the lattice to integer points (every regime-A map, the
   identity in regime B), every squared distance x = |d|^2 is an integer in
-  [0, L^2 / 2], and _key_fit folds each block into a maximum and a count
-  per x, one pair of arrays for all workers;
+  [0, L^2 / 2], and _key_fit folds each block into a maximum per x, one
+  array for all workers, while the counts of the keys come from the
+  displacement tables alone (_key_counts: one column of each class of
+  columns with the same keys);
 * for every other chi (the sampled maps of the sine phases), _survivor_fit
   splits each sqrt(2) bin into sub-bins by distance and keeps only the
   entries whose |K| is above the largest sub-bin maximum farther out or
@@ -52,8 +54,9 @@ _row_blocks into contiguous slices of about FIT_BLOCK_ENTRIES // W entries.
 
 The N x N arrays (K and the (N, N, 2) displacement array), T' with the
 blocks in flight of the fused analyses as one sum, and the key fold's
-per-key arrays are checked against the machine's physical memory before
-they are allocated: a larger one raises SizeError.
+per-key maxima with its class counts (formed first, at most N pairs a
+class) are checked against the machine's physical memory before they are
+allocated: a larger one raises SizeError.
 
 Decay fit convention
 --------------------
@@ -109,8 +112,9 @@ FIT_MIN_COUNT = 3          # nor do bins with fewer entries
 # entries in flight in the blocked passes (1 MiB of float64): the row
 # blocks and the column blocks of the folds share them out over the block
 # pool's workers, FIT_BLOCK_ENTRIES // W per block (a quarter of that in the
-# key fold and the weighted sup, whose blocks hold 32 bytes per entry, and
-# half in the survivor fold, whose blocks hold 24)
+# weighted sup, whose blocks hold 32 bytes per entry, and in the key fold,
+# whose blocks hold 24, and half in the survivor fold, whose blocks hold 24
+# as well; the column blocks are at least gabor.COLUMN_ALIGN wide)
 FIT_BLOCK_ENTRIES = 1 << 17
 SUBBINS = 64               # sub-bins per sqrt(2) bin in the survivor fold
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
@@ -280,6 +284,16 @@ def _fused_workers(lat, L: int, entries: int | None) -> int:
                       if _fused_plan(lat, L, W, entries)[2] <= budget])
 
 
+def _thread_buffer(bufs: dict, n: int, dtype) -> np.ndarray:
+    """The first n entries of the calling thread's buffer in bufs (thread
+    id -> 1-d array), grown where too small: a pass holds one buffer a
+    worker instead of allocating one a block."""
+    tid = threading.get_ident()
+    if tid not in bufs or bufs[tid].size < n:
+        bufs[tid] = np.empty(n, dtype)
+    return bufs[tid][:n]
+
+
 def _block_images(Tq: np.ndarray, wT: np.ndarray, js: slice) -> np.ndarray:
     """The atom images T pi(lam) w of the lam = j n_freq + k of the time
     indices j of js, as the columns of an (L, M) array in lattice order: the
@@ -308,9 +322,10 @@ def _gabor_columns(T: OperatorMatrix, frame: GaborFrame, w, column_fn,
     entries // W entries each, or over the whole block where entries is
     None.  Each sub-block's analysis out[j, k, :] = K[j n_freq + k, cols]
     goes into K[:, :, cols] of the (n_time, n_freq, N) array K when K is
-    given, else into a scratch array free to overwrite, and then to
-    column_fn(cols, out), cols the slice of global columns.  The block's
-    images are dropped after its last sub-block.
+    given, else into its worker's scratch array, free to overwrite until
+    column_fn returns, and then to column_fn(cols, out), cols the slice of
+    global columns.  The block's images are dropped after its last
+    sub-block.
 
     The pass runs on _fused_workers workers.  T' (T[n, q + r n_freq] as a
     contiguous (n_freq, b, L) array) and the blocks in flight are checked
@@ -328,6 +343,7 @@ def _gabor_columns(T: OperatorMatrix, frame: GaborFrame, w, column_fn,
         Tq = np.ascontiguousarray(column_fold(lat, T.entries.T))
         wT = window_fold(w, lat)
         W = np.conj(wT)
+        bufs = {}                 # thread -> scratch of the sub-blocks
 
         def time_block(js):
             X = _block_images(Tq, wT, js)
@@ -335,7 +351,8 @@ def _gabor_columns(T: OperatorMatrix, frame: GaborFrame, w, column_fn,
             Xq = column_fold(lat, X)
             for cols in column_blocks(M, M if width is None else width):
                 lam = slice(c0 + cols.start, c0 + cols.stop)
-                out = (np.empty((nt, nf, cols.stop - cols.start), dtype=complex)
+                out = (_thread_buffer(bufs, nt * nf * (cols.stop - cols.start),
+                                      complex).reshape(nt, nf, -1)
                        if K is None else K[:, :, lam])
                 fold_fft(W, Xq[:, :, cols], out)
                 column_fn(lam, out)
@@ -521,6 +538,30 @@ def _row_blocks(n_rows: int, row_entries: int) -> list:
     return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
+def _key_counts(sq1: np.ndarray, sq2: np.ndarray) -> tuple:
+    """The keys x = d1^2 + d2^2 that occur and how often, from the integer
+    squared displacement tables sq1 (n_time, N) and sq2 (n_freq, N) of
+    _key_fit, as (keys, counts) with a key repeated across classes.
+
+    As mu runs over the lattice, mu - chi(lam) runs over the time steps of a
+    and the frequency steps of b shifted by chi(lam), each wrapped into
+    [-L/2, L/2): the multiset of a column's sq1 depends only on r = chi(lam)
+    mod a up to r -> a - r (a sign flip of d1, the end point -L/2 aside,
+    which keeps the squares), so only on its least value min(r, a - r)^2
+    (its one value where a = L), and likewise for sq2 and b.  The columns
+    of equal least values form a class with the keys of any one of them,
+    so one column a class, weighted by the class size, counts all N^2
+    keys.
+    """
+    m1, m2 = sq1.min(axis=0), sq2.min(axis=0)
+    _, first, size = np.unique(m1 * (int(m2.max()) + 1) + m2, return_index=True,
+                               return_counts=True)
+    parts = [np.unique(np.add.outer(sq1[:, c], sq2[:, c]), return_counts=True)
+             for c in first]
+    return (np.concatenate([keys for keys, _ in parts]),
+            np.concatenate([n * count for (_, count), n in zip(parts, size)]))
+
+
 def _key_fit(columns, sq1: np.ndarray, sq2: np.ndarray) -> DecayProfile:
     """The decay fit of the K of the column source columns from integer
     squared displacement tables sq1 (n_time, N) and sq2 (n_freq, N), folded
@@ -528,29 +569,34 @@ def _key_fit(columns, sq1: np.ndarray, sq2: np.ndarray) -> DecayProfile:
 
     The key of K[j n_freq + k, lam] is sq1[j, lam] + sq2[k, lam], an integer
     in [0, L^2 / 2], and every entry with that key has the distance <d> =
-    sqrt(x + 1.0).  Each column block folds its |K| into one maximum and one
-    count per key, two arrays (checked against the machine's memory) that
-    the workers share under a lock.  _fit reads the occupied keys as (<d>,
-    key max, key count) triples.  <d>^s_fit max(v, floor) is monotone in v
-    (a positive weight times a correctly rounded product), so the max over
-    the keys is the max over the entries bit for bit: the result is
-    envelope_fit of all entries for every W and block size.
+    sqrt(x + 1.0).  The counts of the keys do not depend on K and come
+    from the tables (_key_counts).  Each column block folds its |K| into
+    one maximum per key, an array (checked against the machine's memory
+    with the class counts) that the workers share under a lock; a block
+    takes |K| into its worker's buffer and its keys into its scratch array.
+    _fit reads the occupied keys as (<d>, key max, key count) triples.
+    <d>^s_fit max(v, floor) is monotone in v (a positive weight times a
+    correctly rounded product), so the max over the keys is the max over
+    the entries bit for bit: the result is envelope_fit of all entries for
+    every W and block size.
     """
+    keys, counts = _key_counts(sq1, sq2)
     n_keys = int(sq1.max()) + int(sq2.max()) + 1
-    _require_memory(16 * n_keys, "the per-key maxima and counts")
-    envx, cntx = np.zeros(n_keys), np.zeros(n_keys, np.intp)
-    lock = threading.Lock()
+    _require_memory(8 * n_keys + 16 * keys.size, "the per-key maxima and the key counts")
+    envx = np.zeros(n_keys)
+    vbufs, lock = {}, threading.Lock()       # thread -> |K| buffer
 
     def fold_block(cols, out):
-        key = (sq1[:, None, cols] + sq2[None, :, cols]).ravel()
-        v = np.abs(out).ravel()
+        v = _thread_buffer(vbufs, out.size, float)
+        np.abs(out, out=v.reshape(out.shape))
+        # the scratch block is free now: its first half holds the keys
+        key = out.view(np.intp).reshape(-1)[:v.size]
+        np.add(sq1[:, None, cols], sq2[None, :, cols], out=key.reshape(out.shape))
         with lock, np.errstate(invalid="ignore"):     # nan raises in _regression
             np.maximum.at(envx, key, v)
-            np.add.at(cntx, key, 1)
 
     columns(fold_block, FIT_BLOCK_ENTRIES // 4)
-    seen = np.flatnonzero(cntx)
-    return DecayProfile(*_fit(_bracket(seen), envx[seen], cntx[seen]))
+    return DecayProfile(*_fit(_bracket(keys), envx[keys], counts))
 
 
 def _survivor_fit(columns, d1sq: np.ndarray, d2sq: np.ndarray) -> DecayProfile:
@@ -583,10 +629,8 @@ def _survivor_fit(columns, d1sq: np.ndarray, d2sq: np.ndarray) -> DecayProfile:
     vbufs, parts = {}, []         # thread -> |K| buffer; the blocks' triples
 
     def fold_block(cols, out):
-        n, tid = out.size, threading.get_ident()
-        if tid not in vbufs or vbufs[tid].size < n:
-            vbufs[tid] = np.empty(n)
-        v = vbufs[tid][:n]
+        n = out.size
+        v = _thread_buffer(vbufs, n, float)
         np.abs(out, out=v.reshape(out.shape))
         # the scratch block is free now: its first n floats hold the
         # distances, then the thresholds, and its second half the keys

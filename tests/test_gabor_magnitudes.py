@@ -290,7 +290,7 @@ def test_operator_decay_profile_equals_the_profile_of_K(monkeypatch, L, regime, 
                             fits.append(name) or fit(*args))
     for workers in (1, 2, 3):
         with blockpool.worker_limit(workers):
-            # the default blocks, then 16-column blocks
+            # the default blocks, then COLUMN_ALIGN-wide blocks
             for entries in (gm.FIT_BLOCK_ENTRIES, 1):
                 with monkeypatch.context() as m:
                     m.setattr(gm, "FIT_BLOCK_ENTRIES", entries)
@@ -301,8 +301,8 @@ def test_operator_decay_profile_equals_the_profile_of_K(monkeypatch, L, regime, 
 
 def check_under_thread_switching(monkeypatch, regime, spec):
     """More workers than CPUs, switching threads every microsecond, over
-    16-column blocks: a lost update of the key accumulators, the survivors
-    or the blocks would change the total count or the profile."""
+    COLUMN_ALIGN-wide blocks: a lost update of the key maxima, the
+    survivors or the blocks would change the total count or the profile."""
     frame = frame_for(64, None, regime)
     T, chi, _ = cli.parse_operator(spec, frame.config)
     want = whole_fit(frame.lattice, 64, chi, np.abs(gf.gabor_matrix(T, frame).entries))
@@ -355,6 +355,63 @@ def test_key_fold_equals_the_row_fit_with_a_distance_of_zeros(monkeypatch, L, st
                     set_width(m, (None, width), N, workers, share=4)
                     got = gm._key_fit(columns, sq1, sq2)
                 assert fields(got) == want, f"{workers} {width}"
+
+
+# (L, lattice steps or None, regime, operator spec) of integer maps: decay-a's
+# size with one and two classes of columns, lattices whose steps leave
+# several classes (odd, non-square, n_time = 9 at L = 144), one time index
+# (a = L), and the identity of regime B
+COUNT_CASES = [
+    (512, None, "A", "dft*chirp:3"), (512, None, "A", "dilate:511"),
+    (64, None, "A", "chirp:-3"), (32, (4, 2), "A", "dft*chirp:3"),
+    (48, (4, 3), "A", "chirp:1"), (48, (4, 3), "A", "dft"),
+    (60, (5, 3), "A", "dft*chirp:3"), (144, (16, 6), "A", "dft*chirp:2"),
+    (16, (16, 1), "A", "dft*chirp:1"), (256, None, "B", "fio1:phase=kn,symbol=ones"),
+]
+
+
+@pytest.mark.parametrize("L,steps,regime,spec", COUNT_CASES,
+                         ids=[f"L{c[0]}-{c[1] or 'default'}-{c[2]}-{c[3]}" for c in COUNT_CASES])
+def test_key_counts_equal_the_bincount_of_all_keys(L, steps, regime, spec):
+    # the counts from one column of each class equal those of all N^2 keys
+    cfg = gf.ModelConfig(L=L, regime=regime)
+    lat = gf.default_lattice(cfg) if steps is None else gf.Lattice(*steps, cfg)
+    tables = tables_of(lat, L, cli.parse_operator(spec, cfg)[1])
+    assert integral(tables)
+    sq1, sq2 = ((d ** 2).astype(np.intp) for d in tables)
+    j, k = np.divmod(np.arange(lat.size), lat.n_freq)
+    want = np.bincount((sq1[j] + sq2[k]).ravel())
+    keys, counts = gm._key_counts(sq1, sq2)
+    assert keys.dtype == counts.dtype == np.intp
+    got = np.bincount(keys, counts, minlength=want.size)
+    np.testing.assert_array_equal(got, want)
+    assert int(counts.sum()) == lat.size ** 2
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_key_fold_raises_fit_error_for_one_non_finite_entry(monkeypatch, bad):
+    # the counts no longer read K, so the bad value reaches the fit through
+    # the key maxima alone: at the peak, off the graph, in the first and
+    # the last entry, over 32-column and whole blocks, on 1, 2 and 3 workers
+    frame = frame_for(64, None, "A")
+    lat, N = frame.lattice, frame.lattice.size
+    chirp_map = np.array([[1.0, 0.0], [1.0, 1.0]])
+    sq1, sq2 = ((d ** 2).astype(np.intp) for d in tables_of(lat, 64, chirp_map))
+    E = gf.gabor_matrix(gf.chirp_operator(frame.config, 1), frame).entries
+    peak = np.unravel_index(np.abs(E).argmax(), E.shape)
+    for where in (peak, (3, 5), (0, 0), (N - 1, N - 1)):
+        bad_E = E.copy()
+        bad_E[where] = bad
+        columns = gm._matrix_columns(gf.GaborMatrix(bad_E, frame))
+        for workers in (1, 2, 3):
+            with blockpool.worker_limit(workers):
+                for width in (32, N):
+                    with monkeypatch.context() as m:
+                        set_width(m, (None, width), N, workers, share=4)
+                        with pytest.raises(gf.FitError) as got:
+                            gm._key_fit(columns, sq1, sq2)
+                    assert str(got.value) == "non-finite |K| among the entries to fit", \
+                        (where, workers, width)
 
 
 # a map that sends lattice points off the integer grid: the survivor fold
@@ -495,8 +552,8 @@ KEY_ENTRIES, SURVIVOR_ENTRIES = gm.FIT_BLOCK_ENTRIES // 4, gm.FIT_BLOCK_ENTRIES 
 # an N x N |K| alone is 8 N^2 bytes; both folds stay below it at every
 # worker count.  Beyond T' and the blocks in flight, the folds hold the
 # FFT's copy of a sub-block, their own arrays per entry, the displacement
-# tables and the key fold's maxima and counts, under 4 MiB together at
-# L = 256
+# tables and the key fold's maxima and class counts, under 4 MiB together
+# at L = 256
 FOLD_BYTES = 4 << 20
 
 
@@ -586,17 +643,22 @@ def test_size_guard_raises_before_the_n_by_n_arrays(monkeypatch, frame16):
 
 @pytest.mark.parametrize("regime,spec", [("A", "dft"), ("B", "fio1:phase=kn,symbol=ones")])
 def test_size_guard_raises_before_the_per_key_arrays(monkeypatch, regime, spec):
-    # the key fold's maxima and counts take 16 bytes a key; a budget one
-    # byte short stops both decay profiles before they are allocated
+    # the key fold's maxima take 8 bytes a key and its class counts 16
+    # bytes a (key, count) pair; that budget admits the fit of a given K,
+    # and one byte short stops both decay profiles before the maxima are
+    # allocated
     frame = frame_for(64, None, regime)
     T, chi, _ = cli.parse_operator(spec, frame.config)
     K = gf.gabor_matrix(T, frame)
     sq1, sq2 = ((d ** 2).astype(np.intp) for d in tables_of(frame.lattice, 64, chi))
     n_keys = int(sq1.max()) + int(sq2.max()) + 1
-    monkeypatch.setattr(gm, "_memory_budget", lambda: 16 * n_keys - 1)
+    need = 8 * n_keys + 16 * gm._key_counts(sq1, sq2)[0].size
+    monkeypatch.setattr(gm, "_memory_budget", lambda: need)
+    gf.decay_profile(K, chi)
+    monkeypatch.setattr(gm, "_memory_budget", lambda: need - 1)
     for profile in (lambda: gf.decay_profile(K, chi),
                     lambda: gf.operator_decay_profile(T, frame, chi)):
-        with pytest.raises(gf.SizeError, match="the per-key maxima and counts"):
+        with pytest.raises(gf.SizeError, match="the per-key maxima and the key counts"):
             profile()
 
 

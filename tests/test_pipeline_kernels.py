@@ -317,7 +317,7 @@ def test_offgrid_is_the_same_for_every_worker_count(monkeypatch, L, spread):
     # threads switch every microsecond.  At L = 128 the fused passes split
     # over two workers of their own accord; at L = 64 they are spread over
     # every worker of the pool, up to more workers than CPUs, over
-    # 16-column blocks, where a lost block maximum would change C
+    # COLUMN_ALIGN-wide blocks, where a lost block maximum would change C
     frame = frame_for(L)
     T = gf.dft_operator(frame.config)
     chi = np.array([[0.0, 1.0], [-1.0, 0.0]])

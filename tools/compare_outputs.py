@@ -85,8 +85,10 @@ def _configs() -> list[dict]:
     table += [_cfg(144, "decay", "dft*chirp:2", **odd),
               _cfg(144, "decay", "fio2:phase=sine:0.2:8:8,symbol=random-smooth:3", "B", **odd),
               _cfg(144, "gabor-matrix", "chirp:1*perturb-id:0.1:5", **odd)]
-    # decay-a's size: many blocks of time indices on each worker
-    table.append(_cfg(512, "decay", "dft"))
+    # decay-a's size: many blocks of time indices on each worker, and the
+    # key counts of two classes of columns (dft*chirp:3) and of one
+    table += [_cfg(512, "decay", spec)
+              for spec in ("dft", "dft*chirp:3", "kn:symbol=random-smooth:29")]
     # sampled maps over many column blocks of the survivor fold
     table.append(_cfg(1024, "decay", "fio1:phase=sine:0.2:32:32,symbol=random-smooth:7", "B"))
     table.append(_cfg(256, "decay", "fio2:phase=sine:0.5:8:8,symbol=ones"))
