@@ -3,10 +3,9 @@
 The Gabor-matrix analyses (which the decay fit and the off-grid check
 read), the row passes over a Gabor matrix and the symbol-class sweep split
 their work into blocks.  Each block either writes a disjoint slice of
-one output array, returns or appends a partial result (a maximum, an
-envelope, its survivors) that its caller folds, or folds maxima into one
-accumulator under a lock; every fold is exact, so the
-order does not matter.  Every block runs the same numpy calls on the same
+one output array, returns or appends a partial result (a maximum, its
+survivors) that its caller folds, or folds maxima into one accumulator
+under a lock; every fold is exact, so the order does not matter.  Every block runs the same numpy calls on the same
 entries whichever thread runs it, so the results are bit-identical for
 every worker count.  The blocks spend their time in numpy loops, GEMMs and
 FFTs, which release the interpreter lock, so the workers run in parallel.

@@ -522,9 +522,12 @@ def sparsity_sweep(cfg, frame, T, rng, out: Path):
     dropped Schur mass (the gate).  Returns the rows (kept fraction, Schur
     mass, measured error), the per-row dense and sparse apply times, which
     go to the report's "timings", and the gate."""
+    lat = frame.lattice
+    # each probe and its dense product: 32 bytes an entry
+    gm._require_memory(32 * cfg["sweep"]["probes"] * lat.size,
+                       "the sweep's probes and their dense products")
     K = gm.gabor_matrix(T, frame)
     dense = K.entries
-    lat = frame.lattice
     probes = [rng.normal(size=lat.size) + 1j * rng.normal(size=lat.size)
               for _ in range(cfg["sweep"]["probes"])]
     repeats = cfg["sweep"]["repeats"]

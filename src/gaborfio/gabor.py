@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameDeficient, ModelError, WindowError
-from .tfcore import ModelConfig, Signal, tf_shift_matrix, wrap_half
+from .tfcore import ModelConfig, Signal, array_field, tf_shift_matrix, wrap_half
 
 __all__ = [
     "Lattice", "GaborFrame", "CoefficientArray", "WeightSpec",
@@ -130,11 +130,8 @@ class CoefficientArray:
     lattice: Lattice
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        shape = (self.lattice.n_time, self.lattice.n_freq)
-        if v.shape != shape:
-            raise ModelError(f"coefficient shape {v.shape} != {shape}")
-        object.__setattr__(self, "values", v)
+        array_field(self, "values", complex, (self.lattice.n_time, self.lattice.n_freq),
+                    "coefficient")
 
     def ravel(self) -> np.ndarray:
         """Flatten in the canonical time-major order."""

@@ -52,11 +52,11 @@ by its offsets.  Every pass over rows (the mu of K in offgraph_max and the
 CSV writer, the translates of the symbol-class sweep) splits them by
 _row_blocks into contiguous slices of about FIT_BLOCK_ENTRIES // W entries.
 
-The N x N arrays (K and the (N, N, 2) displacement array), T' with the
-blocks in flight of the fused analyses as one sum, and the key fold's
-per-key maxima with its class counts (formed first, at most N pairs a
-class) are checked against the machine's physical memory before they are
-allocated: a larger one raises SizeError.
+The N x N arrays (K and the (N, N, 2) displacement array), the
+displacement tables, T' with the blocks in flight of the fused analyses as
+one sum, and the key fold's per-key maxima with its class counts (formed
+first, at most N pairs a class) are checked against the machine's physical
+memory before they are allocated: a larger one raises SizeError.
 
 Decay fit convention
 --------------------
@@ -94,7 +94,7 @@ from .gabor import (GaborFrame, column_blocks, column_fold, fold_fft, spans,
                     window_fold)
 from .operators import OperatorMatrix, SymbolGrid
 from .phasegeom import CanonicalMap, linear_map
-from .tfcore import wrap_half
+from .tfcore import array_field, wrap_half
 
 __all__ = [
     "GaborMatrix", "DecayProfile", "RowPaddedMatrix", "SparseGaborMatrix",
@@ -133,11 +133,7 @@ class GaborMatrix:
     frame: GaborFrame
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        N = self.frame.lattice.size
-        if e.shape != (N, N):
-            raise ModelError(f"Gabor-matrix shape {e.shape} != ({N}, {N})")
-        object.__setattr__(self, "entries", e)
+        array_field(self, "entries", complex, (self.frame.lattice.size,) * 2, "Gabor-matrix")
 
     @property
     def lattice(self):
@@ -415,7 +411,9 @@ def _displacement_tables(lat, L: int, img: np.ndarray) -> tuple[np.ndarray, np.n
     """The two components of d as in wrapped_displacements over the lattice
     lat of Z_L, from the _lattice_images img: mu's time coordinate takes
     only n_time values and its frequency coordinate n_freq values, so they
-    come from an (n_time, N) and an (n_freq, N) table."""
+    come from an (n_time, N) and an (n_freq, N) table, checked against the
+    machine's memory."""
+    _require_memory(8 * (lat.n_time + lat.n_freq) * lat.size, "the displacement tables")
     t = (lat.a * np.arange(lat.n_time)).astype(float)
     f = (lat.b * np.arange(lat.n_freq)).astype(float)
     return (wrap_half(t[:, None] - img[:, 0][None, :], L),      # (n_time, N)
@@ -830,11 +828,12 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
     """Weighted sup of the 2d STFT of a symbol: sup_z sup_zeta |V_Psi sigma| <zeta>^s.
 
     The L^2 translates Psi(. - z) are the L x L windows of the periodically
-    tiled window.  Stacks of sigma conj(Psi(. - z)) over the _row_blocks
-    slices of z2, about FIT_BLOCK_ENTRIES // W entries each, go through one
-    batched 2d FFT per block (an L^4 log L computation overall, run on the
-    block pool over groups of rows z1), so L is capped at
-    SYMBOL_CLASS_MAX_L.  Also fits the decay exponent of the envelope
+    tiled window.  The blocks (z1, slice of z2) pair each row z1 with the
+    _row_blocks slices of z2, about FIT_BLOCK_ENTRIES // W entries each: a
+    block stacks sigma conj(Psi(. - z)) in its worker's buffer, runs one
+    batched 2d FFT in place and folds its maximum over z into one envelope
+    under a lock (an L^4 log L computation overall, so L is capped at
+    SYMBOL_CLASS_MAX_L).  Also fits the decay exponent of the envelope
     sup_z |V_Psi sigma(z, .)| with the shared binning machinery.  An
     envelope that overflows raises ModelError.
     """
@@ -853,30 +852,21 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
     # translate of conj(Psi) by z = (-r, -c) mod L
     translates = np.lib.stride_tricks.sliding_window_view(
         np.tile(np.conj(Psi), (2, 2))[:-1, :-1], (L, L))
-    cols = _row_blocks(L, L * L)
-    # each group of rows returns its L x L envelope; at most about
-    # FIT_BLOCK_ENTRIES entries of them wait to be folded
-    rows = max(1, L * L * L // FIT_BLOCK_ENTRIES)
-
-    def rows_envelope(r0):
-        """sup of |V_Psi sigma| over the translates of rows r0, r0 + 1, ..."""
-        env_r = np.zeros((L, L))
-        stack = np.empty((cols[0].stop, L, L), dtype=complex)
-        mag = np.empty((cols[0].stop, L, L))
-        with np.errstate(over="ignore", invalid="ignore"):     # env is checked below
-            for row in translates[r0:r0 + rows]:
-                for c in cols:
-                    block = row[c]
-                    out, m = stack[:len(block)], mag[:len(block)]
-                    np.multiply(sigma.values, block, out=out)
-                    np.fft.fft(out, axis=2, out=out)       # fft2 over (1, 2), in place
-                    np.fft.fft(out, axis=1, out=out)
-                    np.maximum(env_r, np.abs(out, out=m).max(axis=0), out=env_r)
-        return env_r
-
     env = np.zeros((L, L))
-    for env_r in map_blocks(rows_envelope, range(0, L, rows)):
-        np.maximum(env, env_r, out=env)
+    bufs, lock = {}, threading.Lock()        # thread -> stack buffer
+
+    def fold_block(block):
+        win = translates[block]              # block = (z1, slice of z2)
+        out = _thread_buffer(bufs, win.size, complex).reshape(win.shape)
+        with np.errstate(over="ignore", invalid="ignore"):     # env is checked below
+            np.multiply(sigma.values, win, out=out)
+            np.fft.fft(out, axis=2, out=out)       # fft2 over (1, 2), in place
+            np.fft.fft(out, axis=1, out=out)
+            m = np.abs(out).max(axis=0)
+            with lock:
+                np.maximum(env, m, out=env)
+
+    map_blocks(fold_block, [(z1, z2) for z1 in range(L) for z2 in _row_blocks(L, L * L)])
     if not np.isfinite(env).all():
         raise ModelError("the short-time Fourier transform of the symbol overflows")
     zw = wrap_half(np.arange(L), L)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ModelError, UnitError
 from .phasegeom import CanonicalMap, TamePhase, canonical_map_of_phase, linear_map
-from .tfcore import ModelConfig, Signal, dft_matrix, wrap_half
+from .tfcore import ModelConfig, Signal, array_field, dft_matrix, wrap_half
 
 __all__ = [
     "SymbolGrid", "OperatorMatrix", "DiscretePhase", "MetaplecticWord", "GENERATORS",
@@ -51,11 +51,7 @@ class SymbolGrid:
     config: ModelConfig
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        L = self.config.L
-        if v.shape != (L, L):
-            raise ModelError(f"symbol shape {v.shape} != ({L}, {L})")
-        object.__setattr__(self, "values", v)
+        array_field(self, "values", complex, (self.config.L,) * 2, "symbol")
 
 
 @dataclass(frozen=True)
@@ -66,11 +62,7 @@ class OperatorMatrix:
     config: ModelConfig
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        L = self.config.L
-        if e.shape != (L, L):
-            raise ModelError(f"operator shape {e.shape} != ({L}, {L})")
-        object.__setattr__(self, "entries", e)
+        array_field(self, "entries", complex, (self.config.L,) * 2, "operator")
 
     def apply(self, f: Signal) -> Signal:
         if f.config.L != self.config.L:
@@ -97,11 +89,7 @@ class DiscretePhase:
     tame: TamePhase | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        L = self.config.L
-        if v.shape != (L, L):
-            raise ModelError(f"phase shape {v.shape} != ({L}, {L})")
-        object.__setattr__(self, "values", v)
+        array_field(self, "values", float, (self.config.L,) * 2, "phase")
 
     def canonical_map(self) -> CanonicalMap:
         """The induced map on the index-unit time-frequency plane.

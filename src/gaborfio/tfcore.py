@@ -46,6 +46,16 @@ def wrap_half(x, L):
     return (np.asarray(x) + L / 2) % L - L / 2
 
 
+def array_field(record, name: str, dtype, shape: tuple, what: str) -> None:
+    """Store the field name of the frozen dataclass record as an array of
+    dtype; raise ModelError "<what> shape ... != <shape>" unless it has the
+    given shape."""
+    v = np.asarray(getattr(record, name), dtype=dtype)
+    if v.shape != shape:
+        raise ModelError(f"{what} shape {v.shape} != {tuple(map(int, shape))}")
+    object.__setattr__(record, name, v)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Model parameters: signal length L, regime, and domain width T (regime B).
@@ -112,11 +122,7 @@ class TFGrid:
     config: ModelConfig
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        L = self.config.L
-        if v.shape != (L, L):
-            raise ModelError(f"grid shape {v.shape} != ({L}, {L})")
-        object.__setattr__(self, "values", v)
+        array_field(self, "values", complex, (self.config.L,) * 2, "grid")
 
 
 def delta(config: ModelConfig, n: int = 0) -> Signal:

@@ -645,21 +645,87 @@ def test_size_guard_raises_before_the_n_by_n_arrays(monkeypatch, frame16):
 def test_size_guard_raises_before_the_per_key_arrays(monkeypatch, regime, spec):
     # the key fold's maxima take 8 bytes a key and its class counts 16
     # bytes a (key, count) pair; that budget admits the fit of a given K,
-    # and one byte short stops both decay profiles before the maxima are
-    # allocated
+    # and one byte short stops the key fold over the columns of K and over
+    # the fused analyses of T before the maxima are allocated.  The fold
+    # runs on tables formed before the budget is patched: here they are
+    # larger than the per-key arrays, and their own guard would stop the
+    # decay profiles first
     frame = frame_for(64, None, regime)
     T, chi, _ = cli.parse_operator(spec, frame.config)
     K = gf.gabor_matrix(T, frame)
     sq1, sq2 = ((d ** 2).astype(np.intp) for d in tables_of(frame.lattice, 64, chi))
     n_keys = int(sq1.max()) + int(sq2.max()) + 1
     need = 8 * n_keys + 16 * gm._key_counts(sq1, sq2)[0].size
+    want = gf.decay_profile(K, chi)
     monkeypatch.setattr(gm, "_memory_budget", lambda: need)
-    gf.decay_profile(K, chi)
+    assert gm._key_fit(gm._matrix_columns(K), sq1, sq2) == want
     monkeypatch.setattr(gm, "_memory_budget", lambda: need - 1)
-    for profile in (lambda: gf.decay_profile(K, chi),
-                    lambda: gf.operator_decay_profile(T, frame, chi)):
+    for columns in (gm._matrix_columns(K),
+                    lambda fn, entries: gm._gabor_columns(T, frame, frame.tight, fn, entries)):
         with pytest.raises(gf.SizeError, match="the per-key maxima and the key counts"):
-            profile()
+            gm._key_fit(columns, sq1, sq2)
+
+
+def test_size_guard_raises_before_the_displacement_tables(monkeypatch):
+    # the two tables take 8 bytes an entry, (n_time + n_freq) N entries;
+    # that budget admits them, and one byte short stops every pass that
+    # forms them before they are allocated
+    frame = frame_for(32, (4, 2), "A")
+    lat = frame.lattice
+    T, chi, _ = cli.parse_operator("chirp:1", frame.config)
+    K = gf.gabor_matrix(T, frame)
+    need = 8 * (lat.n_time + lat.n_freq) * lat.size
+    monkeypatch.setattr(gm, "_memory_budget", lambda: need)
+    tables_of(lat, 32, chi)
+    monkeypatch.setattr(gm, "_memory_budget", lambda: need - 1)
+    for call in (lambda: tables_of(lat, 32, chi),
+                 lambda: gf.decay_profile(K, chi),
+                 lambda: gf.operator_decay_profile(T, frame, chi),
+                 lambda: gf.offgraph_max(K, chi),
+                 lambda: gf.offgrid_decay_check(T, frame, chi, s=4.0)):
+        with pytest.raises(gf.SizeError, match="the displacement tables"):
+            call()
+
+
+def test_decay_over_the_tables_budget_exits_1_with_a_size_error_report(monkeypatch,
+                                                                      tmp_path):
+    # a = b = 1: the tables take 8 (L + L) L^2 bytes, 64 times the L x L operator
+    L = 32
+    monkeypatch.setattr(gm, "_memory_budget", lambda: 16 * L ** 3 - 1)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"L": L}, "frame": {"a": 1, "b": 1},
+                                "operator": "chirp:1"}))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "SizeError"
+    assert "the displacement tables" in report["error"]["message"]
+
+
+def test_sweep_probe_guard_admits_exactly_the_probes(monkeypatch, tmp_path):
+    # each probe and its dense product take 32 bytes a lattice point, more
+    # than the Gabor matrix for as many probes as points; one byte short
+    # stops the sweep before it forms K or draws a probe
+    L = 16
+    N = gf.default_lattice(gf.ModelConfig(L=L)).size
+    calls, gabor_matrix = [], gm.gabor_matrix
+    monkeypatch.setattr(gm, "gabor_matrix",
+                        lambda *args: calls.append(args) or gabor_matrix(*args))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"L": L}, "pipeline": "sparsity-sweep",
+                                "sweep": {"probes": N}}))
+    monkeypatch.setattr(gm, "_memory_budget", lambda: 32 * N * N)
+    cli.main(["run", str(path), "--out", str(tmp_path / "fits")])
+    assert json.loads((tmp_path / "fits" / "report.json").read_text())["error"] is None
+    assert len(calls) == 1
+    monkeypatch.setattr(gm, "_memory_budget", lambda: 32 * N * N - 1)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "SizeError"
+    assert "the sweep's probes and their dense products" in report["error"]["message"]
+    assert len(calls) == 1
+    assert not (out / "sweep.csv").exists()
 
 
 def test_memory_budget_is_the_physical_memory():

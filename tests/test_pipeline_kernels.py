@@ -255,10 +255,14 @@ def test_symbol_class_block_size_does_not_change_envelope(monkeypatch):
     sigma = gf.random_smooth_symbol(cfg, np.random.Generator(np.random.Philox(3)))
     window2d = nonseparable_window(cfg)
     want = loop_symbol_envelope(sigma, window2d.values)
+    # three workers (more than a 2-CPU machine runs at once) contend for
+    # the envelope's lock
     for translates in (1, 7, 32, 40):
         monkeypatch.setattr(gf.gabormatrix, "FIT_BLOCK_ENTRIES", translates * 32 * 32)
-        got = gf.symbol_class_norm(sigma, 2.0, window2d=window2d).envelope
-        np.testing.assert_array_equal(bits(got), bits(want))
+        for workers in (1, 2, 3):
+            with blockpool.worker_limit(workers):
+                got = gf.symbol_class_norm(sigma, 2.0, window2d=window2d).envelope
+            np.testing.assert_array_equal(bits(got), bits(want))
 
 
 @pytest.mark.parametrize("n_offsets", [0, 1, 3, 5])

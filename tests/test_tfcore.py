@@ -159,3 +159,30 @@ def test_gaussian_is_dft_invariant(cfg64):
 def test_wrap_half():
     np.testing.assert_allclose(gf.wrap_half(np.array([0, 31, 32, 33, 63]), 64),
                                [0, 31, -32, -31, -1])
+
+
+_CFG = gf.ModelConfig(L=16)
+_LATTICE = gf.Lattice(4, 2, _CFG)        # 4 x 8 points
+
+
+@pytest.mark.parametrize("make,shape,dtype,message", [
+    (lambda v: gf.TFGrid(v, _CFG), (16, 16), complex, "grid shape (3, 3) != (16, 16)"),
+    (lambda v: gf.SymbolGrid(v, _CFG), (16, 16), complex, "symbol shape (3, 3) != (16, 16)"),
+    (lambda v: gf.OperatorMatrix(v, _CFG), (16, 16), complex,
+     "operator shape (3, 3) != (16, 16)"),
+    (lambda v: gf.DiscretePhase(v, _CFG), (16, 16), float, "phase shape (3, 3) != (16, 16)"),
+    (lambda v: gf.CoefficientArray(v, _LATTICE), (4, 8), complex,
+     "coefficient shape (3, 3) != (4, 8)"),
+    (lambda v: gf.GaborMatrix(v, gf.build_frame(gf.periodized_gaussian(_CFG), _LATTICE)),
+     (32, 32), complex, "Gabor-matrix shape (3, 3) != (32, 32)"),
+], ids=["TFGrid", "SymbolGrid", "OperatorMatrix", "DiscretePhase", "CoefficientArray",
+        "GaborMatrix"])
+def test_array_records_coerce_and_check_their_shape(make, shape, dtype, message):
+    ints = np.arange(np.prod(shape)).reshape(shape)
+    record = make(ints)
+    (field,) = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+    assert field.dtype == dtype
+    np.testing.assert_array_equal(field, ints)
+    with pytest.raises(gf.ModelError) as exc:
+        make(np.zeros((3, 3)))
+    assert str(exc.value) == message

@@ -70,6 +70,9 @@ def _configs() -> list[dict]:
             ("offgrid", "chirp:-2", {}),
             ("gabor-matrix", "chirp:-2", {})):
         table.append(_cfg(64, pipeline, spec, **extra))
+    # the symbol-class sweep at L = 64 in regime B too: each row of
+    # translates splits into several blocks at either thread count
+    table.append(_cfg(64, "symbol-class", "kn:symbol=random-smooth:13", "B"))
     # matrix.csv over several row blocks, of few and of many repeated floats
     for spec in ("chirp:1*perturb-id:0.1:5", "dft*chirp:2"):
         table.append(_cfg(128, "gabor-matrix", spec))
