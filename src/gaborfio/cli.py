@@ -484,7 +484,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         report["error"] = None
     except ConfigError:
         raise
-    except GaborFIOError as exc:
+    except (GaborFIOError, MemoryError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         report["pass"] = False
 
@@ -535,8 +535,8 @@ def sparsity_sweep(cfg, frame, T, rng, out: Path):
     with np.errstate(over="ignore", invalid="ignore"):
         exact = [(p, dense @ p, np.linalg.norm(p)) for p in probes]
     rows, times = [], []
-    for tau in cfg["sweep"]["tau_grid"]:
-        Ks = gm.sparsify(K, tau)
+    taus = cfg["sweep"]["tau_grid"]
+    for tau, Ks in zip(taus, gm.sparsify_each(K, taus)):
         with np.errstate(over="ignore", invalid="ignore"):
             errs = [np.linalg.norm(Kp - Ks.matrix @ p) / norm for p, Kp, norm in exact]
         # an overflow leaves an error of inf or nan: np.max keeps either, and
@@ -560,11 +560,14 @@ def sparsity_sweep(cfg, frame, T, rng, out: Path):
 
 
 def _median_time(fn, repeats: int) -> float:
+    """The median of repeats timed calls of fn, from the sorted times (the
+    first np.median call would import numpy.ma)."""
     def once():
         t0 = time.perf_counter()
         fn()
         return time.perf_counter() - t0
-    return float(np.median([once() for _ in range(repeats)]))
+    t = sorted(once() for _ in range(repeats))
+    return (t[(repeats - 1) // 2] + t[repeats // 2]) / 2
 
 
 # ---------------------------------------------------------------------------

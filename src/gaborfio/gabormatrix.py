@@ -80,6 +80,7 @@ with rounding noise.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import threading
 import warnings
@@ -100,7 +101,7 @@ __all__ = [
     "GaborMatrix", "DecayProfile", "RowPaddedMatrix", "SparseGaborMatrix",
     "OffgridReport", "SymbolClassReport", "gabor_matrix", "decay_profile",
     "operator_decay_profile",
-    "offgraph_max", "offgrid_decay_check", "sparsify",
+    "offgraph_max", "offgrid_decay_check", "sparsify", "sparsify_each",
     "schur_bound", "symbol_class_norm", "gabor_matrix_to_csv",
     "gabor_matrix_from_csv", "profile_to_csv",
 ]
@@ -118,6 +119,7 @@ FIT_MIN_COUNT = 3          # nor do bins with fewer entries
 FIT_BLOCK_ENTRIES = 1 << 17
 SUBBINS = 64               # sub-bins per sqrt(2) bin in the survivor fold
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
+CSV_CHUNK_LINES = 8192     # lines of matrix.csv parsed at a time
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,9 @@ class RowPaddedMatrix:
     """Complex sparse matrix in row-padded ("ELL") form.
 
     Slot j of row i holds column cols[j, i] and value re[j, i] + 1j im[j, i].
-    The first nnz-of-row-i slots hold the row's nonzero entries in column
-    order; the remaining slots up to the common width hold the value 0.
+    The first slots of row i hold the row's stored entries in column order,
+    as many as it has (nnz in all); the remaining slots up to the common
+    width hold the value 0.
     ``self @ x`` sums each row in slot order from 0, forming every product
     from the real and imaginary parts as a compiled CSR product does, so it
     gives the same floats as a CSR matvec over the same entries (for finite
@@ -172,14 +175,22 @@ class RowPaddedMatrix:
     @classmethod
     def from_dense(cls, A: np.ndarray) -> "RowPaddedMatrix":
         """The nonzero entries of the 2-D array A."""
-        At = np.asarray(A, dtype=complex).T
-        nonzero = At != 0                          # [column, row]
-        counts = np.count_nonzero(nonzero, axis=0)
+        A = np.asarray(A, dtype=complex)
+        return cls.from_mask(A, A != 0)
+
+    @classmethod
+    def from_mask(cls, A: np.ndarray, mask: np.ndarray) -> "RowPaddedMatrix":
+        """The entries of the 2-D complex array A where the boolean array
+        mask of its shape is true."""
+        At, keep = A.T, mask.T                     # [column, row]
+        counts = np.count_nonzero(keep, axis=0)
         width = int(counts.max(initial=0))
-        # a stable sort of the zero flags puts each row's nonzero columns
-        # first, in column order, and then its zero entries
-        cols = np.argsort(~nonzero, axis=0, kind="stable")[:width].copy()
+        # a stable sort of the drop flags puts each row's kept columns
+        # first, in column order, and then its dropped ones, whose values
+        # in the padding slots are set to 0
+        cols = np.argsort(~keep, axis=0, kind="stable")[:width].copy()
         vals = np.take_along_axis(At, cols, axis=0)
+        vals[np.arange(width)[:, None] >= counts] = 0
         return cls(cols=cols, re=np.ascontiguousarray(vals.real),
                    im=np.ascontiguousarray(vals.imag), shape=At.shape[::-1],
                    nnz=int(counts.sum()))
@@ -416,8 +427,13 @@ def _displacement_tables(lat, L: int, img: np.ndarray) -> tuple[np.ndarray, np.n
     _require_memory(8 * (lat.n_time + lat.n_freq) * lat.size, "the displacement tables")
     t = (lat.a * np.arange(lat.n_time)).astype(float)
     f = (lat.b * np.arange(lat.n_freq)).astype(float)
-    return (wrap_half(t[:, None] - img[:, 0][None, :], L),      # (n_time, N)
-            wrap_half(f[:, None] - img[:, 1][None, :], L))      # (n_freq, N)
+    tables = (t[:, None] - img[:, 0][None, :],                  # (n_time, N)
+              f[:, None] - img[:, 1][None, :])                  # (n_freq, N)
+    for d in tables:              # wrap_half's operations, in place
+        d += L / 2
+        d %= L
+        d -= L / 2
+    return tables
 
 
 def wrapped_displacements(K: GaborMatrix, chi) -> np.ndarray:
@@ -682,12 +698,16 @@ def _decay_fit(columns, lat, L: int, chi) -> DecayProfile:
     integer distance (_key_fit) where chi sends the lattice lat of Z_L to
     integer points, and by per-bin survivors (_survivor_fit) otherwise."""
     img = _lattice_images(lat, L, chi)
-    # the fold holds only the squared tables, not the float ones as well
+    tables = list(_displacement_tables(lat, L, img))
+    # the folds hold only the squared tables, squared in place; the key fold
+    # takes each as an intp copy, and its float table goes before the next
+    # is converted
     if np.array_equal(img, np.round(img)):
-        return _key_fit(columns, *((d ** 2).astype(np.intp)
-                                   for d in _displacement_tables(lat, L, img)))
-    return _survivor_fit(columns, *(np.square(d, out=d)
-                                    for d in _displacement_tables(lat, L, img)))
+        for i, d in enumerate(tables):
+            tables[i] = np.square(d, out=d).astype(np.intp)
+        del d
+        return _key_fit(columns, *tables)
+    return _survivor_fit(columns, *(np.square(d, out=d) for d in tables))
 
 
 def decay_profile(K: GaborMatrix, chi) -> DecayProfile:
@@ -805,13 +825,29 @@ def offgrid_decay_check(T: OperatorMatrix, frame: GaborFrame, chi, s: float,
 
 def sparsify(K: GaborMatrix, tau: float) -> SparseGaborMatrix:
     """Keep entries with |K| >= tau; record the Schur mass of what was dropped."""
-    if not tau >= 0:
-        raise ModelError(f"threshold must be >= 0, got {tau!r}")
+    return next(sparsify_each(K, [tau]))
+
+
+def sparsify_each(K: GaborMatrix, taus):
+    """sparsify(K, tau) for each tau of taus in turn, from one |K|.
+
+    |K|, the keep mask and the dropped |K| are one array each for all the
+    thresholds: each matrix takes its entries from K under the mask, and
+    the Schur sums of the dropped |K| are those of schur_bound.  A matrix
+    is formed when the one before it has been taken.
+    """
     absK = np.abs(K.entries)
-    keep = absK >= tau
-    mat = RowPaddedMatrix.from_dense(np.where(keep, K.entries, 0.0))
-    return SparseGaborMatrix(matrix=mat, kept_fraction=float(keep.mean()),
-                             dropped_schur_mass=schur_bound(np.where(keep, 0.0, absK)))
+    keep = np.empty(absK.shape, dtype=bool)
+    dropped = np.empty_like(absK)
+    for tau in taus:
+        if not tau >= 0:
+            raise ModelError(f"threshold must be >= 0, got {tau!r}")
+        np.greater_equal(absK, tau, out=keep)
+        np.copyto(dropped, absK)
+        np.copyto(dropped, 0.0, where=keep)
+        yield SparseGaborMatrix(matrix=RowPaddedMatrix.from_mask(K.entries, keep),
+                                kept_fraction=float(keep.mean()),
+                                dropped_schur_mass=_schur_sums(dropped))
 
 
 def schur_bound(K) -> float:
@@ -820,6 +856,12 @@ def schur_bound(K) -> float:
     overflows."""
     with np.errstate(over="ignore"):
         A = np.abs(K.entries if isinstance(K, GaborMatrix) else np.asarray(K))
+    return _schur_sums(A)
+
+
+def _schur_sums(A: np.ndarray) -> float:
+    """schur_bound of the non-negative 2-D array A, A itself for |A|."""
+    with np.errstate(over="ignore"):
         return float(max(A.sum(axis=1).max(), A.sum(axis=0).max()))
 
 
@@ -930,37 +972,49 @@ def gabor_matrix_from_csv(path, frame: GaborFrame) -> GaborMatrix:
     Rows may come in any order; a lattice point given twice keeps its last
     row and one never given stays 0.  A row that names a point off the
     lattice, holds a non-numeric field or has other than six columns raises
-    ModelError.
+    ModelError.  The file is parsed CSV_CHUNK_LINES lines at a time
+    (np.loadtxt of a slice of the open file), and each chunk is checked and
+    written into K before the next is read, so no array of all the rows is
+    formed.
     """
     lat = frame.lattice
     L = frame.config.L
+    steps = np.array([lat.a, lat.b, lat.a, lat.b])
+    K = np.zeros((lat.size, lat.size), dtype=complex)
+    start = 0                     # the data rows of the chunks before
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
         if header[:4] != CSV_HEADER[:4]:
             raise ModelError("unrecognized Gabor-matrix CSV header")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # header-only file
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ModelError(f"malformed Gabor-matrix CSV row: {exc}") from None
-    if rows.size == 0:
-        rows = rows.reshape(0, len(CSV_HEADER))
-    if rows.shape[1] != len(CSV_HEADER):
-        raise ModelError(f"Gabor-matrix CSV rows have {rows.shape[1]} columns, "
-                         f"want {len(CSV_HEADER)}")
-    coords = rows[:, :4]
-    inside = (coords >= 0) & (coords < L)
-    steps = np.array([lat.a, lat.b, lat.a, lat.b])
-    on_lattice = inside & (np.fmod(np.where(inside, coords, 0.0), steps) == 0)
-    if not on_lattice.all():
-        r = int(np.flatnonzero(~on_lattice.all(axis=1))[0])
-        raise ModelError(f"Gabor-matrix CSV data row {r + 1} names a point off the "
-                         f"{lat.a} x {lat.b} lattice: {rows[r, :4].tolist()}")
-    # lattice point (j a, k b) has index j n_freq + k (time-major order)
-    index = (coords[:, 0::2] // lat.a * lat.n_freq + coords[:, 1::2] // lat.b).astype(np.intp)
-    K = np.zeros((lat.size, lat.size), dtype=complex)
-    K[index[:, 0], index[:, 1]] = rows[:, 4] + 1j * rows[:, 5]
+        # a chunk is the next line and the lines after it, so the loop ends
+        # with the file (a chunk of blank lines alone parses to no rows)
+        for first in fh:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)   # no rows
+                    rows = np.loadtxt(itertools.chain([first], itertools.islice(
+                        fh, CSV_CHUNK_LINES - 1)), delimiter=",", ndmin=2)
+            except ValueError as exc:
+                # numpy numbers the rows from the chunk's first line
+                within = f" (in the lines after data row {start})" if start else ""
+                raise ModelError(f"malformed Gabor-matrix CSV row: {exc}{within}") from None
+            if rows.size == 0:
+                continue
+            if rows.shape[1] != len(CSV_HEADER):
+                raise ModelError(f"Gabor-matrix CSV rows have {rows.shape[1]} columns, "
+                                 f"want {len(CSV_HEADER)}")
+            coords = rows[:, :4]
+            inside = (coords >= 0) & (coords < L)
+            on_lattice = inside & (np.fmod(np.where(inside, coords, 0.0), steps) == 0)
+            if not on_lattice.all():
+                r = int(np.flatnonzero(~on_lattice.all(axis=1))[0])
+                raise ModelError(f"Gabor-matrix CSV data row {start + r + 1} names a point "
+                                 f"off the {lat.a} x {lat.b} lattice: {rows[r, :4].tolist()}")
+            # lattice point (j a, k b) has index j n_freq + k (time-major order)
+            index = (coords[:, 0::2] // lat.a * lat.n_freq
+                     + coords[:, 1::2] // lat.b).astype(np.intp)
+            K[index[:, 0], index[:, 1]] = rows[:, 4] + 1j * rows[:, 5]
+            start += len(rows)
     return GaborMatrix(K, frame)
 
 

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -331,6 +334,41 @@ def test_sweep_times_each_apply_the_configured_number_of_times(tmp_path, monkeyp
                        sweep={"tau_grid": [1e-2, 1e-6], "repeats": 1, "probes": 1})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
     assert calls == [1] * 4                  # a dense and a sparse apply per tau
+
+
+def test_sweep_median_is_the_middle_of_the_sorted_times(monkeypatch):
+    ticks = iter([0.0, 3.0, 0.0, 1.0, 0.0, 2.0, 0.0, 7.0])   # (start, end) per call
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
+    assert cli._median_time(lambda: None, 3) == 2.0
+    ticks = iter([0.0, 3.0, 0.0, 1.0, 0.0, 2.0, 0.0, 7.0])
+    assert cli._median_time(lambda: None, 4) == 2.5
+
+
+def test_sweep_run_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call, about 9 ms a run
+    cfg = write_config(tmp_path, model={"L": 32, "regime": "A"}, operator="chirp:1",
+                       pipeline="sparsity-sweep")
+    code = ("import sys, gaborfio.cli as cli; "
+            f"assert cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_memory_error_exits_1_with_a_report(tmp_path, monkeypatch):
+    def out_of_memory(run):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setitem(cli._PIPELINES, "decay", out_of_memory)
+    cfg = write_config(tmp_path, model={"L": 16, "regime": "A"}, operator="dft")
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    rep = read_report(out)
+    assert rep["pass"] is False
+    assert rep["error"] == {"type": "MemoryError",
+                            "message": "Unable to allocate 1.00 GiB for an array"}
 
 
 # ---------------------------------------------------------------------------

@@ -596,6 +596,24 @@ def test_decay_fit_forms_no_n_by_l_array():
         assert peak < 16 * N * L, (workers, peak)
 
 
+def test_key_tables_hold_one_float_table_at_a_time(monkeypatch):
+    # a = b = 2: each table takes 2 MiB at L = 128, and the key fold's
+    # tables are formed with both float tables and one intp table at most
+    # (5 tables' worth while both float tables stayed through both
+    # conversions)
+    cfg = gf.ModelConfig(L=128)
+    lat = gf.Lattice(2, 2, cfg)
+    table = 8 * lat.n_time * lat.size
+    want = [(d ** 2).astype(np.intp) for d in tables_of(lat, 128, np.eye(2))]
+    got = []
+    monkeypatch.setattr(gm, "_key_fit", lambda columns, *tables: got.extend(tables))
+    peak = traced_peak(lambda: gm._decay_fit(None, lat, 128, np.eye(2)))
+    assert peak < 3.5 * table, peak / table
+    assert [g.dtype for g in got] == [np.intp, np.intp]
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g, w)
+
+
 def decay_a_specs(L):
     """The operators of the decay-a benchmark workload at size L."""
     for c in (1, 2, 3, 4):

@@ -247,6 +247,29 @@ def test_sparse_apply_error_bounded_by_schur_mass(K_chirp64, rng):
             assert err <= S.dropped_schur_mass * np.linalg.norm(c) + 1e-12
 
 
+def test_sparsify_each_equals_sparsify_and_the_dense_masks(K_chirp64, rng):
+    # one |K| for every tau: each matrix, kept fraction and dropped mass is
+    # that of sparsify and of the complex copy of the kept entries, bit for bit
+    N = K_chirp64.lattice.size
+    dense = gf.GaborMatrix(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)),
+                           K_chirp64.frame)
+    for K in (K_chirp64, dense):
+        absK = np.abs(K.entries)
+        taus = [1e-2, 1e-6, 1e-10, 0.5 * absK.max(), 2 * absK.max(), 1e-6]
+        for tau, S in zip(taus, gf.sparsify_each(K, taus), strict=True):
+            keep = absK >= tau
+            ref = gf.RowPaddedMatrix.from_dense(np.where(keep, K.entries, 0.0))
+            for want in (gf.sparsify(K, tau), ref):
+                M = want.matrix if isinstance(want, gf.SparseGaborMatrix) else want
+                assert S.matrix.cols.tobytes() == M.cols.tobytes()
+                assert S.matrix.re.tobytes() == M.re.tobytes()
+                assert S.matrix.im.tobytes() == M.im.tobytes()
+                assert (S.matrix.shape, S.nnz) == (M.shape, M.nnz)
+            assert S.kept_fraction == gf.sparsify(K, tau).kept_fraction == keep.mean()
+            assert (S.dropped_schur_mass == gf.sparsify(K, tau).dropped_schur_mass
+                    == gf.schur_bound(np.where(keep, 0.0, absK)))
+
+
 def row_sequential_matvec(A, x):
     """Reference sparse product: each row's nonzero entries in column order,
     each product from real and imaginary parts, summed in sequence from 0."""

@@ -221,6 +221,58 @@ def test_csv_reader_header_only_is_zero_matrix(tmp_path, frame16):
         gf.gabor_matrix_from_csv(path, frame16)
 
 
+def csv_rows(path):
+    header, *rows = path.read_text().splitlines(keepends=True)
+    return header, rows
+
+
+def test_csv_reader_chunks_keep_bits_and_the_last_row(tmp_path, monkeypatch, frame16):
+    K = gf.gabor_matrix(gf.chirp_operator(frame16.config, 1), frame16)
+    gf.gabor_matrix_to_csv(K, tmp_path / "m.csv")
+    header, rows = csv_rows(tmp_path / "m.csv")
+    # a second row for the point of data row 1 in a later chunk, and blank
+    # lines that fill a whole chunk before it
+    twice = rows[0].rsplit(",", 2)[0] + ",0.5,-0.25\r\n"
+    (tmp_path / "twice.csv").write_text(header + "".join(rows) + "\r\n" * 7 + twice,
+                                        newline="")
+    want = K.entries.copy()
+    want[0, 0] = 0.5 - 0.25j
+    # chunk sizes that do not divide the 4096 rows, that do, and one row
+    for lines in (7, 1000, 4096, 1):
+        monkeypatch.setattr(gf.gabormatrix, "CSV_CHUNK_LINES", lines)
+        got = gf.gabor_matrix_from_csv(tmp_path / "m.csv", frame16).entries
+        np.testing.assert_array_equal(bits(got), bits(K.entries))
+        got = gf.gabor_matrix_from_csv(tmp_path / "twice.csv", frame16).entries
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def test_csv_reader_names_the_global_row_of_a_later_chunk(tmp_path, monkeypatch, frame16):
+    monkeypatch.setattr(gf.gabormatrix, "CSV_CHUNK_LINES", 3)
+    good = "2,0,0,2,0.5,-0.25\r\n"
+    path = tmp_path / "bad.csv"
+    # data row 8 names mu_k = 1, off the 2 x 2 lattice, in the third chunk
+    path.write_text("mu_k,mu_m,lam_k,lam_m,re,im\r\n" + good * 7 + "1,0,0,0,1.0,0.0\r\n"
+                    + good, newline="")
+    with pytest.raises(gf.ModelError, match=r"data row 8 names a point off"):
+        gf.gabor_matrix_from_csv(path, frame16)
+    # a field that does not parse names the data row its chunk follows
+    path.write_text("mu_k,mu_m,lam_k,lam_m,re,im\r\n" + good * 7 + "0,0,0,0,abc,0.0\r\n",
+                    newline="")
+    with pytest.raises(gf.ModelError, match=r"convert.*after data row 6\)$"):
+        gf.gabor_matrix_from_csv(path, frame16)
+
+
+def test_csv_reader_memory(tmp_path):
+    """The reader holds K and one chunk of rows, not an array of all rows
+    (29 MiB traced at L = 128 when the whole file was one array)."""
+    frame = frame_for(128)
+    N = frame.lattice.size
+    K = gf.gabor_matrix(gf.chirp_operator(frame.config, 1), frame)
+    gf.gabor_matrix_to_csv(K, tmp_path / "m.csv")
+    peak = traced_peak(lambda: gf.gabor_matrix_from_csv(tmp_path / "m.csv", frame))
+    assert peak < 16 * N * N + (2 << 20), peak
+
+
 def nonseparable_window(cfg):
     # a rotated anisotropic Gaussian bump on the torus: not an outer product
     x = gf.wrap_half(np.arange(cfg.L), cfg.L) / np.sqrt(cfg.L)

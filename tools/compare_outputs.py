@@ -76,6 +76,10 @@ def _configs() -> list[dict]:
     # matrix.csv over several row blocks, of few and of many repeated floats
     for spec in ("chirp:1*perturb-id:0.1:5", "dft*chirp:2"):
         table.append(_cfg(128, "gabor-matrix", spec))
+    # the sparsity sweep past the pipeline-mix size: rows of unequal kept
+    # counts, whose padding slots hold 0
+    for spec in ("chirp:1", "dft*chirp:2"):
+        table.append(_cfg(128, "sparsity-sweep", spec))
     table.append(_cfg(512, "decay", "fio1:phase=chirp:-3,symbol=random-smooth:123"))
     for spec in ("fio1:phase=sine:0.2:16:16,symbol=random-smooth:3",
                  "fio2:phase=sine:0.2:16:16,symbol=random-smooth:4",
