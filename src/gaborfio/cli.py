@@ -161,10 +161,12 @@ def _validate(cfg: dict) -> None:
             and all(_is_finite(t) and t >= 0 for t in taus)):
         raise ConfigError(f"sweep.tau_grid must be a non-empty list of finite numbers "
                           f">= 0, got {taus!r}")
-    try:
-        _model_and_lattice(cfg)
-    except ModelError as exc:
-        raise ConfigError(str(exc)) from None
+    # too large an L goes to run_experiment's size guard before any lattice
+    if 16 * L ** 2 <= gm._memory_budget():
+        try:
+            _model_and_lattice(cfg)
+        except ModelError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _model_and_lattice(cfg: dict):
@@ -468,9 +470,9 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
     t_start = time.monotonic()
 
     try:
-        config, lat = _model_and_lattice(cfg)
         # every pipeline builds L x L complex operators
-        gm._require_memory(16 * config.L ** 2, "an L x L operator")
+        gm._require_memory(16 * cfg["model"]["L"] ** 2, "an L x L operator")
+        config, lat = _model_and_lattice(cfg)
         rng = np.random.Generator(np.random.Philox(cfg["seed"]))
         frame = gabor.build_frame(tfcore.periodized_gaussian(config), lat)
         report["frame"] = {"a": lat.a, "b": lat.b, "density": lat.density,

@@ -17,17 +17,17 @@ from one batched GEMM against T' (T with its columns regrouped by residue
 mod n_freq) and an inverse FFT (_block_images), and the second analysis
 runs the step gabor.fold_fft over column sub-blocks of the block.  The
 images are dropped after the block, so no N x L first analysis is formed;
-gabor_matrix writes each sub-block into its slice of K.
+gabor_matrix writes each whole block into its slice of K.
 
 The decay of |K| is measured against a canonical transformation chi
 through the wrapped displacement d = mu - chi(lam), componentwise reduced
-to [-L/2, L/2) in grid-index units.  The fit reads K from a column source,
-a callable columns(column_fn, entries) that hands column_fn(cols, out)
-scratch blocks of about entries // W entries with out[j, k, :] =
-K[j n_freq + k, cols]: _matrix_columns copies them out of a given K
-(decay_profile), and _gabor_columns computes them from T without forming
-K or any other N x N array (operator_decay_profile).  _decay_fit runs one
-of two folds over the source:
+to [-L/2, L/2) in grid-index units.  Every fold reads |K| alone, from a
+column source columns(column_fn), which calls column_fn(cols, v, scratch)
+on column blocks (_column_width) with v[j, k, :] = |K[j n_freq + k, cols]|
+and scratch 16 bytes an entry that the fold may overwrite: _matrix_columns
+reads them from a given K (decay_profile), and _gabor_columns computes
+them from T without forming K or any other N x N array
+(operator_decay_profile).  _decay_fit runs one of two folds over them:
 
 * where chi sends the lattice to integer points (every regime-A map, the
   identity in regime B), every squared distance x = |d|^2 is an integer in
@@ -95,7 +95,7 @@ from .gabor import (GaborFrame, column_blocks, column_fold, fold_fft, spans,
                     window_fold)
 from .operators import OperatorMatrix, SymbolGrid
 from .phasegeom import CanonicalMap, linear_map
-from .tfcore import array_field, wrap_half
+from .tfcore import array_field, periodized_gaussian, wrap_half
 
 __all__ = [
     "GaborMatrix", "DecayProfile", "RowPaddedMatrix", "SparseGaborMatrix",
@@ -111,11 +111,9 @@ FIT_FLOOR_RTOL = 1e-13     # envelope floor relative to the peak (rounding)
 FIT_MIN_DIST = 2.0         # bins nearer the graph do not enter the fit
 FIT_MIN_COUNT = 3          # nor do bins with fewer entries
 # entries in flight in the blocked passes (1 MiB of float64): the row
-# blocks and the column blocks of the folds share them out over the block
-# pool's workers, FIT_BLOCK_ENTRIES // W per block (a quarter of that in the
-# weighted sup, whose blocks hold 32 bytes per entry, and in the key fold,
-# whose blocks hold 24, and half in the survivor fold, whose blocks hold 24
-# as well; the column blocks are at least gabor.COLUMN_ALIGN wide)
+# blocks share them out over the block pool's workers, FIT_BLOCK_ENTRIES //
+# W per block, and the column sources a quarter of that (their blocks hold
+# |K| and the scratch, 24 bytes an entry, at least gabor.COLUMN_ALIGN wide)
 FIT_BLOCK_ENTRIES = 1 << 17
 SUBBINS = 64               # sub-bins per sqrt(2) bin in the survivor fold
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
@@ -199,8 +197,8 @@ class RowPaddedMatrix:
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.shape[1],):
             raise ModelError(f"vector shape {x.shape} does not match matrix shape {self.shape}")
-        xr = np.ascontiguousarray(x.real).take(self.cols)
-        xi = np.ascontiguousarray(x.imag).take(self.cols)
+        xc = x.take(self.cols)                     # one gather of x
+        xr, xi = xc.real, xc.imag
         out = np.empty(self.shape[0], dtype=complex)
         # a reduction over axis 0 adds the slots of each row in sequence
         t, u = self.re * xr, self.im * xi
@@ -265,30 +263,36 @@ def _time_blocks(n_time: int, W: int) -> list:
     return spans(n_time, max(2, n_time // (16 * W)))
 
 
-def _fused_plan(lat, L: int, W: int, entries: int | None) -> tuple:
+def _column_width(lat, W: int) -> int:
+    """The columns of a column source's block on W workers, for every fold."""
+    return max(1, FIT_BLOCK_ENTRIES // 4 // W) // lat.size
+
+
+def _fused_plan(lat, W: int, whole: bool) -> tuple:
     """(time blocks, column sub-block width, bytes) of the fused analyses
-    on W workers.  The width is None where entries is None (whole blocks).
-    The bytes are those of T' (16 L^2) and of the blocks in flight: each
-    holds the GEMM product and the images of its time indices, 32 bytes an
-    entry, and, where entries is given, a scratch column sub-block of K,
-    16 bytes an entry."""
+    on W workers, whose blocks go whole into K where whole: the width is
+    then None, else _column_width.  The bytes are those of T' (16 L^2) and
+    of the blocks in flight: each holds the GEMM product and the images of
+    its time indices, 32 bytes an entry, and, unless whole, a scratch column
+    sub-block of K, 16 bytes an entry."""
+    L = lat.config.L
     times = _time_blocks(lat.n_time, W)
     M = lat.n_freq * max(js.stop - js.start for js in times)    # widest block
-    width = None if entries is None else max(1, entries // W) // lat.size
+    width = None if whole else _column_width(lat, W)
     sub = 0 if width is None else max(c.stop - c.start for c in column_blocks(M, width))
     return times, width, 16 * L * L + min(W, len(times)) * (32 * M * L + 16 * lat.size * sub)
 
 
-def _fused_workers(lat, L: int, entries: int | None) -> int:
+def _fused_workers(lat, whole: bool) -> int:
     """The workers of the fused analyses: the most of workers() whose T'
     and blocks in flight (_fused_plan) fit in the 16 L^2 + 16 N L bytes of
     the two arrays they replace, the conjugate copy of T and the N x L
     first analysis; one at least.  The column sub-blocks are at least
     gabor.COLUMN_ALIGN wide, so past some W the blocks in flight grow with
     W."""
-    budget = 16 * L * L + 16 * lat.size * L
+    budget = 16 * lat.config.L * (lat.config.L + lat.size)
     return max([1] + [W for W in range(2, workers() + 1)
-                      if _fused_plan(lat, L, W, entries)[2] <= budget])
+                      if _fused_plan(lat, W, whole)[2] <= budget])
 
 
 def _thread_buffer(bufs: dict, n: int, dtype) -> np.ndarray:
@@ -317,40 +321,38 @@ def _block_images(Tq: np.ndarray, wT: np.ndarray, js: slice) -> np.ndarray:
     return X.reshape(L, nj * nf)
 
 
-def _gabor_columns(T: OperatorMatrix, frame: GaborFrame, w, column_fn,
-                   entries: int | None, K: np.ndarray | None = None) -> None:
+def _gabor_columns(T: OperatorMatrix, frame: GaborFrame, w, column_fn=None,
+                   K: np.ndarray | None = None) -> None:
     """The two analyses of K = A T A^H over the window w, fused per block of
-    whole time indices of lam on the block pool.
+    whole time indices of lam on the block pool: the column source of T
+    (module docstring), or the store of every block into the (n_time,
+    n_freq, N) array K where K is given.
 
     The columns lam of a block of time indices (_time_blocks) are a slice
     of K, and their atom images T pi(lam) w come from _block_images, so no
     N x L first analysis is formed.  The second analysis (gabor.fold_fft)
-    runs over column sub-blocks of the block (gabor.column_blocks) of about
-    entries // W entries each, or over the whole block where entries is
-    None.  Each sub-block's analysis out[j, k, :] = K[j n_freq + k, cols]
-    goes into K[:, :, cols] of the (n_time, n_freq, N) array K when K is
-    given, else into its worker's scratch array, free to overwrite until
-    column_fn returns, and then to column_fn(cols, out), cols the slice of
-    global columns.  The block's images are dropped after its last
-    sub-block.
+    goes whole into K[:, :, lam], or runs over column sub-blocks of the
+    block (gabor.column_blocks, _column_width wide) into its worker's
+    scratch, which goes with its |K| to column_fn(cols, v, scratch), cols
+    the slice of global columns.  The images are dropped after the block.
 
     The pass runs on _fused_workers workers.  T' (T[n, q + r n_freq] as a
     contiguous (n_freq, b, L) array) and the blocks in flight are checked
     against the machine's memory as one sum (_fused_plan) before T' is
     formed.
     """
-    lat, L = frame.lattice, frame.config.L
-    if T.config.L != L:
+    lat = frame.lattice
+    if T.config.L != frame.config.L:
         raise ModelError("operator/frame size mismatch")
     nt, nf = lat.n_time, lat.n_freq
-    n_workers = _fused_workers(lat, L, entries)
-    times, width, held = _fused_plan(lat, L, n_workers, entries)
+    n_workers = _fused_workers(lat, K is not None)
+    times, width, held = _fused_plan(lat, n_workers, K is not None)
     _require_memory(held, "T' and the atom-image blocks in flight")
     with worker_limit(n_workers):
         Tq = np.ascontiguousarray(column_fold(lat, T.entries.T))
         wT = window_fold(w, lat)
         W = np.conj(wT)
-        bufs = {}                 # thread -> scratch of the sub-blocks
+        bufs, vbufs = {}, {}      # thread -> scratch and |K| of the sub-blocks
 
         def time_block(js):
             X = _block_images(Tq, wT, js)
@@ -358,11 +360,12 @@ def _gabor_columns(T: OperatorMatrix, frame: GaborFrame, w, column_fn,
             Xq = column_fold(lat, X)
             for cols in column_blocks(M, M if width is None else width):
                 lam = slice(c0 + cols.start, c0 + cols.stop)
-                out = (_thread_buffer(bufs, nt * nf * (cols.stop - cols.start),
-                                      complex).reshape(nt, nf, -1)
-                       if K is None else K[:, :, lam])
+                out = (K[:, :, lam] if K is not None else _thread_buffer(
+                    bufs, nt * nf * (cols.stop - cols.start), complex).reshape(nt, nf, -1))
                 fold_fft(W, Xq[:, :, cols], out)
-                column_fn(lam, out)
+                if K is None:
+                    v = _thread_buffer(vbufs, out.size, float).reshape(out.shape)
+                    column_fn(lam, np.abs(out, out=v), out.reshape(-1))
 
         map_blocks(time_block, times)
 
@@ -380,20 +383,24 @@ def gabor_matrix(T: OperatorMatrix, frame: GaborFrame,
     N = lat.size
     _require_memory(16 * N * N, "the Gabor matrix")
     K = np.empty((lat.n_time, lat.n_freq, N), dtype=complex)
-    _gabor_columns(T, frame, frame.window(use_tight), lambda cols, out: None, None, K)
+    _gabor_columns(T, frame, frame.window(use_tight), K=K)
     return GaborMatrix(K.reshape(N, N), frame)
 
 
 def _matrix_columns(K: GaborMatrix):
-    """The column source of a given K (module docstring): copies of its
-    column blocks, which a fold may overwrite, on the block pool."""
+    """The column source of a given K (module docstring) on the block pool."""
     lat = K.lattice
     K3 = K.entries.reshape(lat.n_time, lat.n_freq, lat.size)
 
-    def columns(column_fn, entries: int) -> None:
-        width = block_share(entries) // lat.size
-        map_blocks(lambda cols: column_fn(cols, K3[:, :, cols].copy()),
-                   column_blocks(lat.size, width))
+    def columns(column_fn) -> None:
+        bufs, vbufs = {}, {}      # thread -> scratch and |K| of the blocks
+
+        def block(cols):
+            z = K3[:, :, cols]
+            v = _thread_buffer(vbufs, z.size, float).reshape(z.shape)
+            column_fn(cols, np.abs(z, out=v), _thread_buffer(bufs, z.size, complex))
+
+        map_blocks(block, column_blocks(lat.size, _column_width(lat, workers())))
 
     return columns
 
@@ -412,18 +419,19 @@ def _chi_points(chi, points: np.ndarray) -> np.ndarray:
     return img
 
 
-def _lattice_images(lat, L: int, chi) -> np.ndarray:
+def _lattice_images(lat, chi) -> np.ndarray:
     """chi(lam) of the points lam of the lattice lat of Z_L, each reduced to
     [-L/2, L/2) first, as in wrapped_displacements: an (N, 2) array."""
-    return _chi_points(chi, wrap_half(lat.points().astype(float), L))
+    return _chi_points(chi, wrap_half(lat.points().astype(float), lat.config.L))
 
 
-def _displacement_tables(lat, L: int, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _displacement_tables(lat, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two components of d as in wrapped_displacements over the lattice
     lat of Z_L, from the _lattice_images img: mu's time coordinate takes
     only n_time values and its frequency coordinate n_freq values, so they
     come from an (n_time, N) and an (n_freq, N) table, checked against the
     machine's memory."""
+    L = lat.config.L
     _require_memory(8 * (lat.n_time + lat.n_freq) * lat.size, "the displacement tables")
     t = (lat.a * np.arange(lat.n_time)).astype(float)
     f = (lat.b * np.arange(lat.n_freq)).astype(float)
@@ -586,30 +594,27 @@ def _key_fit(columns, sq1: np.ndarray, sq2: np.ndarray) -> DecayProfile:
     sqrt(x + 1.0).  The counts of the keys do not depend on K and come
     from the tables (_key_counts).  Each column block folds its |K| into
     one maximum per key, an array (checked against the machine's memory
-    with the class counts) that the workers share under a lock; a block
-    takes |K| into its worker's buffer and its keys into its scratch array.
-    _fit reads the occupied keys as (<d>, key max, key count) triples.
-    <d>^s_fit max(v, floor) is monotone in v (a positive weight times a
-    correctly rounded product), so the max over the keys is the max over
-    the entries bit for bit: the result is envelope_fit of all entries for
-    every W and block size.
+    with the class counts) that the workers share under a lock, by the keys
+    it writes into its scratch (as 1-d views: np.maximum.at runs about ten
+    times slower on 3-d ones).  _fit reads the occupied keys as (<d>, key
+    max, key count) triples.  <d>^s_fit max(v, floor) is monotone in v (a
+    positive weight times a correctly rounded product), so the max over the
+    keys is the max over the entries bit for bit: the result is
+    envelope_fit of all entries for every W and block size.
     """
     keys, counts = _key_counts(sq1, sq2)
     n_keys = int(sq1.max()) + int(sq2.max()) + 1
     _require_memory(8 * n_keys + 16 * keys.size, "the per-key maxima and the key counts")
     envx = np.zeros(n_keys)
-    vbufs, lock = {}, threading.Lock()       # thread -> |K| buffer
+    lock = threading.Lock()
 
-    def fold_block(cols, out):
-        v = _thread_buffer(vbufs, out.size, float)
-        np.abs(out, out=v.reshape(out.shape))
-        # the scratch block is free now: its first half holds the keys
-        key = out.view(np.intp).reshape(-1)[:v.size]
-        np.add(sq1[:, None, cols], sq2[None, :, cols], out=key.reshape(out.shape))
+    def fold_block(cols, v, scratch):
+        key = scratch.view(np.intp)[:v.size]     # the first half of scratch
+        np.add(sq1[:, None, cols], sq2[None, :, cols], out=key.reshape(v.shape))
         with lock, np.errstate(invalid="ignore"):     # nan raises in _regression
-            np.maximum.at(envx, key, v)
+            np.maximum.at(envx, key, v.reshape(-1))
 
-    columns(fold_block, FIT_BLOCK_ENTRIES // 4)
+    columns(fold_block)
     return DecayProfile(*_fit(_bracket(keys), envx[keys], counts))
 
 
@@ -640,17 +645,14 @@ def _survivor_fit(columns, d1sq: np.ndarray, d2sq: np.ndarray) -> DecayProfile:
     W and block size, and no N x N array is formed (the survivors' share:
     module docstring).
     """
-    vbufs, parts = {}, []         # thread -> |K| buffer; the blocks' triples
+    parts = []                    # the blocks' triples
 
-    def fold_block(cols, out):
-        n = out.size
-        v = _thread_buffer(vbufs, n, float)
-        np.abs(out, out=v.reshape(out.shape))
-        # the scratch block is free now: its first n floats hold the
-        # distances, then the thresholds, and its second half the keys
-        dist = out.view(np.float64).reshape(-1)[:n]
-        key = out.view(np.intp).reshape(-1)[-n:]
-        np.add(d1sq[:, None, cols], d2sq[None, :, cols], out=dist.reshape(out.shape))
+    def fold_block(cols, v, scratch):
+        n, shape, v = v.size, v.shape, v.reshape(-1)
+        # scratch's first n floats hold the distances, then the thresholds,
+        # and its second half the keys
+        dist, key = scratch.view(np.float64)[:n], scratch.view(np.intp)[n:]
+        np.add(d1sq[:, None, cols], d2sq[None, :, cols], out=dist.reshape(shape))
         # the cast truncates, which is the floor of these non-negative keys
         np.multiply(_bin_coordinate(_bracket(dist), out=dist), SUBBINS, out=key,
                     casting="unsafe")
@@ -674,7 +676,7 @@ def _survivor_fit(columns, d1sq: np.ndarray, d2sq: np.ndarray) -> DecayProfile:
         # not <= both, so that a NaN survives as envelope_fit would see it
         kept = np.flatnonzero(~(v <= dist))
         # the survivors' distances again, by the same sums
-        j, k, c = np.unravel_index(kept, out.shape)
+        j, k, c = np.unravel_index(kept, shape)
         c += cols.start
         kept_d = _bracket(d1sq[j, c] + d2sq[k, c])
         rep = np.empty(nb)
@@ -685,20 +687,18 @@ def _survivor_fit(columns, d1sq: np.ndarray, d2sq: np.ndarray) -> DecayProfile:
              np.concatenate([v[kept], np.zeros(occupied.size)]),
              np.concatenate([np.zeros(kept.size, np.intp), cnt[occupied]])))
 
-    # 1.5 MiB in flight: the analysis GEMMs and FFTs slow down on narrower
-    # blocks
-    columns(fold_block, FIT_BLOCK_ENTRIES // 2)
+    columns(fold_block)
     triples = [np.concatenate(f) for f in zip(*parts)]
     parts.clear()                 # drop the blocks' triples once concatenated
     return DecayProfile(*_fit(*triples))
 
 
-def _decay_fit(columns, lat, L: int, chi) -> DecayProfile:
+def _decay_fit(columns, lat, chi) -> DecayProfile:
     """The decay fit of the K of the column source columns along chi: by
     integer distance (_key_fit) where chi sends the lattice lat of Z_L to
     integer points, and by per-bin survivors (_survivor_fit) otherwise."""
-    img = _lattice_images(lat, L, chi)
-    tables = list(_displacement_tables(lat, L, img))
+    img = _lattice_images(lat, chi)
+    tables = list(_displacement_tables(lat, img))
     # the folds hold only the squared tables, squared in place; the key fold
     # takes each as an intp copy, and its float table goes before the next
     # is converted
@@ -712,15 +712,14 @@ def _decay_fit(columns, lat, L: int, chi) -> DecayProfile:
 
 def decay_profile(K: GaborMatrix, chi) -> DecayProfile:
     """Fit |K[mu, lam]| <= C <mu - chi(lam)>^{-s} over the lattice by the
-    folds of _decay_fit over copies of K's column blocks."""
-    return _decay_fit(_matrix_columns(K), K.lattice, K.frame.config.L, chi)
+    folds of _decay_fit over K's column blocks."""
+    return _decay_fit(_matrix_columns(K), K.lattice, chi)
 
 
 def operator_decay_profile(T: OperatorMatrix, frame: GaborFrame, chi) -> DecayProfile:
     """decay_profile(gabor_matrix(T, frame), chi), field for field, from the
     fused analyses of T over the tight window: no N x N array is formed."""
-    return _decay_fit(partial(_gabor_columns, T, frame, frame.tight), frame.lattice,
-                      frame.config.L, chi)
+    return _decay_fit(partial(_gabor_columns, T, frame, frame.tight), frame.lattice, chi)
 
 
 def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:
@@ -728,8 +727,7 @@ def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:
     from the graph mu = chi(lam); steps scale the wrapped displacement by
     (1/a, 1/b).  |K| is formed one block of rows at a time."""
     lat = K.lattice
-    L = K.frame.config.L
-    d1, d2 = _displacement_tables(lat, L, _lattice_images(lat, L, chi))
+    d1, d2 = _displacement_tables(lat, _lattice_images(lat, chi))
     s1, s2 = (d1 / lat.a) ** 2, (d2 / lat.b) ** 2
 
     def block_maxima(mu):
@@ -774,17 +772,20 @@ def _weighted_sup(columns, d1sq: np.ndarray, d2sq: np.ndarray, s: float) -> floa
     """max |K| ((1 + d1^2) + d2^2)^(s/2) over the K of the column source
     columns, from squared displacement tables as in _survivor_fit: inf where
     a product overflows, nan where |K| is, and the same bits for every W and
-    block size (the products are elementwise, the maximum exact)."""
+    block size (the products are elementwise, the maximum exact); a block's
+    weights go into its scratch."""
     maxima = []
 
-    def fold_block(cols, out):
-        weight = np.add(1.0 + d1sq[:, None, cols], d2sq[None, :, cols])
+    def fold_block(cols, v, scratch):
+        weight = scratch.view(np.float64)[:v.size].reshape(v.shape)
+        np.add(1.0, d1sq[:, None, cols], out=weight)
+        weight += d2sq[None, :, cols]
         with np.errstate(over="ignore", invalid="ignore"):
             weight **= s / 2
-            weight *= np.abs(out)
+            weight *= v
         maxima.append(weight.max())
 
-    columns(fold_block, FIT_BLOCK_ENTRIES // 4)
+    columns(fold_block)
     return float(np.max(maxima))
 
 
@@ -813,7 +814,7 @@ def offgrid_decay_check(T: OperatorMatrix, frame: GaborFrame, chi, s: float,
     for i, u in enumerate(offsets):
         img = _chi_points(chi, wrap_half((lat.points() + u).astype(float), L))
         for j, v in enumerate(offsets):
-            d1sq, d2sq = (np.square(d, out=d) for d in _displacement_tables(lat, L, img - v))
+            d1sq, d2sq = (np.square(d, out=d) for d in _displacement_tables(lat, img - v))
             columns = partial(_gabor_columns, _shifted(T, u, v), frame, frame.tight)
             C[i, j] = _weighted_sup(columns, d1sq, d2sq, s)
     C_lattice, C_offgrid = float(C[0, 0]), float(C.max())
@@ -882,12 +883,8 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
     L = sigma.config.L
     if L > SYMBOL_CLASS_MAX_L:
         raise SizeError(f"symbol_class_norm capped at L = {SYMBOL_CLASS_MAX_L}")
-    if window2d is None:
-        from .tfcore import periodized_gaussian
-        g = periodized_gaussian(sigma.config).values
-        Psi = np.outer(g, g)
-    else:
-        Psi = window2d.values
+    g = periodized_gaussian(sigma.config).values
+    Psi = np.outer(g, g) if window2d is None else window2d.values
     if np.linalg.norm(Psi) == 0:
         raise ModelError("zero 2d window")
     # translates[r, c, i, j] = conj(Psi)[(i + r) % L, (j + c) % L], the

@@ -10,6 +10,7 @@ stop the allocations the machine cannot hold."""
 import json
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -43,34 +44,37 @@ def widths(N):
     return [None, (None, 40), (1, N - 1), (1, 3 if N % 3 == 1 else 5)]
 
 
-def magnitudes(T, frame):
-    """|K| written block by block from the scratch column blocks of the
-    fused analyses over the tight window into a real N x N array."""
-    N = frame.lattice.size
+def magnitudes(columns, N):
+    """|K| written block by block from the |K| blocks of the column source
+    columns into a real N x N array."""
     absK = np.empty((N, N))
 
-    def write_block(cols, out):
-        np.abs(out.reshape(N, -1), out=absK[:, cols])
+    def write_block(cols, v, scratch):
+        np.copyto(absK[:, cols], v.reshape(N, -1))
 
-    gm._gabor_columns(T, frame, frame.tight, write_block, gm.FIT_BLOCK_ENTRIES)
+    columns(write_block)
     return absK
 
 
-def set_width(monkeypatch, setting, N, workers, share=1):
-    """Blocks of about `width` columns in a pass that takes
-    FIT_BLOCK_ENTRIES // share entries; an align of None keeps
-    COLUMN_ALIGN."""
+def fused_magnitudes(T, frame):
+    """magnitudes of the fused analyses over the tight window."""
+    return magnitudes(partial(gm._gabor_columns, T, frame, frame.tight), frame.lattice.size)
+
+
+def set_width(monkeypatch, setting, N, workers):
+    """Blocks of about `width` columns in a column source, which takes
+    FIT_BLOCK_ENTRIES // 4 entries; an align of None keeps COLUMN_ALIGN."""
     if setting is not None:
         align, width = setting
         if align is not None:
             monkeypatch.setattr(gabor, "COLUMN_ALIGN", align)
-        monkeypatch.setattr(gm, "FIT_BLOCK_ENTRIES", share * width * N * workers)
+        monkeypatch.setattr(gm, "FIT_BLOCK_ENTRIES", 4 * width * N * workers)
 
 
 def every_worker(monkeypatch):
     """Run the fused analyses on every worker of the block pool, whatever
     the size of the lattice."""
-    monkeypatch.setattr(gm, "_fused_workers", lambda lat, L, entries: blockpool.workers())
+    monkeypatch.setattr(gm, "_fused_workers", lambda lat, whole: blockpool.workers())
 
 
 @pytest.mark.parametrize("L,steps", CASES, ids=[f"L{L}-{s or 'default'}" for L, s in CASES])
@@ -80,15 +84,19 @@ def test_magnitudes_equal_abs_of_the_gabor_matrix(monkeypatch, L, steps, regime)
     cfg, N = frame.config, frame.lattice.size
     rng = np.random.Generator(np.random.Philox(L + N))
     T = gf.OperatorMatrix(rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)), cfg)
-    want = np.abs(gf.gabor_matrix(T, frame).entries)
-    for workers in (1, 2):
+    K = gf.gabor_matrix(T, frame)
+    want = np.abs(K.entries)
+    for workers in (1, 2, 3):
         with blockpool.worker_limit(workers):
             for setting in widths(N):
                 with monkeypatch.context() as m:
                     set_width(m, setting, N, workers)
-                    got = magnitudes(T, frame)
-                assert got.dtype == np.float64
-                np.testing.assert_array_equal(got, want, err_msg=f"{workers} {setting}")
+                    got = [fused_magnitudes(T, frame),
+                           magnitudes(gm._matrix_columns(K), N)]
+                for source, g in zip(("fused", "matrix"), got):
+                    assert g.dtype == np.float64
+                    np.testing.assert_array_equal(g, want,
+                                                  err_msg=f"{source} {workers} {setting}")
 
 
 def reference_analysis(window, lat, X):
@@ -144,7 +152,7 @@ def test_blocked_analyses_equal_the_one_block_reference(monkeypatch, L, steps, r
                         gf.gabor_matrix(T, frame, use_tight=use_tight).entries, K, err_msg=msg)
                     if use_tight:
                         np.testing.assert_array_equal(
-                            magnitudes(T, frame), np.abs(K), err_msg=msg)
+                            fused_magnitudes(T, frame), np.abs(K), err_msg=msg)
 
 
 @pytest.mark.parametrize("L", [64, 128])
@@ -166,7 +174,7 @@ def test_aligned_blocks_keep_the_bits_of_a_complex_window(monkeypatch, L):
                 with monkeypatch.context() as m:
                     force_width(m, setting)
                     np.testing.assert_array_equal(gf.gabor_matrix(T, frame).entries, K)
-                    np.testing.assert_array_equal(magnitudes(T, frame), np.abs(K))
+                    np.testing.assert_array_equal(fused_magnitudes(T, frame), np.abs(K))
 
 
 def windows_of(L, steps):
@@ -219,7 +227,7 @@ def test_time_index_blocks_equal_the_one_block_reference(monkeypatch, L, steps):
                             err_msg=msg)
                         if use_tight:
                             np.testing.assert_array_equal(
-                                magnitudes(T, frame), np.abs(K), err_msg=msg)
+                                fused_magnitudes(T, frame), np.abs(K), err_msg=msg)
                     assert min(X.shape[1] for X in got.values()) >= 2 * lat.n_freq
                     np.testing.assert_array_equal(
                         np.hstack([got[j0] for j0 in sorted(got)]), images, err_msg=msg)
@@ -255,18 +263,18 @@ PROFILE_CASES = [
 ]
 
 
-def tables_of(lat, L, chi):
-    return gm._displacement_tables(lat, L, gm._lattice_images(lat, L, chi))
+def tables_of(lat, chi):
+    return gm._displacement_tables(lat, gm._lattice_images(lat, chi))
 
 
 def integral(tables):
     return all(np.array_equal(d, np.round(d)) for d in tables)
 
 
-def whole_fit(lat, L, chi, absK):
+def whole_fit(lat, chi, absK):
     """envelope_fit of the whole (N, N) distance and |K| arrays: the
     reference of every decay fit."""
-    d1, d2 = tables_of(lat, L, chi)
+    d1, d2 = tables_of(lat, chi)
     j, k = np.divmod(np.arange(lat.size), lat.n_freq)
     return gf.envelope_fit(np.sqrt((d1[j] ** 2 + d2[k] ** 2) + 1.0), absK)
 
@@ -281,8 +289,8 @@ def test_operator_decay_profile_equals_the_profile_of_K(monkeypatch, L, regime, 
     frame = frame_for(L, None, regime)
     T, chi, _ = cli.parse_operator(spec, frame.config)
     K = gf.gabor_matrix(T, frame)
-    want = whole_fit(frame.lattice, L, chi, np.abs(K.entries))
-    keyed = integral(tables_of(frame.lattice, L, chi))
+    want = whole_fit(frame.lattice, chi, np.abs(K.entries))
+    keyed = integral(tables_of(frame.lattice, chi))
     fits = []
     for name in ("_key_fit", "_survivor_fit"):
         fit = getattr(gm, name)
@@ -305,7 +313,7 @@ def check_under_thread_switching(monkeypatch, regime, spec):
     survivors or the blocks would change the total count or the profile."""
     frame = frame_for(64, None, regime)
     T, chi, _ = cli.parse_operator(spec, frame.config)
-    want = whole_fit(frame.lattice, 64, chi, np.abs(gf.gabor_matrix(T, frame).entries))
+    want = whole_fit(frame.lattice, chi, np.abs(gf.gabor_matrix(T, frame).entries))
     monkeypatch.setattr(gm, "FIT_BLOCK_ENTRIES", 1)
     every_worker(monkeypatch)
     interval = sys.getswitchinterval()
@@ -338,21 +346,21 @@ def test_key_fold_equals_the_row_fit_with_a_distance_of_zeros(monkeypatch, L, st
     # where it is the largest weighted value
     frame = frame_for(L, steps, "A")
     lat, N = frame.lattice, frame.lattice.size
-    tables = tables_of(lat, L, np.eye(2))
+    tables = tables_of(lat, np.eye(2))
     sq1, sq2 = ((d ** 2).astype(np.intp) for d in tables)
     j, k = np.divmod(np.arange(N), lat.n_freq)
     key = sq1[j] + sq2[k]                                  # (N, N)
     rng = np.random.Generator(np.random.Philox(L))
     absK = np.exp(-key / L) * rng.uniform(0.5, 1.0, size=(N, N))
     absK[key == key.max()] = 0.0
-    want = whole_fit(lat, L, np.eye(2), absK)
+    want = whole_fit(lat, np.eye(2), absK)
     assert want[0][-1][2] > 0
     columns = gm._matrix_columns(gf.GaborMatrix(absK, frame))
     for workers in (1, 2, 3):
         with blockpool.worker_limit(workers):
             for width in (16, 40, N):
                 with monkeypatch.context() as m:
-                    set_width(m, (None, width), N, workers, share=4)
+                    set_width(m, (None, width), N, workers)
                     got = gm._key_fit(columns, sq1, sq2)
                 assert fields(got) == want, f"{workers} {width}"
 
@@ -376,7 +384,7 @@ def test_key_counts_equal_the_bincount_of_all_keys(L, steps, regime, spec):
     # the counts from one column of each class equal those of all N^2 keys
     cfg = gf.ModelConfig(L=L, regime=regime)
     lat = gf.default_lattice(cfg) if steps is None else gf.Lattice(*steps, cfg)
-    tables = tables_of(lat, L, cli.parse_operator(spec, cfg)[1])
+    tables = tables_of(lat, cli.parse_operator(spec, cfg)[1])
     assert integral(tables)
     sq1, sq2 = ((d ** 2).astype(np.intp) for d in tables)
     j, k = np.divmod(np.arange(lat.size), lat.n_freq)
@@ -396,7 +404,7 @@ def test_key_fold_raises_fit_error_for_one_non_finite_entry(monkeypatch, bad):
     frame = frame_for(64, None, "A")
     lat, N = frame.lattice, frame.lattice.size
     chirp_map = np.array([[1.0, 0.0], [1.0, 1.0]])
-    sq1, sq2 = ((d ** 2).astype(np.intp) for d in tables_of(lat, 64, chirp_map))
+    sq1, sq2 = ((d ** 2).astype(np.intp) for d in tables_of(lat, chirp_map))
     E = gf.gabor_matrix(gf.chirp_operator(frame.config, 1), frame).entries
     peak = np.unravel_index(np.abs(E).argmax(), E.shape)
     for where in (peak, (3, 5), (0, 0), (N - 1, N - 1)):
@@ -407,7 +415,7 @@ def test_key_fold_raises_fit_error_for_one_non_finite_entry(monkeypatch, bad):
             with blockpool.worker_limit(workers):
                 for width in (32, N):
                     with monkeypatch.context() as m:
-                        set_width(m, (None, width), N, workers, share=4)
+                        set_width(m, (None, width), N, workers)
                         with pytest.raises(gf.FitError) as got:
                             gm._key_fit(columns, sq1, sq2)
                     assert str(got.value) == "non-finite |K| among the entries to fit", \
@@ -427,7 +435,7 @@ def test_survivor_fold_equals_the_row_fit_with_ties_and_zeros(monkeypatch, L, st
     # at the floor; a growing |K| fits a negative exponent
     frame = frame_for(L, steps, "B")
     lat, N = frame.lattice, frame.lattice.size
-    tables = tables_of(lat, L, SHEAR)
+    tables = tables_of(lat, SHEAR)
     assert not integral(tables)
     j, k = np.divmod(np.arange(N), lat.n_freq)
     x = tables[0][j] ** 2 + tables[1][k] ** 2                  # (N, N)
@@ -436,7 +444,7 @@ def test_survivor_fold_equals_the_row_fit_with_ties_and_zeros(monkeypatch, L, st
     absK = np.floor(64 * profile * rng.uniform(0.5, 1.0, size=(N, N))) / 64
     bins = gm._bin_index(np.sqrt(x + 1.0))
     absK[bins == bins.max()] = 0.0
-    want = whole_fit(lat, L, SHEAR, absK)
+    want = whole_fit(lat, SHEAR, absK)
     assert want[0][-1][1] == gm.FIT_FLOOR_RTOL * absK.max()
     assert (want[1] < 0) == growing
     columns = gm._matrix_columns(gf.GaborMatrix(absK, frame))
@@ -444,7 +452,7 @@ def test_survivor_fold_equals_the_row_fit_with_ties_and_zeros(monkeypatch, L, st
         with blockpool.worker_limit(workers):
             for width in (16, 40, N):
                 with monkeypatch.context() as m:
-                    set_width(m, (None, width), N, workers, share=2)
+                    set_width(m, (None, width), N, workers)
                     got = gm._survivor_fit(columns, *(d ** 2 for d in tables))
                 assert fields(got) == want, f"{workers} {width}"
 
@@ -474,7 +482,7 @@ def test_operator_decay_profile_reaches_the_fit_core_once(monkeypatch):
                                 ("B", "fio1:phase=sine:0.2:8:8,symbol=ones", False)):
         frame = frame_for(64, None, regime)
         T, chi, _ = cli.parse_operator(spec, frame.config)
-        assert integral(tables_of(frame.lattice, 64, chi)) == keyed, spec
+        assert integral(tables_of(frame.lattice, chi)) == keyed, spec
         K = gf.gabor_matrix(T, frame)
         fold = "_key_fit" if keyed else "_survivor_fit"
         for profile in (lambda: gf.operator_decay_profile(T, frame, chi),
@@ -507,9 +515,9 @@ def test_a_non_finite_entry_raises_the_same_fit_error_in_every_fold(bad):
     E[3, 5] = bad
     K = gf.GaborMatrix(E, frame)
     chirp_map = np.array([[1.0, 0.0], [1.0, 1.0]])
-    assert integral(tables_of(lat, 64, chirp_map))
-    assert not integral(tables_of(lat, 64, SHEAR))
-    d1, d2 = tables_of(lat, 64, chirp_map)
+    assert integral(tables_of(lat, chirp_map))
+    assert not integral(tables_of(lat, SHEAR))
+    d1, d2 = tables_of(lat, chirp_map)
     j, k = np.divmod(np.arange(lat.size), lat.n_freq)
     dist = np.sqrt((d1[j] ** 2 + d2[k] ** 2) + 1.0)
     for workers in (1, 2, 3):
@@ -538,7 +546,7 @@ def fused_bytes(frame, entries):
     the GEMM product and images of its time indices, 32 bytes an entry, and
     a scratch column sub-block of K, 16 bytes an entry."""
     lat, L, N = frame.lattice, frame.config.L, frame.lattice.size
-    workers = gm._fused_workers(lat, L, entries)
+    workers = gm._fused_workers(lat, False)
     with blockpool.worker_limit(workers):
         width = blockpool.block_share(entries) // N
     times = gm._time_blocks(lat.n_time, workers)
@@ -547,7 +555,7 @@ def fused_bytes(frame, entries):
     return 16 * L * L + min(workers, len(times)) * (32 * M * L + 16 * N * sub)
 
 
-KEY_ENTRIES, SURVIVOR_ENTRIES = gm.FIT_BLOCK_ENTRIES // 4, gm.FIT_BLOCK_ENTRIES // 2
+KEY_ENTRIES = SURVIVOR_ENTRIES = gm.FIT_BLOCK_ENTRIES // 4
 
 # an N x N |K| alone is 8 N^2 bytes; both folds stay below it at every
 # worker count.  Beyond T' and the blocks in flight, the folds hold the
@@ -575,7 +583,7 @@ def test_survivor_fold_of_a_sampled_map_forms_no_n_by_n_array():
     frame = frame_for(256, None, "B")
     N = frame.lattice.size
     T, chi, _ = cli.parse_operator("fio2:phase=sine:0.2:16:16,symbol=ones", frame.config)
-    assert not integral(tables_of(frame.lattice, 256, chi))
+    assert not integral(tables_of(frame.lattice, chi))
     for workers in (1, 2, 4, 8):
         with blockpool.worker_limit(workers):
             peak = traced_peak(lambda: gf.operator_decay_profile(T, frame, chi))
@@ -604,10 +612,10 @@ def test_key_tables_hold_one_float_table_at_a_time(monkeypatch):
     cfg = gf.ModelConfig(L=128)
     lat = gf.Lattice(2, 2, cfg)
     table = 8 * lat.n_time * lat.size
-    want = [(d ** 2).astype(np.intp) for d in tables_of(lat, 128, np.eye(2))]
+    want = [(d ** 2).astype(np.intp) for d in tables_of(lat, np.eye(2))]
     got = []
     monkeypatch.setattr(gm, "_key_fit", lambda columns, *tables: got.extend(tables))
-    peak = traced_peak(lambda: gm._decay_fit(None, lat, 128, np.eye(2)))
+    peak = traced_peak(lambda: gm._decay_fit(None, lat, np.eye(2)))
     assert peak < 3.5 * table, peak / table
     assert [g.dtype for g in got] == [np.intp, np.intp]
     for g, w in zip(got, want, strict=True):
@@ -629,14 +637,14 @@ def test_benchmark_decay_runs_take_the_key_fold():
     cfg = gf.ModelConfig(L=512)
     lat = gf.default_lattice(cfg)
     for spec in decay_a_specs(512):
-        assert integral(tables_of(lat, 512, cli.parse_operator(spec, cfg)[1])), spec
+        assert integral(tables_of(lat, cli.parse_operator(spec, cfg)[1])), spec
     # tame-b: the identity of fio1:phase=kn folds by keys, its sine phases by survivors
     cfg = gf.ModelConfig(L=256, regime="B")
     lat = gf.default_lattice(cfg)
     for spec, keyed in (("fio1:phase=kn,symbol=ones", True),
                         ("fio1:phase=sine:0.2:16:16,symbol=ones", False),
                         ("fio2:phase=sine:0.2:16:16,symbol=ones", False)):
-        assert integral(tables_of(lat, 256, cli.parse_operator(spec, cfg)[1])) == keyed, spec
+        assert integral(tables_of(lat, cli.parse_operator(spec, cfg)[1])) == keyed, spec
 
 
 def test_size_guard_raises_before_the_n_by_n_arrays(monkeypatch, frame16):
@@ -645,12 +653,11 @@ def test_size_guard_raises_before_the_n_by_n_arrays(monkeypatch, frame16):
     N = frame16.lattice.size
 
     def fold():
-        gm._gabor_columns(T, frame16, frame16.tight, lambda cols, out: None,
-                          gm.FIT_BLOCK_ENTRIES)
+        gm._gabor_columns(T, frame16, frame16.tight, lambda cols, v, scratch: None)
 
     # each guard admits exactly its own arrays
     for budget, call in ((16 * N * N, lambda: gf.gabor_matrix(T, frame16)),
-                         (fused_bytes(frame16, gm.FIT_BLOCK_ENTRIES), fold),
+                         (fused_bytes(frame16, KEY_ENTRIES), fold),
                          (16 * N * N, lambda: gm.wrapped_displacements(K, np.eye(2)))):
         monkeypatch.setattr(gm, "_memory_budget", lambda: budget)
         call()
@@ -671,7 +678,7 @@ def test_size_guard_raises_before_the_per_key_arrays(monkeypatch, regime, spec):
     frame = frame_for(64, None, regime)
     T, chi, _ = cli.parse_operator(spec, frame.config)
     K = gf.gabor_matrix(T, frame)
-    sq1, sq2 = ((d ** 2).astype(np.intp) for d in tables_of(frame.lattice, 64, chi))
+    sq1, sq2 = ((d ** 2).astype(np.intp) for d in tables_of(frame.lattice, chi))
     n_keys = int(sq1.max()) + int(sq2.max()) + 1
     need = 8 * n_keys + 16 * gm._key_counts(sq1, sq2)[0].size
     want = gf.decay_profile(K, chi)
@@ -679,7 +686,7 @@ def test_size_guard_raises_before_the_per_key_arrays(monkeypatch, regime, spec):
     assert gm._key_fit(gm._matrix_columns(K), sq1, sq2) == want
     monkeypatch.setattr(gm, "_memory_budget", lambda: need - 1)
     for columns in (gm._matrix_columns(K),
-                    lambda fn, entries: gm._gabor_columns(T, frame, frame.tight, fn, entries)):
+                    partial(gm._gabor_columns, T, frame, frame.tight)):
         with pytest.raises(gf.SizeError, match="the per-key maxima and the key counts"):
             gm._key_fit(columns, sq1, sq2)
 
@@ -694,9 +701,9 @@ def test_size_guard_raises_before_the_displacement_tables(monkeypatch):
     K = gf.gabor_matrix(T, frame)
     need = 8 * (lat.n_time + lat.n_freq) * lat.size
     monkeypatch.setattr(gm, "_memory_budget", lambda: need)
-    tables_of(lat, 32, chi)
+    tables_of(lat, chi)
     monkeypatch.setattr(gm, "_memory_budget", lambda: need - 1)
-    for call in (lambda: tables_of(lat, 32, chi),
+    for call in (lambda: tables_of(lat, chi),
                  lambda: gf.decay_profile(K, chi),
                  lambda: gf.operator_decay_profile(T, frame, chi),
                  lambda: gf.offgraph_max(K, chi),
@@ -781,6 +788,25 @@ def test_operator_over_budget_exits_1_before_the_frame_is_built(monkeypatch, tmp
     assert report["error"]["type"] == "SizeError"
     assert "L x L operator" in report["error"]["message"]
     assert not calls
+
+
+def test_a_huge_operator_exits_1_before_any_lattice_is_built(monkeypatch, tmp_path):
+    # the default lattice scans the divisors of L up to sqrt(L): 10^9 steps
+    # at L = 10^18, so the size guard must come first
+    divisors = cli.gabor._divisors
+
+    def small_divisors(n):
+        assert n < 1 << 20, n
+        return divisors(n)
+
+    monkeypatch.setattr(cli.gabor, "_divisors", small_divisors)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"L": 10 ** 18}, "operator": "chirp:1"}))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "SizeError"
+    assert "L x L operator" in report["error"]["message"]
 
 
 def test_operator_guard_admits_exactly_one_operator(monkeypatch, tmp_path):

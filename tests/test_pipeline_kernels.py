@@ -381,7 +381,7 @@ def test_offgrid_is_the_same_for_every_worker_count(monkeypatch, L, spread):
     counts = (1, 2, 3)
     if spread:
         monkeypatch.setattr(gf.gabormatrix, "_fused_workers",
-                            lambda lat, L, entries: blockpool.workers())
+                            lambda lat, whole: blockpool.workers())
         monkeypatch.setattr(gf.gabormatrix, "FIT_BLOCK_ENTRIES", 1)
         counts += (6,)
     interval = sys.getswitchinterval()

@@ -46,8 +46,8 @@ def dense_frame(g, lat):
 def bracket_distances(K, chi):
     """<mu - chi(lam)> as an (N, N) array, from the displacement tables the
     blocked decay fit reads."""
-    lat, L = K.lattice, K.frame.config.L
-    d1, d2 = _displacement_tables(lat, L, _lattice_images(lat, L, chi))
+    lat = K.lattice
+    d1, d2 = _displacement_tables(lat, _lattice_images(lat, chi))
     j, k = np.divmod(np.arange(K.lattice.size), K.lattice.n_freq)
     return np.sqrt((d1[j] ** 2 + d2[k] ** 2) + 1.0)
 

@@ -92,6 +92,9 @@ def _configs() -> list[dict]:
     table += [_cfg(144, "decay", "dft*chirp:2", **odd),
               _cfg(144, "decay", "fio2:phase=sine:0.2:8:8,symbol=random-smooth:3", "B", **odd),
               _cfg(144, "gabor-matrix", "chirp:1*perturb-id:0.1:5", **odd)]
+    # the survivor fold at L = 128, whose worker count and sub-block width
+    # depend on the column sources' block share
+    table.append(_cfg(128, "decay", "fio2:phase=sine:0.2:8:8,symbol=random-smooth:3", "B"))
     # decay-a's size: many blocks of time indices on each worker, and the
     # key counts of two classes of columns (dft*chirp:3) and of one
     table += [_cfg(512, "decay", spec)
