@@ -538,7 +538,9 @@ def sparsity_sweep(cfg, frame, T, rng, out: Path):
         exact = [(p, dense @ p, np.linalg.norm(p)) for p in probes]
     rows, times = [], []
     taus = cfg["sweep"]["tau_grid"]
-    for tau, Ks in zip(taus, gm.sparsify_each(K, taus)):
+    sparse = gm.sparsify_each(K, taus)
+    for tau in taus:
+        Ks = next(sparse)
         with np.errstate(over="ignore", invalid="ignore"):
             errs = [np.linalg.norm(Kp - Ks.matrix @ p) / norm for p, Kp, norm in exact]
         # an overflow leaves an error of inf or nan: np.max keeps either, and
@@ -551,6 +553,7 @@ def sparsity_sweep(cfg, frame, T, rng, out: Path):
                      "measured_rel_error": rel_err})
         times.append({"tau": tau, "dense_ms": t_dense * 1e3,
                       "sparse_ms": t_sparse * 1e3})
+        del Ks                    # before the next matrix is formed
     with open(out / "sweep.csv", "w") as fh:
         fh.write("tau,kept_fraction,schur_residual,measured_rel_error,dense_ms,sparse_ms\n")
         for r, t in zip(rows, times):

@@ -48,15 +48,20 @@ both folds and for envelope_fit: from (distance, |value|) pairs, or from
 (distance, maximum, count) triples of the occupied keys or the survivors.
 
 The off-grid check folds _weighted_sup over _gabor_columns of T conjugated
-by its offsets.  Every pass over rows (the mu of K in offgraph_max and the
-CSV writer, the translates of the symbol-class sweep) splits them by
-_row_blocks into contiguous slices of about FIT_BLOCK_ENTRIES // W entries.
+by its offsets.  Every pass over rows (the mu of K in offgraph_max, the CSV
+writer and the sparse matrices of sparsify_each, the translates of the
+symbol-class sweep) splits them by _row_blocks into contiguous slices of
+about FIT_BLOCK_ENTRIES // W float64s, each entry counted at what its pass
+holds for it; the sparse product runs over blocks of whole slots.  So no
+step of the threshold sweep or of the CSV writer holds a temporary of K's
+size.
 
-The N x N arrays (K and the (N, N, 2) displacement array), the
-displacement tables, T' with the blocks in flight of the fused analyses as
-one sum, and the key fold's per-key maxima with its class counts (formed
-first, at most N pairs a class) are checked against the machine's physical
-memory before they are allocated: a larger one raises SizeError.
+The N x N arrays (K, the (N, N, 2) displacement array, and |K| with the
+densest sparse matrix of a sweep), the displacement tables, T' with the
+blocks in flight of the fused analyses as one sum, and the key fold's
+per-key maxima with its class counts (formed first, at most N pairs a
+class) are checked against the machine's physical memory before they are
+allocated: a larger one raises SizeError.
 
 Decay fit convention
 --------------------
@@ -79,6 +84,7 @@ with rounding noise.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import os
@@ -112,8 +118,9 @@ FIT_MIN_DIST = 2.0         # bins nearer the graph do not enter the fit
 FIT_MIN_COUNT = 3          # nor do bins with fewer entries
 # entries in flight in the blocked passes (1 MiB of float64): the row
 # blocks share them out over the block pool's workers, FIT_BLOCK_ENTRIES //
-# W per block, and the column sources a quarter of that (their blocks hold
-# |K| and the scratch, 24 bytes an entry, at least gabor.COLUMN_ALIGN wide)
+# W per block, the column sources a quarter of that (their blocks hold |K|
+# and the scratch, 24 bytes an entry, at least gabor.COLUMN_ALIGN wide) and
+# the sparse product an eighth (32 bytes an entry)
 FIT_BLOCK_ENTRIES = 1 << 17
 SUBBINS = 64               # sub-bins per sqrt(2) bin in the survivor fold
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
@@ -162,6 +169,9 @@ class RowPaddedMatrix:
     from the real and imaginary parts as a compiled CSR product does, so it
     gives the same floats as a CSR matvec over the same entries (for finite
     x: a zero slot adds a signed zero, which leaves every sum unchanged).
+    from_mask builds the rows in blocks of _row_blocks and the product runs
+    over blocks of whole slots, each with a temporary of about half a MiB,
+    whatever the matrix's size; neither block size changes a bit.
     """
 
     cols: np.ndarray           # (width, n_rows) column indices
@@ -180,32 +190,59 @@ class RowPaddedMatrix:
     def from_mask(cls, A: np.ndarray, mask: np.ndarray) -> "RowPaddedMatrix":
         """The entries of the 2-D complex array A where the boolean array
         mask of its shape is true."""
-        At, keep = A.T, mask.T                     # [column, row]
-        counts = np.count_nonzero(keep, axis=0)
+        return cls._from_rows(A, lambda rows: mask[rows], np.count_nonzero(mask, axis=1))
+
+    @classmethod
+    def _from_rows(cls, A: np.ndarray, keep_rows, counts: np.ndarray) -> "RowPaddedMatrix":
+        """from_mask over the _row_blocks of A's rows, 32 bytes an entry of
+        a row (the sort of its drop flags and the complex values it keeps):
+        keep_rows(rows) is the mask of a block of rows and counts the kept
+        entries of each row, so no array of A's shape is formed."""
+        n, m = A.shape
         width = int(counts.max(initial=0))
-        # a stable sort of the drop flags puts each row's kept columns
-        # first, in column order, and then its dropped ones, whose values
-        # in the padding slots are set to 0
-        cols = np.argsort(~keep, axis=0, kind="stable")[:width].copy()
-        vals = np.take_along_axis(At, cols, axis=0)
-        vals[np.arange(width)[:, None] >= counts] = 0
-        return cls(cols=cols, re=np.ascontiguousarray(vals.real),
-                   im=np.ascontiguousarray(vals.imag), shape=At.shape[::-1],
-                   nnz=int(counts.sum()))
+        cols = np.empty((width, n), dtype=np.intp)
+        re, im = np.empty((width, n)), np.empty((width, n))
+        for rows in _row_blocks(n, 4 * m):
+            # a stable sort of the drop flags puts each row's kept columns
+            # first, in column order, and then its dropped ones, whose values
+            # in the padding slots are set to 0
+            idx = np.argsort(~keep_rows(rows), axis=1, kind="stable")[:, :width]
+            vals = np.take_along_axis(A[rows], idx, axis=1)
+            vals[np.arange(width) >= counts[rows, None]] = 0
+            cols[:, rows], re[:, rows], im[:, rows] = idx.T, vals.real.T, vals.imag.T
+        return cls(cols=cols, re=re, im=im, shape=(n, m), nnz=int(counts.sum()))
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.shape[1],):
             raise ModelError(f"vector shape {x.shape} does not match matrix shape {self.shape}")
-        xc = x.take(self.cols)                     # one gather of x
-        xr, xi = xc.real, xc.imag
-        out = np.empty(self.shape[0], dtype=complex)
-        # a reduction over axis 0 adds the slots of each row in sequence
-        t, u = self.re * xr, self.im * xi
-        out.real = np.add.reduce(np.subtract(t, u, out=t), axis=0, initial=0.0)
-        np.multiply(self.re, xi, out=t)
-        np.multiply(self.im, xr, out=u)
-        out.imag = np.add.reduce(np.add(t, u, out=t), axis=0, initial=0.0)
+        width, n = self.cols.shape
+        # blocks of k whole slots, about FIT_BLOCK_ENTRIES // 8 entries, in
+        # one workspace a call of 32 bytes an entry (half a MiB): the gathered
+        # x (contiguous, so that no product reads a strided view), the
+        # products below the sums of the slots before them (a reduction over
+        # axis 0 adds the slots of each row in sequence) and the second
+        # products
+        k = max(1, min(width, FIT_BLOCK_ENTRIES // 8 // max(1, n)))
+        work = np.empty((4 * k + 1) * n)
+        xc = work[:2 * k * n].view(complex).reshape(k, n)
+        buf = work[2 * k * n:(3 * k + 1) * n].reshape(k + 1, n)
+        u = work[(3 * k + 1) * n:].reshape(k, n)
+        sums = np.zeros((2, n))                    # real and imaginary parts
+        for s0 in range(0, width, k):
+            j = min(k, width - s0)
+            # mode "raise" would buffer out; every column index is in range
+            xj = np.take(x, self.cols[s0:s0 + j], out=xc[:j], mode="clip")
+            re, im = self.re[s0:s0 + j], self.im[s0:s0 + j]
+            for part, (a, b, op) in enumerate(((xj.real, xj.imag, np.subtract),
+                                               (xj.imag, xj.real, np.add))):
+                np.multiply(re, a, out=buf[1:j + 1])
+                np.multiply(im, b, out=u[:j])
+                op(buf[1:j + 1], u[:j], out=buf[1:j + 1])
+                buf[0] = sums[part]
+                np.add.reduce(buf[:j + 1], axis=0, out=sums[part])
+        out = np.empty(n, dtype=complex)
+        out.real, out.imag = sums
         return out
 
 
@@ -555,7 +592,9 @@ def _fit(dist: np.ndarray, vals: np.ndarray, *counts):
 def _row_blocks(n_rows: int, row_entries: int) -> list:
     """Contiguous slices of n_rows rows of row_entries entries each, about
     FIT_BLOCK_ENTRIES // W entries (one row at least) per slice for W
-    workers: the one split of every pass over rows in this module."""
+    workers: the one split of every pass over rows in this module.  A pass
+    that holds k float64s for each entry of its block passes k times its row
+    length."""
     step = max(1, block_share(FIT_BLOCK_ENTRIES) // row_entries)
     return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
@@ -745,9 +784,23 @@ def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:
 def _offsets_for(lat, n_offsets: int) -> list:
     """Deterministic fractional-multiple offsets realized on the unit lattice:
     diagonal fractions j/(n+1) of a cell first (half-cell included when n >= 2),
-    then axis-aligned fractions as fillers."""
+    then axis-aligned fractions as fillers.
+
+    Both kinds of candidates, (round(a t), round(b t)) and the axis ones, are
+    non-decreasing in t = j/(n+1), so a new one can appear only at j = 1 or
+    where round(a t) or round(b t) steps up: the loop runs at those j alone
+    (found by bisection, with the loop's own arithmetic), at most a + b + 1
+    of them, and gives the list of the loop over every j <= n.
+    """
+    n = n_offsets
+    steps = {1} if n else set()
+    for cell in (lat.a, lat.b):
+        for k in range(1, cell + 1):
+            i = bisect.bisect_left(range(1, n + 1), k, key=lambda j: round(cell * (j / (n + 1))))
+            if i < n:
+                steps.add(i + 1)
     diag, axis = [], []
-    for j in range(1, n_offsets + 1):
+    for j in sorted(steps):
         t = j / (n_offsets + 1)
         c = (round(lat.a * t), round(lat.b * t))
         if c != (0, 0) and c not in diag:
@@ -832,23 +885,39 @@ def sparsify(K: GaborMatrix, tau: float) -> SparseGaborMatrix:
 def sparsify_each(K: GaborMatrix, taus):
     """sparsify(K, tau) for each tau of taus in turn, from one |K|.
 
-    |K|, the keep mask and the dropped |K| are one array each for all the
-    thresholds: each matrix takes its entries from K under the mask, and
-    the Schur sums of the dropped |K| are those of schur_bound.  A matrix
-    is formed when the one before it has been taken.
+    |K| is one array for all the thresholds, checked against the machine's
+    memory with the densest matrix a threshold can keep (24 bytes an entry
+    of K) before it is formed.  Each threshold runs over the _row_blocks of
+    K's rows twice, forming each block's keep mask anew: first the kept
+    count of each row and the Schur sums of the dropped |K| (the row sums
+    of each block, and the column sums carried from block to block in row
+    order, so both are those of schur_bound bit for bit), then the matrix
+    (RowPaddedMatrix._from_rows).  No other array of K's shape is formed,
+    and a matrix is formed when the one before it has been taken.
     """
-    absK = np.abs(K.entries)
-    keep = np.empty(absK.shape, dtype=bool)
-    dropped = np.empty_like(absK)
+    A = K.entries
+    n, m = A.shape
+    _require_memory(32 * n * m, "|K| and the densest sparse matrix of the sweep")
+    absK = np.abs(A)
+    blocks = _row_blocks(n, 4 * m)
+    # a block's dropped |K| below the column sums of the blocks before it
+    dropped = np.empty((max(b.stop - b.start for b in blocks) + 1, m))
     for tau in taus:
         if not tau >= 0:
             raise ModelError(f"threshold must be >= 0, got {tau!r}")
-        np.greater_equal(absK, tau, out=keep)
-        np.copyto(dropped, absK)
-        np.copyto(dropped, 0.0, where=keep)
-        yield SparseGaborMatrix(matrix=RowPaddedMatrix.from_mask(K.entries, keep),
-                                kept_fraction=float(keep.mean()),
-                                dropped_schur_mass=_schur_sums(dropped))
+        counts, row_sums = np.empty(n, dtype=np.intp), np.empty(n)
+        for i, rows in enumerate(blocks):
+            keep, d = absK[rows] >= tau, dropped[1:rows.stop - rows.start + 1]
+            counts[rows] = np.count_nonzero(keep, axis=1)
+            np.copyto(d, absK[rows])
+            np.copyto(d, 0.0, where=keep)
+            with np.errstate(over="ignore"):
+                row_sums[rows] = d.sum(axis=1)
+                dropped[0] = dropped[1 if i == 0 else 0:len(d) + 1].sum(axis=0)
+        yield SparseGaborMatrix(
+            matrix=RowPaddedMatrix._from_rows(A, lambda rows: absK[rows] >= tau, counts),
+            kept_fraction=int(counts.sum()) / (n * m),
+            dropped_schur_mass=float(max(row_sums.max(), dropped[0].max())))
 
 
 def schur_bound(K) -> float:
@@ -857,12 +926,6 @@ def schur_bound(K) -> float:
     overflows."""
     with np.errstate(over="ignore"):
         A = np.abs(K.entries if isinstance(K, GaborMatrix) else np.asarray(K))
-    return _schur_sums(A)
-
-
-def _schur_sums(A: np.ndarray) -> float:
-    """schur_bound of the non-negative 2-D array A, A itself for |A|."""
-    with np.errstate(over="ignore"):
         return float(max(A.sum(axis=1).max(), A.sum(axis=0).max()))
 
 
@@ -941,9 +1004,12 @@ def gabor_matrix_to_csv(K: GaborMatrix, path) -> None:
     written as repr.  The rows go out in the blocks of whole mu rows of
     _row_blocks, and repr runs once per distinct float of a block and part
     (real or imaginary): the Gabor matrix of a metaplectic word repeats its
-    floats bit for bit, about 8 times over for a chirp at L = 64.  Each
-    file row is one join of its four fields; a block's texts are released
-    before the next block's are formed.
+    floats bit for bit, often rows apart.  The blocks are sized at 4
+    float64s an entry, what np.unique's sort and the indices of a block
+    hold; its texts add up to about 150 bytes an entry where no float
+    repeats, but smaller blocks would repr a word's repeated floats once
+    per block.  Each file row is one join of its four fields; a block's
+    texts are released before the next block's are formed.
     """
     pts = [f"{k},{m}," for k, m in K.lattice.points().tolist()]
     N = len(pts)
@@ -951,7 +1017,7 @@ def gabor_matrix_to_csv(K: GaborMatrix, path) -> None:
     line[1::4] = pts
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
-        for rows in _row_blocks(N, N):
+        for rows in _row_blocks(N, 4 * N):
             block = K.entries[rows]
             re, re_at = _distinct_texts(block.real, ",")
             im, im_at = _distinct_texts(block.imag, "\r\n")

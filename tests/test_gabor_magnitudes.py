@@ -753,6 +753,51 @@ def test_sweep_probe_guard_admits_exactly_the_probes(monkeypatch, tmp_path):
     assert not (out / "sweep.csv").exists()
 
 
+def test_sweep_guard_admits_exactly_the_absolute_values_and_the_densest_matrix(
+        monkeypatch, tmp_path):
+    # |K| takes 8 bytes an entry of K and the densest matrix a threshold can
+    # keep 24 (column, real and imaginary parts of every entry): that budget
+    # admits the sweep, and one byte short stops it before the first
+    # threshold, after K and the probes' dense products
+    L = 16
+    N = gf.default_lattice(gf.ModelConfig(L=L)).size
+    K = gf.gabor_matrix(gf.chirp_operator(gf.ModelConfig(L=L), 1), frame_for(L, None, "A"))
+    monkeypatch.setattr(gm, "_memory_budget", lambda: 32 * N * N)
+    assert [S.nnz for S in gf.sparsify_each(K, [0.0, 1e-3])][0] == N * N
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"L": L}, "pipeline": "sparsity-sweep"}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "fits")]) == 0
+    monkeypatch.setattr(gm, "_memory_budget", lambda: 32 * N * N - 1)
+    with pytest.raises(gf.SizeError, match="the densest sparse matrix of the sweep"):
+        gf.sparsify(K, 0.0)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "SizeError"
+    assert "|K| and the densest sparse matrix of the sweep" in report["error"]["message"]
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("L", [64, 128])
+def test_sweep_holds_one_sparse_matrix_and_bounded_temporaries(tmp_path, L):
+    # the sweep holds K (16 bytes an entry), |K| (8) and one matrix, at most
+    # 24 bytes an entry at the densest threshold; its blocks of rows (up to
+    # 1 MiB at W = 1) and of slots (half a MiB), the probes and the operator
+    # stay under 2.5 MiB.  The whole-matrix
+    # temporaries of one matrix (an N x N argsort and complex copy, an N x N
+    # gather and two products) or a second matrix alive while the next is
+    # formed each add at least 24 bytes an entry
+    frame = frame_for(L, None, "A")
+    N = frame.lattice.size
+    T = gf.chirp_operator(frame.config, 1)
+    cfg = {"sweep": {"tau_grid": [1e-2, 1e-6, 1e-10, 0.0, 1e-3], "repeats": 2, "probes": 4}}
+    for workers in (1, 2, 3):
+        with blockpool.worker_limit(workers):
+            peak = traced_peak(lambda: cli.sparsity_sweep(
+                cfg, frame, T, np.random.Generator(np.random.Philox(0)), tmp_path))
+        assert peak < 48 * N * N + (5 << 19), (workers, peak)
+
+
 def test_memory_budget_is_the_physical_memory():
     budget = gm._memory_budget()
     assert 1 << 20 < budget < 1 << 62

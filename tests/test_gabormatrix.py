@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import gaborfio as gf
+from gaborfio import blockpool
+from gaborfio import gabormatrix as gm
 
 MJ = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SHEAR = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -303,6 +305,62 @@ def test_row_padded_apply_equals_row_sequential_loop(L, regime, rng):
                                                            rel=1e-12)
         assert (S.matrix @ x).tobytes() == row_sequential_matvec(kept, x).tobytes()
     assert S.nnz == 0 and row_padded_schur(S.matrix) == 0.0
+
+
+def slot_order_reference(A, mask, x):
+    """from_mask(A, mask) and its product with x, one row at a time: each
+    row's kept columns in column order and then its dropped ones, values 0
+    past the kept ones, and the product summed over every slot in order."""
+    counts = mask.sum(axis=1)
+    width = int(counts.max(initial=0))
+    cols = np.zeros((width, len(A)), dtype=np.intp)
+    re, im = np.zeros((width, len(A))), np.zeros((width, len(A)))
+    y = np.zeros(len(A), dtype=complex)
+    for i in range(len(A)):
+        order = list(np.flatnonzero(mask[i])) + list(np.flatnonzero(~mask[i]))
+        acc_re = acc_im = 0.0
+        for slot, j in enumerate(order[:width]):
+            v = complex(A[i, j]) if slot < counts[i] else 0j
+            cols[slot, i], re[slot, i], im[slot, i] = j, v.real, v.imag
+            xr, xi = float(x[j].real), float(x[j].imag)
+            acc_re += v.real * xr - v.imag * xi
+            acc_im += v.real * xi + v.imag * xr
+        y[i] = complex(acc_re, acc_im)
+    return cols, re, im, y
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 40])
+def test_row_padded_blocks_equal_the_slot_order_loop(monkeypatch, width):
+    # from_mask builds its rows in row blocks (_row_blocks) and the product
+    # runs over blocks of slots; for every worker count and block size, down
+    # to splits that leave a one-row or a one-slot last block, both give the
+    # arrays and the floats of the row-by-row loop, bit for bit
+    rng = np.random.Generator(np.random.Philox(width))
+    n, m = 37, 41
+    A = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    A[0, :3] = [0.0, -0.0, complex(-0.0, 0.0)]          # kept zeros of either sign
+    mask = np.zeros((n, m), dtype=bool)
+    for i in range(n):
+        mask[i, rng.choice(m, size=rng.integers(0, width + 1), replace=False)] = True
+    mask[5] = np.arange(m) >= m - width                   # one row at the full width
+    mask[0] = np.arange(m) < min(3, width)
+    x = rng.normal(size=m) + 1j * rng.normal(size=m)
+    cols, re, im, y = slot_order_reference(A, mask, x)
+    assert cols.shape[0] == width
+    # 4 m entries a row: blocks of 1, 2 and 3 rows (37 = 12 x 3 + 1), all
+    # rows; the products' blocks of 1 slot, 2 slots and all slots
+    for workers in (1, 2, 3):
+        for rows, slots in ((1, 1), (2, 2), (3, 2), (n, width)):
+            with monkeypatch.context() as mp, blockpool.worker_limit(workers):
+                mp.setattr(gm, "FIT_BLOCK_ENTRIES", workers * rows * 4 * m)
+                M = gf.RowPaddedMatrix.from_mask(A, mask)
+                assert [b.stop - b.start for b in gm._row_blocks(n, 4 * m)][0] == rows
+                mp.setattr(gm, "FIT_BLOCK_ENTRIES", 8 * slots * n)
+                got = M @ x
+            assert M.cols.tobytes() == cols.tobytes()
+            assert M.re.tobytes() == re.tobytes() and M.im.tobytes() == im.tobytes()
+            assert (M.shape, M.nnz) == ((n, m), int(mask.sum()))
+            assert got.tobytes() == y.tobytes(), (workers, rows, slots)
 
 
 def test_schur_bound_of_row_padded_reads_columns():

@@ -5,6 +5,7 @@ and, to rounding, against its per-atom loop; the reader's input contract."""
 
 import csv
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -163,19 +164,21 @@ def test_csv_texts_are_keyed_on_bits(tmp_path, monkeypatch, frame16):
 
 
 def test_csv_writer_memory(tmp_path):
-    """repr runs once per distinct float of a row block, and the texts of one
-    block are released before the next block's are formed."""
+    """repr runs once per distinct float of a row block, the blocks are sized
+    at 32 bytes an entry, and the texts of one block are released before
+    the next block's are formed."""
     chirp = gf.gabor_matrix(gf.chirp_operator(gf.ModelConfig(L=64), 1), frame_for(64))
     frame = frame_for(128)
     N = frame.lattice.size
     rng = np.random.Generator(np.random.Philox(128))
     dense = gf.GaborMatrix(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)), frame)
     with blockpool.worker_limit(2):
-        assert len(gf.gabormatrix._row_blocks(N, N)) == 4
-        # about 16,000 distinct floats of 131,072 in one block
-        assert traced_peak(lambda: gf.gabor_matrix_to_csv(chirp, tmp_path / "m.csv")) < 6 << 20
-        # no repeats; two blocks' texts at once would trace about 19 MiB
-        assert traced_peak(lambda: gf.gabor_matrix_to_csv(dense, tmp_path / "m.csv")) < 15 << 20
+        assert len(gf.gabormatrix._row_blocks(N, 4 * N)) == 16
+        # 64 rows a block at L = 64, of many repeated floats
+        assert traced_peak(lambda: gf.gabor_matrix_to_csv(chirp, tmp_path / "m.csv")) < 2 << 20
+        # no repeats, 32 rows a block; two blocks' texts at once would trace
+        # about 5.9 MiB
+        assert traced_peak(lambda: gf.gabor_matrix_to_csv(dense, tmp_path / "m.csv")) < 5 << 20
 
 
 def test_csv_reader_accepts_any_row_order(tmp_path, frame16):
@@ -393,6 +396,35 @@ def test_offgrid_is_the_same_for_every_worker_count(monkeypatch, L, spread):
             assert (rep.C_lattice, rep.C_offgrid) == want, workers
     finally:
         sys.setswitchinterval(interval)
+
+
+def loop_offsets(lat, n_offsets):
+    """The offsets of _offsets_for by its loop over every j <= n_offsets."""
+    diag, axis = [], []
+    for j in range(1, n_offsets + 1):
+        t = j / (n_offsets + 1)
+        c = (round(lat.a * t), round(lat.b * t))
+        if c != (0, 0) and c not in diag:
+            diag.append(c)
+        for c in ((round(lat.a * t), 0), (0, round(lat.b * t))):
+            if c != (0, 0) and c not in axis and c not in diag:
+                axis.append(c)
+    return (diag + [c for c in axis if c not in diag])[:n_offsets]
+
+
+def test_offsets_equal_the_loop_over_every_fraction():
+    # the loop runs only where a rounded coordinate steps up, so its time is
+    # bounded by the lattice, not by n_offsets
+    lattices = [gf.default_lattice(gf.ModelConfig(L=L)) for L in (16, 32, 64)]
+    lattices.append(gf.Lattice(4, 2, gf.ModelConfig(L=32)))
+    for lat in lattices:
+        for n in range(201):
+            assert gf.gabormatrix._offsets_for(lat, n) == loop_offsets(lat, n), (lat, n)
+    lat = gf.default_lattice(gf.ModelConfig(L=32))
+    t0 = time.perf_counter()
+    got = gf.gabormatrix._offsets_for(lat, 3 * 10 ** 6)
+    assert time.perf_counter() - t0 < 0.05
+    assert len(got) == 11 and got[:2] == [(1, 0), (1, 1)]
 
 
 def test_shifted_is_the_operator_conjugated_by_the_offsets():

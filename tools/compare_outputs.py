@@ -80,6 +80,9 @@ def _configs() -> list[dict]:
     # counts, whose padding slots hold 0
     for spec in ("chirp:1", "dft*chirp:2"):
         table.append(_cfg(128, "sparsity-sweep", spec))
+    # a sampled map's sweep whose applies span several blocks of slots and
+    # whose matrices several blocks of rows, at either thread count
+    table.append(_cfg(256, "sparsity-sweep", "metaplectic:1,0,-1.5,1"))
     table.append(_cfg(512, "decay", "fio1:phase=chirp:-3,symbol=random-smooth:123"))
     for spec in ("fio1:phase=sine:0.2:16:16,symbol=random-smooth:3",
                  "fio2:phase=sine:0.2:16:16,symbol=random-smooth:4",
