@@ -28,10 +28,9 @@ from .operators import (DiscretePhase, MetaplecticWord, OperatorMatrix,
                         SymbolGrid, adjoint, chirp_operator, compose,
                         dft_operator, dilation_operator,
                         discrete_phase_from_tame, fio_type1, fio_type2,
-                        identity_operator, kn_phase, kn_quantize,
-                        kn_symbol_of, metaplectic, multiplier_operator,
-                        quadratic_phase, random_smooth_symbol, symbol_ones,
-                        symbol_multiplier, type1_symbol_of)
+                        identity_operator, kn_quantize, kn_symbol_of,
+                        metaplectic, multiplier_operator, quadratic_phase,
+                        random_smooth_symbol, symbol_ones, type1_symbol_of)
 from .gabormatrix import (DecayProfile, GaborMatrix, OffgridReport,
                           RowPaddedMatrix, SparseGaborMatrix,
                           SymbolClassReport, decay_profile,

@@ -122,7 +122,7 @@ def load_config(path: str, overrides=()) -> dict:
 def _validate(cfg: dict) -> None:
     m = cfg.get("model", {})
     L = m.get("L")
-    if not isinstance(L, int) or L < 8 or L % 2:
+    if not _is_number(L, int) or L < 8 or L % 2:
         raise ConfigError(f"model.L must be an even integer >= 8, got {L!r}")
     if m.get("regime") not in ("A", "B"):
         raise ConfigError(f"model.regime must be 'A' or 'B', got {m.get('regime')!r}")
@@ -131,7 +131,7 @@ def _validate(cfg: dict) -> None:
     fr = cfg.get("frame", {})
     for key in ("a", "b"):
         v = fr.get(key)
-        if v is not None and (not isinstance(v, int) or v <= 0 or L % v):
+        if v is not None and (not _is_number(v, int) or v <= 0 or L % v):
             raise ConfigError(f"frame.{key} must divide L={L}, got {v!r}")
     if (fr.get("a") is None) != (fr.get("b") is None):
         raise ConfigError("frame.a and frame.b must be set together")
@@ -156,6 +156,9 @@ def _validate(cfg: dict) -> None:
             what = "an integer" if kind is int else "a finite number"
             bound = f" >= {lo}" if lo is not None else ""
             raise ConfigError(f"{section}.{key} must be {what}{bound}, got {v!r}")
+    matrix_csv = cfg["output"].get("matrix_csv")
+    if not isinstance(matrix_csv, bool):
+        raise ConfigError(f"output.matrix_csv must be true or false, got {matrix_csv!r}")
     taus = cfg["sweep"].get("tau_grid") if isinstance(cfg.get("sweep"), dict) else None
     if not (isinstance(taus, list) and taus
             and all(_is_finite(t) and t >= 0 for t in taus)):

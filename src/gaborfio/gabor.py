@@ -133,10 +133,6 @@ class CoefficientArray:
         array_field(self, "values", complex, (self.lattice.n_time, self.lattice.n_freq),
                     "coefficient")
 
-    def ravel(self) -> np.ndarray:
-        """Flatten in the canonical time-major order."""
-        return self.values.ravel()
-
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -227,14 +223,6 @@ def column_fold(lat: Lattice, X: np.ndarray) -> np.ndarray:
     return X.reshape(lat.b, lat.n_freq, X.shape[1]).transpose(1, 0, 2)
 
 
-def fold(window: Signal, lat: Lattice, X: np.ndarray):
-    """The factors of the fold + FFT analysis of the columns of the L x M
-    array X (module docstring): W[q] = conj(w[q + r n_freq - j a]) as an
-    (n_freq, n_time, b) array and the views Xq[q] = X[q + r n_freq] as an
-    (n_freq, b, M) array."""
-    return np.conj(window_fold(window, lat)), column_fold(lat, X)
-
-
 def fold_fft(W: np.ndarray, Xq: np.ndarray, out: np.ndarray) -> None:
     """The analysis from the fold W, Xq of M columns into the (n_time,
     n_freq, M) array out: out[j, q, :] = W[q] @ Xq[q], one GEMM per residue
@@ -266,7 +254,7 @@ def analysis_matrix(window: Signal, lat: Lattice, X: np.ndarray) -> np.ndarray:
     <X[:, m], pi(lambda) w>, rows in lattice order, by one fold_fft (module
     docstring)."""
     out = np.empty((lat.n_time, lat.n_freq, X.shape[1]), dtype=complex)
-    fold_fft(*fold(window, lat, X), out)
+    fold_fft(np.conj(window_fold(window, lat)), column_fold(lat, X), out)
     return out.reshape(lat.size, -1)
 
 

@@ -181,12 +181,6 @@ class RowPaddedMatrix:
     nnz: int
 
     @classmethod
-    def from_dense(cls, A: np.ndarray) -> "RowPaddedMatrix":
-        """The nonzero entries of the 2-D array A."""
-        A = np.asarray(A, dtype=complex)
-        return cls.from_mask(A, A != 0)
-
-    @classmethod
     def from_mask(cls, A: np.ndarray, mask: np.ndarray) -> "RowPaddedMatrix":
         """The entries of the 2-D complex array A where the boolean array
         mask of its shape is true."""
@@ -253,10 +247,6 @@ class SparseGaborMatrix:
     matrix: RowPaddedMatrix
     kept_fraction: float
     dropped_schur_mass: float
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
 
 
 @dataclass(frozen=True)
@@ -1047,7 +1037,7 @@ def gabor_matrix_from_csv(path, frame: GaborFrame) -> GaborMatrix:
     start = 0                     # the data rows of the chunks before
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
-        if header[:4] != CSV_HEADER[:4]:
+        if header != CSV_HEADER:
             raise ModelError("unrecognized Gabor-matrix CSV header")
         # a chunk is the next line and the lines after it, so the loop ends
         # with the file (a chunk of blank lines alone parses to no rows)

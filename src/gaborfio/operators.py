@@ -30,14 +30,14 @@ import numpy as np
 
 from .errors import ModelError, UnitError
 from .phasegeom import CanonicalMap, TamePhase, canonical_map_of_phase, linear_map
-from .tfcore import ModelConfig, Signal, array_field, dft_matrix, wrap_half
+from .tfcore import ModelConfig, array_field, dft_matrix, wrap_half
 
 __all__ = [
     "SymbolGrid", "OperatorMatrix", "DiscretePhase", "MetaplecticWord", "GENERATORS",
     "kn_quantize", "kn_symbol_of", "fio_type1", "fio_type2", "metaplectic",
     "adjoint", "compose", "type1_symbol_of",
-    "kn_phase", "quadratic_phase", "discrete_phase_from_tame",
-    "symbol_ones", "symbol_multiplier", "random_smooth_symbol",
+    "quadratic_phase", "discrete_phase_from_tame",
+    "symbol_ones", "random_smooth_symbol",
     "identity_operator", "chirp_operator", "dft_operator", "dilation_operator",
     "multiplier_operator",
 ]
@@ -63,11 +63,6 @@ class OperatorMatrix:
 
     def __post_init__(self):
         array_field(self, "entries", complex, (self.config.L,) * 2, "operator")
-
-    def apply(self, f: Signal) -> Signal:
-        if f.config.L != self.config.L:
-            raise ModelError("operator/signal length mismatch")
-        return Signal(self.entries @ f.values, self.config)
 
     def norm2(self) -> float:
         """Spectral norm (dense SVD)."""
@@ -117,11 +112,6 @@ class DiscretePhase:
         if self.tame is not None:
             return index_map_of_tame(self.tame, self.config)
         raise ModelError("phase has no canonical-map provenance")
-
-
-def kn_phase(config: ModelConfig) -> DiscretePhase:
-    """The Kohn-Nirenberg phase Phi[n, m] = n m / L (quadratic with beta = 1)."""
-    return quadratic_phase(config, 0, 1, 0)
 
 
 def quadratic_phase(config: ModelConfig, alpha: int, beta: int, gamma: int) -> DiscretePhase:
@@ -256,12 +246,6 @@ def compose(T1: OperatorMatrix, T2: OperatorMatrix) -> OperatorMatrix:
 
 def symbol_ones(config: ModelConfig) -> SymbolGrid:
     return SymbolGrid(np.ones((config.L, config.L)), config)
-
-
-def symbol_multiplier(config: ModelConfig, values: np.ndarray) -> SymbolGrid:
-    """Frequency-independent symbol sigma[n, m] = values[n] (a multiplication operator)."""
-    v = np.asarray(values, dtype=complex)
-    return SymbolGrid(np.repeat(v[:, None], config.L, axis=1), config)
 
 
 def random_smooth_symbol(config: ModelConfig, rng: np.random.Generator,

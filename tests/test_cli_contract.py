@@ -85,6 +85,10 @@ def run(tmp_path, capsys, *overrides, threads=None):
     ('word="dft"',),                              # a string, not a list
     ("operator=fio1:foo",),                       # no phase=
     ("operator=kn:symbol=random-smooth:1:16",),   # 33 modes per axis alias at L = 32
+    ("frame.a=true", "frame.b=true"),             # booleans, not integers
+    ("frame.a=1", "frame.b=true"),
+    ("output.matrix_csv=no",),                    # a string, not a boolean
+    ("output.matrix_csv=1",),
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     code, err, out = run(tmp_path, capsys, *overrides)

@@ -102,7 +102,7 @@ def test_magnitudes_equal_abs_of_the_gabor_matrix(monkeypatch, L, steps, regime)
 def reference_analysis(window, lat, X):
     """The analysis of the columns of X in one block: the fold, one matmul
     over all residues and all columns, one FFT over the residues."""
-    W, Xq = gabor.fold(window, lat, X)
+    W, Xq = np.conj(gabor.window_fold(window, lat)), gabor.column_fold(lat, X)
     return np.fft.fft(np.matmul(W, Xq), axis=0).transpose(1, 0, 2).reshape(lat.size, -1)
 
 
@@ -763,7 +763,7 @@ def test_sweep_guard_admits_exactly_the_absolute_values_and_the_densest_matrix(
     N = gf.default_lattice(gf.ModelConfig(L=L)).size
     K = gf.gabor_matrix(gf.chirp_operator(gf.ModelConfig(L=L), 1), frame_for(L, None, "A"))
     monkeypatch.setattr(gm, "_memory_budget", lambda: 32 * N * N)
-    assert [S.nnz for S in gf.sparsify_each(K, [0.0, 1e-3])][0] == N * N
+    assert [S.matrix.nnz for S in gf.sparsify_each(K, [0.0, 1e-3])][0] == N * N
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": {"L": L}, "pipeline": "sparsity-sweep"}))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "fits")]) == 0

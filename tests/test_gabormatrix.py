@@ -212,7 +212,7 @@ def test_sparsify_rejects_a_threshold_below_zero_or_nan(K_chirp64, tau):
 
 def test_sparsify_above_peak(K_chirp64):
     S = gf.sparsify(K_chirp64, np.abs(K_chirp64.entries).max() * 1.01)
-    assert S.nnz == 0
+    assert S.matrix.nnz == 0
     assert S.dropped_schur_mass == pytest.approx(gf.schur_bound(K_chirp64))
 
 
@@ -260,13 +260,14 @@ def test_sparsify_each_equals_sparsify_and_the_dense_masks(K_chirp64, rng):
         taus = [1e-2, 1e-6, 1e-10, 0.5 * absK.max(), 2 * absK.max(), 1e-6]
         for tau, S in zip(taus, gf.sparsify_each(K, taus), strict=True):
             keep = absK >= tau
-            ref = gf.RowPaddedMatrix.from_dense(np.where(keep, K.entries, 0.0))
+            A = np.where(keep, K.entries, 0.0)
+            ref = gf.RowPaddedMatrix.from_mask(A, A != 0)
             for want in (gf.sparsify(K, tau), ref):
                 M = want.matrix if isinstance(want, gf.SparseGaborMatrix) else want
                 assert S.matrix.cols.tobytes() == M.cols.tobytes()
                 assert S.matrix.re.tobytes() == M.re.tobytes()
                 assert S.matrix.im.tobytes() == M.im.tobytes()
-                assert (S.matrix.shape, S.nnz) == (M.shape, M.nnz)
+                assert (S.matrix.shape, S.matrix.nnz) == (M.shape, M.nnz)
             assert S.kept_fraction == gf.sparsify(K, tau).kept_fraction == keep.mean()
             assert (S.dropped_schur_mass == gf.sparsify(K, tau).dropped_schur_mass
                     == gf.schur_bound(np.where(keep, 0.0, absK)))
@@ -298,13 +299,13 @@ def test_row_padded_apply_equals_row_sequential_loop(L, regime, rng):
     for tau in (0.0, 1e-10, 1e-6, 1e-3, 1e-1 * peak, 1.01 * peak):
         S = gf.sparsify(K, tau)
         kept = np.where(absK >= tau, K.entries, 0.0)
-        assert S.nnz == np.count_nonzero(kept)
+        assert S.matrix.nnz == np.count_nonzero(kept)
         assert S.kept_fraction == (absK >= tau).mean()
         assert S.matrix.shape == K.entries.shape
         assert row_padded_schur(S.matrix) == pytest.approx(gf.schur_bound(kept),
                                                            rel=1e-12)
         assert (S.matrix @ x).tobytes() == row_sequential_matvec(kept, x).tobytes()
-    assert S.nnz == 0 and row_padded_schur(S.matrix) == 0.0
+    assert S.matrix.nnz == 0 and row_padded_schur(S.matrix) == 0.0
 
 
 def slot_order_reference(A, mask, x):
@@ -367,9 +368,9 @@ def test_schur_bound_of_row_padded_reads_columns():
     # column sums dominate: 3 in column 0, 1 in every row
     A = np.zeros((3, 3), dtype=complex)
     A[:, 0] = [1.0, 1j, -1.0]
-    S = gf.SparseGaborMatrix(gf.RowPaddedMatrix.from_dense(A),
+    S = gf.SparseGaborMatrix(gf.RowPaddedMatrix.from_mask(A, A != 0),
                              kept_fraction=1 / 3, dropped_schur_mass=0.0)
-    assert S.nnz == 3 and S.matrix.cols.shape == (1, 3)
+    assert S.matrix.nnz == 3 and S.matrix.cols.shape == (1, 3)
     assert row_padded_schur(S.matrix) == gf.schur_bound(A) == 3.0
 
 
@@ -385,7 +386,7 @@ def test_sparse_apply_index_mismatch(K_chirp64, cfg16):
     other_lat = gf.Lattice(2, 2, cfg16)
     c = gf.CoefficientArray(np.zeros((8, 8)), other_lat)
     with pytest.raises(gf.ModelError):
-        gf.sparsify(K_chirp64, 0.0).matrix @ c.ravel()
+        gf.sparsify(K_chirp64, 0.0).matrix @ c.values.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ def test_kn_flat_symbol_is_identity(cfg8):
 
 def test_kn_time_symbol_is_multiplier(cfg8, rng):
     w = rng.normal(size=8) + 1j * rng.normal(size=8)
-    T = gf.kn_quantize(gf.symbol_multiplier(cfg8, w))
+    T = gf.kn_quantize(gf.SymbolGrid(np.repeat(w[:, None], 8, axis=1), cfg8))
     np.testing.assert_allclose(T.entries, np.diag(w), atol=1e-13)
 
 
@@ -46,7 +46,7 @@ def test_kn_quantize_matches_definition(cfg8, rng):
     direct = np.array([L ** -0.5 * sum(np.exp(2j * np.pi * n * m / L)
                                        * sigma.values[n, m] * fhat[m]
                                        for m in range(L)) for n in range(L)])
-    np.testing.assert_allclose(gf.kn_quantize(sigma).apply(f).values, direct,
+    np.testing.assert_allclose(gf.kn_quantize(sigma).entries @ f.values, direct,
                                atol=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_kn_symbol_of_multiplier(cfg8, rng):
 
 def test_fio1_kn_phase_reduces_to_quantization(cfg8, rng):
     sigma = random_symbol(cfg8, rng)
-    T1 = gf.fio_type1(gf.kn_phase(cfg8), sigma)
+    T1 = gf.fio_type1(gf.quadratic_phase(cfg8, 0, 1, 0), sigma)
     T2 = gf.kn_quantize(sigma)
     np.testing.assert_allclose(T1.entries, T2.entries, atol=1e-13)
 
@@ -117,7 +117,7 @@ def test_quadratic_phase_integer_required(cfg16):
 
 
 def test_fio2_kn_phase_identity(cfg8):
-    T = gf.fio_type2(gf.kn_phase(cfg8), gf.symbol_ones(cfg8))
+    T = gf.fio_type2(gf.quadratic_phase(cfg8, 0, 1, 0), gf.symbol_ones(cfg8))
     np.testing.assert_allclose(T.entries, np.eye(8), atol=1e-13)
 
 

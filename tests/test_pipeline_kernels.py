@@ -224,6 +224,15 @@ def test_csv_reader_header_only_is_zero_matrix(tmp_path, frame16):
         gf.gabor_matrix_from_csv(path, frame16)
 
 
+@pytest.mark.parametrize("header", ["mu_k,mu_m,lam_k,lam_m,im,re",   # parts swapped
+                                    "mu_k,mu_m,lam_k,lam_m,re"])
+def test_csv_reader_rejects_any_header_but_the_writers(tmp_path, frame16, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\r\n0,0,0,0,1.0,2.0\r\n", newline="")
+    with pytest.raises(gf.ModelError, match="^unrecognized Gabor-matrix CSV header$"):
+        gf.gabor_matrix_from_csv(path, frame16)
+
+
 def csv_rows(path):
     header, *rows = path.read_text().splitlines(keepends=True)
     return header, rows

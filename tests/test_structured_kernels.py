@@ -94,8 +94,8 @@ def test_analysis_synthesis_atoms_match_dense(case):
     assert rel_err(gf.atom_matrix(frame.tight, lat), V) <= RTOL
     f = gf.random_signal(cfg, rng)
     c = gf.analysis(frame, f)
-    assert rel_err(c.ravel(), V.conj().T @ f.values) <= RTOL
-    assert rel_err(gf.synthesis(frame, c).values, V @ c.ravel()) <= RTOL
+    assert rel_err(c.values.ravel(), V.conj().T @ f.values) <= RTOL
+    assert rel_err(gf.synthesis(frame, c).values, V @ c.values.ravel()) <= RTOL
 
 
 def test_frame_deficient_lattice_still_raises():

@@ -128,10 +128,14 @@ def _configs() -> list[dict]:
                 table.append(_cfg(L, pipeline, f"fio1:phase={phase},symbol=ones"))
         for pipeline in ("decay", "invert", "gabor-matrix", "sparsity-sweep"):
             table.append(_cfg(L, pipeline, "metaplectic:1,0,-1.5,1"))
-    # failures: a degenerate A block (exit 1), not symplectic and a bad phase (exit 2)
+    # failures: a degenerate A block (exit 1), not symplectic and a bad phase
+    # (exit 2), and two configs load_config rejects (exit 2): boolean lattice
+    # steps and a matrix_csv that is not a boolean
     for spec in ("metaplectic:0,1,-1,0", "metaplectic:1,2,3,4",
                  "fio1:phase=kn:3,symbol=ones"):
         table.append(_cfg(32, "decay", spec))
+    table += [_cfg(16, "decay", "chirp:1", frame={"a": True, "b": True}),
+              _cfg(16, "decay", "chirp:1", output={"matrix_csv": "no"})]
     return table
 
 
