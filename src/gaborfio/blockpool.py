@@ -25,7 +25,7 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 
-__all__ = ["workers", "worker_limit", "block_share", "map_blocks"]
+__all__ = ["workers", "worker_limit", "map_blocks"]
 
 _WORKERS: ContextVar[int | None] = ContextVar("gaborfio_workers", default=None)
 
@@ -51,12 +51,6 @@ def worker_limit(n: int):
         yield
     finally:
         _WORKERS.reset(token)
-
-
-def block_share(entries: int) -> int:
-    """Entries per block such that the blocks in flight on all workers hold
-    about `entries` entries together."""
-    return max(1, entries // workers())
 
 
 def map_blocks(fn, blocks) -> list:

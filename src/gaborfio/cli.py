@@ -52,7 +52,6 @@ DEFAULT_CONFIG = {
               "repeats": 5, "probes": 4},
     "symbol_class": {"s": 2.0},
     "word": None,
-    "output": {"matrix_csv": False},
 }
 
 # (section, key) -> (int or float, smallest accepted value or None)
@@ -156,9 +155,6 @@ def _validate(cfg: dict) -> None:
             what = "an integer" if kind is int else "a finite number"
             bound = f" >= {lo}" if lo is not None else ""
             raise ConfigError(f"{section}.{key} must be {what}{bound}, got {v!r}")
-    matrix_csv = cfg["output"].get("matrix_csv")
-    if not isinstance(matrix_csv, bool):
-        raise ConfigError(f"output.matrix_csv must be true or false, got {matrix_csv!r}")
     taus = cfg["sweep"].get("tau_grid") if isinstance(cfg.get("sweep"), dict) else None
     if not (isinstance(taus, list) and taus
             and all(_is_finite(t) and t >= 0 for t in taus)):
@@ -402,8 +398,6 @@ def _gabor_matrix(run) -> dict:
 def _decay(run) -> dict:
     prof = gm.operator_decay_profile(run.T, run.frame, run.chi)
     gm.profile_to_csv(prof, run.out / "profile.csv")
-    if run.cfg["output"].get("matrix_csv"):
-        gm.gabor_matrix_to_csv(gm.gabor_matrix(run.T, run.frame), run.out / "matrix.csv")
     return {"s_fit": prof.s_fit, "C_fit": prof.C_fit, "r2": prof.r2,
             "chi": run.chi.source,
             "pass": bool(prof.s_fit >= run.s_threshold and np.isfinite(prof.C_fit))}

@@ -51,10 +51,11 @@ The off-grid check folds _weighted_sup over _gabor_columns of T conjugated
 by its offsets.  Every pass over rows (the mu of K in offgraph_max, the CSV
 writer and the sparse matrices of sparsify_each, the translates of the
 symbol-class sweep) splits them by _row_blocks into contiguous slices of
-about FIT_BLOCK_ENTRIES // W float64s, each entry counted at what its pass
-holds for it; the sparse product runs over blocks of whole slots.  So no
-step of the threshold sweep or of the CSV writer holds a temporary of K's
-size.
+about FIT_BLOCK_ENTRIES // W entries, each counted at what its pass holds
+for it but in the symbol-class sweep (symbol_class_norm); the sparse product
+runs over blocks of whole slots.  _block_units sizes these blocks and the
+column sources'.  So no step of the threshold sweep or of the CSV writer
+holds a temporary of K's size.
 
 The N x N arrays (K, the (N, N, 2) displacement array, and |K| with the
 densest sparse matrix of a sweep), the displacement tables, T' with the
@@ -95,7 +96,7 @@ from functools import partial
 
 import numpy as np
 
-from .blockpool import block_share, map_blocks, worker_limit, workers
+from .blockpool import map_blocks, worker_limit, workers
 from .errors import FitError, ModelError, SizeError
 from .gabor import (GaborFrame, column_blocks, column_fold, fold_fft, spans,
                     window_fold)
@@ -116,11 +117,11 @@ SYMBOL_CLASS_MAX_L = 128   # the 2d-STFT sweep is an L^4 log L computation
 FIT_FLOOR_RTOL = 1e-13     # envelope floor relative to the peak (rounding)
 FIT_MIN_DIST = 2.0         # bins nearer the graph do not enter the fit
 FIT_MIN_COUNT = 3          # nor do bins with fewer entries
-# entries in flight in the blocked passes (1 MiB of float64): the row
-# blocks share them out over the block pool's workers, FIT_BLOCK_ENTRIES //
-# W per block, the column sources a quarter of that (their blocks hold |K|
-# and the scratch, 24 bytes an entry, at least gabor.COLUMN_ALIGN wide) and
-# the sparse product an eighth (32 bytes an entry)
+# float64s in flight in the blocked passes (1 MiB), shared out by
+# _block_units: FIT_BLOCK_ENTRIES // W entries a row block, the column
+# sources a quarter of that (their blocks hold |K| and the scratch, 24 bytes
+# an entry, at least gabor.COLUMN_ALIGN wide) and the sparse product, on one
+# thread, an eighth (32 bytes an entry)
 FIT_BLOCK_ENTRIES = 1 << 17
 SUBBINS = 64               # sub-bins per sqrt(2) bin in the survivor fold
 CSV_HEADER = ["mu_k", "mu_m", "lam_k", "lam_m", "re", "im"]
@@ -211,13 +212,13 @@ class RowPaddedMatrix:
         if x.shape != (self.shape[1],):
             raise ModelError(f"vector shape {x.shape} does not match matrix shape {self.shape}")
         width, n = self.cols.shape
-        # blocks of k whole slots, about FIT_BLOCK_ENTRIES // 8 entries, in
-        # one workspace a call of 32 bytes an entry (half a MiB): the gathered
-        # x (contiguous, so that no product reads a strided view), the
-        # products below the sums of the slots before them (a reduction over
-        # axis 0 adds the slots of each row in sequence) and the second
-        # products
-        k = max(1, min(width, FIT_BLOCK_ENTRIES // 8 // max(1, n)))
+        # blocks of k whole slots, about FIT_BLOCK_ENTRIES // 8 entries for
+        # any W, in one workspace a call of 32 bytes an entry (half a MiB):
+        # the gathered x (contiguous, so that no product reads a strided
+        # view), the products below the sums of the slots before them (a
+        # reduction over axis 0 adds the slots of each row in sequence) and
+        # the second products
+        k = max(1, min(width, _block_units(n, 8, 1)))
         work = np.empty((4 * k + 1) * n)
         xc = work[:2 * k * n].view(complex).reshape(k, n)
         buf = work[2 * k * n:(3 * k + 1) * n].reshape(k + 1, n)
@@ -290,9 +291,16 @@ def _time_blocks(n_time: int, W: int) -> list:
     return spans(n_time, max(2, n_time // (16 * W)))
 
 
+def _block_units(unit: int, per_entry: int, W: int) -> int:
+    """Units of `unit` entries (one at least) in a block of a pass on W
+    workers counting per_entry float64s an entry (0 if one unit is larger):
+    the one share of the row blocks, column sources and sparse products."""
+    return max(1, FIT_BLOCK_ENTRIES // per_entry // W) // max(1, unit)
+
+
 def _column_width(lat, W: int) -> int:
     """The columns of a column source's block on W workers, for every fold."""
-    return max(1, FIT_BLOCK_ENTRIES // 4 // W) // lat.size
+    return _block_units(lat.size, 4, W)
 
 
 def _fused_plan(lat, W: int, whole: bool) -> tuple:
@@ -446,10 +454,10 @@ def _chi_points(chi, points: np.ndarray) -> np.ndarray:
     return img
 
 
-def _lattice_images(lat, chi) -> np.ndarray:
-    """chi(lam) of the points lam of the lattice lat of Z_L, each reduced to
-    [-L/2, L/2) first, as in wrapped_displacements: an (N, 2) array."""
-    return _chi_points(chi, wrap_half(lat.points().astype(float), lat.config.L))
+def _lattice_images(lat, chi, shift=(0, 0)) -> np.ndarray:
+    """chi(lam + shift) of the points lam of the lattice lat of Z_L, lam + shift
+    reduced to [-L/2, L/2) first, as in wrapped_displacements: an (N, 2) array."""
+    return _chi_points(chi, wrap_half((lat.points() + shift).astype(float), lat.config.L))
 
 
 def _displacement_tables(lat, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -483,7 +491,7 @@ def wrapped_displacements(K: GaborMatrix, chi) -> np.ndarray:
     pts = K.lattice.points().astype(float)
     L = K.frame.config.L
     _require_memory(16 * len(pts) ** 2, "the displacement array")
-    img = _chi_points(chi, wrap_half(pts, L))
+    img = _lattice_images(K.lattice, chi)
     d1 = wrap_half(pts[:, 0][:, None] - img[:, 0][None, :], L)
     d2 = wrap_half(pts[:, 1][:, None] - img[:, 1][None, :], L)
     return np.stack([d1, d2], axis=-1)
@@ -583,9 +591,9 @@ def _row_blocks(n_rows: int, row_entries: int) -> list:
     """Contiguous slices of n_rows rows of row_entries entries each, about
     FIT_BLOCK_ENTRIES // W entries (one row at least) per slice for W
     workers: the one split of every pass over rows in this module.  A pass
-    that holds k float64s for each entry of its block passes k times its row
-    length."""
-    step = max(1, block_share(FIT_BLOCK_ENTRIES) // row_entries)
+    that counts k float64s for each entry of its block passes k times its
+    row length."""
+    step = max(1, _block_units(row_entries, 1, workers()))
     return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
@@ -754,7 +762,8 @@ def operator_decay_profile(T: OperatorMatrix, frame: GaborFrame, chi) -> DecayPr
 def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:
     """Largest |K| (relative to the peak) at lattice-step distance >= min_steps
     from the graph mu = chi(lam); steps scale the wrapped displacement by
-    (1/a, 1/b).  |K| is formed one block of rows at a time."""
+    (1/a, 1/b).  |K| is formed one block of rows at a time, counted at 4
+    float64s an entry: |K|, the steps, their mask and np.where's result."""
     lat = K.lattice
     d1, d2 = _displacement_tables(lat, _lattice_images(lat, chi))
     s1, s2 = (d1 / lat.a) ** 2, (d2 / lat.b) ** 2
@@ -767,7 +776,7 @@ def offgraph_max(K: GaborMatrix, chi, min_steps: float = 8.0) -> float:
         far = np.where(steps >= min_steps, absK, -1.0).max()
         return far, absK.max()
 
-    far, peak = np.max(map_blocks(block_maxima, _row_blocks(lat.size, lat.size)), axis=0)
+    far, peak = np.max(map_blocks(block_maxima, _row_blocks(lat.size, 4 * lat.size)), axis=0)
     return float(far / peak) if far >= 0 else 0.0
 
 
@@ -851,11 +860,11 @@ def offgrid_decay_check(T: OperatorMatrix, frame: GaborFrame, chi, s: float,
         raise ModelError("off-grid check is a regime-A (exact torus) operation")
     if not np.isfinite(T.entries).all():
         raise ModelError("operator has non-finite entries")
-    lat, L = frame.lattice, frame.config.L
+    lat = frame.lattice
     offsets = [(0, 0)] + _offsets_for(lat, n_offsets)
     C = np.zeros((len(offsets), len(offsets)))
     for i, u in enumerate(offsets):
-        img = _chi_points(chi, wrap_half((lat.points() + u).astype(float), L))
+        img = _lattice_images(lat, chi, u)
         for j, v in enumerate(offsets):
             d1sq, d2sq = (np.square(d, out=d) for d in _displacement_tables(lat, img - v))
             columns = partial(_gabor_columns, _shifted(T, u, v), frame, frame.tight)
@@ -929,9 +938,11 @@ def symbol_class_norm(sigma: SymbolGrid, s: float,
     block stacks sigma conj(Psi(. - z)) in its worker's buffer, runs one
     batched 2d FFT in place and folds its maximum over z into one envelope
     under a lock (an L^4 log L computation overall, so L is capped at
-    SYMBOL_CLASS_MAX_L).  Also fits the decay exponent of the envelope
-    sup_z |V_Psi sigma(z, .)| with the shared binning machinery.  An
-    envelope that overflows raises ModelError.
+    SYMBOL_CLASS_MAX_L).  A block holds 3 float64s an entry (its stack and
+    |.|) but counts 1: counting 3 saved 1.9 MiB at L = 64 but ran 4-8%
+    slower there and a fifth slower at L = 128.  Also fits the decay
+    exponent of the envelope sup_z |V_Psi sigma(z, .)| with the shared
+    binning machinery.  An envelope that overflows raises ModelError.
     """
     L = sigma.config.L
     if L > SYMBOL_CLASS_MAX_L:

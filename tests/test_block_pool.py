@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -114,6 +115,41 @@ def test_row_blocks_cover_the_rows_in_order(monkeypatch, n_rows):
         rows = max(1, max(1, entries // workers) // row_entries)
         assert all(b.stop - b.start == rows for b in blocks[:-1])
         assert 1 <= blocks[-1].stop - blocks[-1].start <= rows
+
+
+class SlotReads(np.ndarray):
+    """Column indices of a RowPaddedMatrix that record the slices of slots
+    the product reads."""
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return np.asarray(super().__getitem__(key))
+
+
+@pytest.mark.parametrize("entries", [1 << 17, 1, 4 * 32 * 256])
+def test_one_share_sizes_every_block_as_before(monkeypatch, entries):
+    # _block_units sizes the row blocks, the column sources' blocks and the
+    # slot blocks of the sparse product; each equals the formula it replaced
+    # (the blocks of the product do not depend on the worker count)
+    monkeypatch.setattr(gf.gabormatrix, "FIT_BLOCK_ENTRIES", entries)
+    for workers in (1, 2, 3):
+        with blockpool.worker_limit(workers):
+            for n_rows, row_entries in ((1, 1), (37, 7), (300, 4 * 300), (4097, 4097)):
+                step = max(1, max(1, entries // workers) // row_entries)
+                assert gf.gabormatrix._row_blocks(n_rows, row_entries) == [
+                    slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
+            for N in (1, 17, 256, 4096):
+                lat = types.SimpleNamespace(size=N)
+                assert gf.gabormatrix._column_width(lat, workers) == \
+                    max(1, entries // 4 // workers) // N
+            for n, width in ((1, 3), (37, 40), (1024, 40), (5000, 2), (7, 0)):
+                cols = np.zeros((width, n), dtype=np.intp).view(SlotReads)
+                cols.reads = []
+                M = gf.RowPaddedMatrix(cols=cols, re=np.zeros((width, n)),
+                                       im=np.zeros((width, n)), shape=(n, 1), nnz=0)
+                assert not (M @ np.ones(1)).any()
+                k = max(1, min(width, entries // 8 // max(1, n)))
+                assert cols.reads == [slice(s, min(s + k, width)) for s in range(0, width, k)]
 
 
 def test_threads_1_starts_no_pool_thread(tmp_path, restore_blas, monkeypatch):

@@ -210,24 +210,6 @@ def test_regime_b_decay_pipeline(tmp_path):
     assert rep["s_fit"] >= 3.0
 
 
-@pytest.mark.parametrize("regime", ["A", "B"])
-def test_decay_matrix_csv_is_the_gabor_matrix_pipeline_csv(tmp_path, regime):
-    # the decay fit reads |K| only; matrix.csv still holds the complex K
-    outs = {}
-    for name, pipeline, matrix_csv in (("plain", "decay", False), ("csv", "decay", True),
-                                       ("matrix", "gabor-matrix", False)):
-        cfg = write_config(tmp_path, model={"L": 32, "regime": regime},
-                           operator="chirp:1", pipeline=pipeline,
-                           output={"matrix_csv": matrix_csv})
-        outs[name] = tmp_path / name
-        assert cli.main(["run", cfg, "--out", str(outs[name])]) == 0
-    assert not (outs["plain"] / "matrix.csv").exists()
-    assert (outs["csv"] / "matrix.csv").read_bytes() == \
-        (outs["matrix"] / "matrix.csv").read_bytes()
-    assert (outs["csv"] / "profile.csv").read_bytes() == \
-        (outs["plain"] / "profile.csv").read_bytes()
-
-
 def test_reproducibility_byte_equal_except_timings(tmp_path):
     cfg = write_config(tmp_path, model={"L": 32, "regime": "A"},
                        operator="kn:symbol=random-smooth:9", pipeline="decay",

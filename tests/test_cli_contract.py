@@ -87,7 +87,7 @@ def run(tmp_path, capsys, *overrides, threads=None):
     ("operator=kn:symbol=random-smooth:1:16",),   # 33 modes per axis alias at L = 32
     ("frame.a=true", "frame.b=true"),             # booleans, not integers
     ("frame.a=1", "frame.b=true"),
-    ("output.matrix_csv=no",),                    # a string, not a boolean
+    ("output.matrix_csv=no",),                    # no output section
     ("output.matrix_csv=1",),
 ])
 def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
@@ -97,6 +97,17 @@ def test_malformed_input_is_one_line_exit_2(tmp_path, capsys, overrides):
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert not (out / "report.json").exists()
     assert not (out / "profile.csv").exists()
+
+
+def test_output_section_is_an_unknown_key(tmp_path, capsys):
+    # matrix.csv comes from the gabor-matrix pipeline alone: a config that
+    # still names the output section of decay is rejected like any other key
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"L": 32}, "output": {"matrix_csv": False}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: unknown config key 'output'\n"
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # the overflow is the input

@@ -237,8 +237,7 @@ def test_time_index_blocks_equal_the_one_block_reference(monkeypatch, L, steps):
 @pytest.mark.parametrize("entries", [1, 40, 1 << 12, 1 << 17])
 def test_column_blocks_cover_the_columns_and_none_is_one_wide(N, entries):
     for workers in (1, 2, 3):
-        with blockpool.worker_limit(workers):
-            blocks = gabor.column_blocks(N, blockpool.block_share(entries) // N)
+        blocks = gabor.column_blocks(N, max(1, entries // workers) // N)
         assert blocks[0].start == 0 and blocks[-1].stop == N
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         assert all((b.stop - b.start) % gabor.COLUMN_ALIGN == 0 for b in blocks[:-1])
@@ -547,8 +546,7 @@ def fused_bytes(frame, entries):
     a scratch column sub-block of K, 16 bytes an entry."""
     lat, L, N = frame.lattice, frame.config.L, frame.lattice.size
     workers = gm._fused_workers(lat, False)
-    with blockpool.worker_limit(workers):
-        width = blockpool.block_share(entries) // N
+    width = max(1, entries // workers) // N
     times = gm._time_blocks(lat.n_time, workers)
     M = max(js.stop - js.start for js in times) * lat.n_freq
     sub = max(c.stop - c.start for c in gabor.column_blocks(M, width))

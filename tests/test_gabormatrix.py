@@ -364,6 +364,14 @@ def test_row_padded_blocks_equal_the_slot_order_loop(monkeypatch, width):
             assert got.tobytes() == y.tobytes(), (workers, rows, slots)
 
 
+def test_row_padded_matrix_of_no_columns_or_rows():
+    # rows of no entries split into row blocks like any others
+    for n, m in ((3, 0), (0, 4), (0, 0)):
+        M = gf.RowPaddedMatrix.from_mask(np.zeros((n, m), complex), np.zeros((n, m), bool))
+        assert (M.shape, M.nnz, M.cols.shape) == ((n, m), 0, (0, n))
+        assert (M @ np.zeros(m)).tobytes() == np.zeros(n, complex).tobytes()
+
+
 def test_schur_bound_of_row_padded_reads_columns():
     # column sums dominate: 3 in column 0, 1 in every row
     A = np.zeros((3, 3), dtype=complex)

@@ -43,7 +43,7 @@ def _configs() -> list[dict]:
         table += [
             _cfg(16, "gabor-matrix", "chirp:1", regime),
             _cfg(32, "decay", "dft", regime),
-            _cfg(32, "decay", "chirp:1", regime, output={"matrix_csv": True}),
+            _cfg(32, "gabor-matrix", "chirp:1", regime),
             _cfg(32, "compose", "chirp:1*dft", regime),
             _cfg(32, "invert", "chirp:1*perturb-id:0.1:3", regime),
             _cfg(32, "factorize", "multiplier:0.1*chirp:1", regime, word=["chirp:1"]),
@@ -71,8 +71,10 @@ def _configs() -> list[dict]:
             ("gabor-matrix", "chirp:-2", {})):
         table.append(_cfg(64, pipeline, spec, **extra))
     # the symbol-class sweep at L = 64 in regime B too: each row of
-    # translates splits into several blocks at either thread count
+    # translates splits into several blocks at either thread count; and at
+    # its cap, L = SYMBOL_CLASS_MAX_L = 128
     table.append(_cfg(64, "symbol-class", "kn:symbol=random-smooth:13", "B"))
+    table.append(_cfg(128, "symbol-class", "kn:symbol=random-smooth:13"))
     # matrix.csv over several row blocks, of few and of many repeated floats
     for spec in ("chirp:1*perturb-id:0.1:5", "dft*chirp:2"):
         table.append(_cfg(128, "gabor-matrix", spec))
@@ -130,7 +132,7 @@ def _configs() -> list[dict]:
             table.append(_cfg(L, pipeline, "metaplectic:1,0,-1.5,1"))
     # failures: a degenerate A block (exit 1), not symplectic and a bad phase
     # (exit 2), and two configs load_config rejects (exit 2): boolean lattice
-    # steps and a matrix_csv that is not a boolean
+    # steps and an output section, which no pipeline reads
     for spec in ("metaplectic:0,1,-1,0", "metaplectic:1,2,3,4",
                  "fio1:phase=kn:3,symbol=ones"):
         table.append(_cfg(32, "decay", spec))
